@@ -34,7 +34,6 @@ from .estimators import (
     bootstrap_ci,
     build_stacked_system,
     hajek_ipw,
-    participation_weights,
     sandwich_variance,
     trimmed_aipw,
     trimmed_ipw,
@@ -47,16 +46,10 @@ from .glm import (
     fit_propensity_score,
     fit_sampling_score,
     predict_mean,
-    score_contributions,
 )
 from .partition import (
-    ExclusionRule,
     PartitionResult,
-    Predicate,
-    SmoothInclusionParams,
-    apply_exclusion_rules,
     partition_population,
-    smooth_inclusion,
     solve_threshold,
 )
 from .sensitivity import (

@@ -8,6 +8,14 @@ randomness flows from explicit seeds in the configuration; a missing
 seed where one is needed is a configuration error, never a silent
 clock seed.
 
+``load_dataset`` returns the dataset and the CSV's columns by name.
+Exclusion rules (``exclusion_rules``) and the extrapolation filters
+(``sensitivity.extrapolation.r{1,2}_trial_filter``) are clause lists
+over those named columns, evaluated column-wise by
+``evaluate_raw_rules``; the partition receives the resulting target-row
+mask. Each method name maps to its estimator in one table, which serves
+both the full-sample estimate and every bootstrap replicate.
+
 Exit codes: 0 success, 2 configuration error, 3 data error,
 4 numerical error.
 """
@@ -16,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 
@@ -52,119 +61,155 @@ _FAMILIES = {
     "binary": GlmFamily.BERNOULLI_LOGIT,
 }
 
-_METHODS = ("ipw", "aipw", "trimmed_ipw", "trimmed_aipw")
+# method name -> its estimator, called with the dataset, the sampling,
+# propensity and outcome fits, the partition and the variance method. The
+# lambdas look the estimator names up at call time, so a wrapper bound
+# over a module name (as bench/tracing.py binds them) sees every call.
+_METHODS = {
+    "ipw": lambda ds, sf, pf, of, part, v: hajek_ipw(ds, sf, pf, variance=v),
+    "aipw": lambda ds, sf, pf, of, part, v: augmented_ipw(ds, sf, pf, of, variance=v),
+    "trimmed_ipw": lambda ds, sf, pf, of, part, v: trimmed_ipw(ds, sf, pf, part, variance=v),
+    "trimmed_aipw": lambda ds, sf, pf, of, part, v: trimmed_aipw(ds, sf, pf, of, part, variance=v),
+}
 
 
 # ---------------------------------------------------------------------------
 # dataset loading
 # ---------------------------------------------------------------------------
 
-def load_dataset(path: str, roles: dict) -> tuple[Dataset, list[dict]]:
+def load_dataset(path: str, roles: dict) -> tuple[Dataset, dict[str, tuple[str, ...]]]:
     """Parse a CSV into a Dataset, prepending the constant-1 column.
 
     ``roles`` maps {"s": column, "a": column, "y": column,
     "covariates": [columns...]}. Treatment and outcome cells must be
     empty exactly on target rows; anything else is a role
-    misassignment. Returns the dataset and the raw rows (as dicts) so
-    that exclusion rules may reference non-model columns.
+    misassignment. Returns the dataset and every CSV column by name (a
+    tuple of its cells, one per data row) so that exclusion rules may
+    reference non-model columns. Blank lines are skipped; every other
+    row must have as many fields as the header.
     """
     for key in ("s", "a", "y", "covariates"):
         if key not in roles:
             raise ConfigError(f"column roles must include {key!r}")
     try:
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise DataError(f"{path}: missing header row")
-            header = set(reader.fieldnames)
-            raw = list(reader)
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = [row for row in reader if row]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    if header is None:
+        raise DataError(f"{path}: missing header row")
     needed = [roles["s"], roles["a"], roles["y"], *roles["covariates"]]
     missing = [c for c in needed if c not in header]
     if missing:
         raise DataError(f"{path}: missing columns {missing}")
-    if not raw:
+    if not rows:
         raise DataError(f"{path}: no data rows")
+    ragged = [len(row) != len(header) for row in rows]
+    _fail_at(path, ragged, f"the header has {len(header)} fields")
+    columns = dict(zip(header, zip(*rows)))
+    del rows
 
-    n = len(raw)
-    s = np.empty(n)
-    a = np.full(n, np.nan)
-    y = np.full(n, np.nan)
-    x = np.empty((n, len(roles["covariates"]) + 1))
+    flags = [c.strip() for c in columns[roles["s"]]]
+    _fail_at(path, [f not in ("0", "1") for f in flags], "participation flag must be 0 or 1")
+    trial = np.array([f == "1" for f in flags])
+    has_a = np.array([bool(c.strip()) for c in columns[roles["a"]]])
+    has_y = np.array([bool(c.strip()) for c in columns[roles["y"]]])
+    _fail_at(path, trial & ~(has_a & has_y), "trial row lacks treatment or outcome")
+    _fail_at(
+        path, ~trial & (has_a | has_y),
+        "treatment/outcome present on a target row; check the column role assignment",
+    )
+    x = np.empty((trial.size, len(roles["covariates"]) + 1))
     x[:, 0] = 1.0
-    for i, row in enumerate(raw):
-        sv = row[roles["s"]].strip()
-        if sv not in ("0", "1"):
-            raise DataError(f"{path} row {i + 2}: participation flag must be 0 or 1")
-        s[i] = float(sv)
-        av = row[roles["a"]].strip()
-        yv = row[roles["y"]].strip()
-        if s[i] == 1.0:
-            if av == "" or yv == "":
-                raise DataError(f"{path} row {i + 2}: trial row lacks treatment or outcome")
-            a[i] = _number(av, path, i, roles["a"])
-            y[i] = _number(yv, path, i, roles["y"])
-        elif av != "" or yv != "":
+    for j, col in enumerate(roles["covariates"]):
+        _fail_at(path, [not c.strip() for c in columns[col]], f"empty covariate {col!r}")
+        x[:, j + 1] = _floats(columns[col], col, path)
+    a = _floats(columns[roles["a"]], roles["a"], path)
+    y = _floats(columns[roles["y"]], roles["y"], path)
+    return Dataset(s=trial.astype(float), a=a, y=y, x=x), columns
+
+
+def _fail_at(path: str, bad, message: str):
+    """DataError naming the first data row flagged in ``bad``."""
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        raise DataError(f"{path} row {rows[0] + 2}: {message}")
+
+
+def _floats(cells, col: str, where: str, rows=None) -> np.ndarray:
+    """CSV cells as floats, empty cells as NaN. ``rows`` are the cells'
+    data-row numbers (all rows in order by default), for the error."""
+    out = []
+    for i, cell in enumerate(cells):
+        cell = cell.strip()
+        try:
+            out.append(float(cell) if cell else np.nan)
+        except ValueError:
+            row = i if rows is None else rows[i]
             raise DataError(
-                f"{path} row {i + 2}: treatment/outcome present on a target row; "
-                "check the column role assignment"
-            )
-        for j, col in enumerate(roles["covariates"]):
-            v = row[col].strip()
-            if v == "":
-                raise DataError(f"{path} row {i + 2}: empty covariate {col!r}")
-            x[i, j + 1] = _number(v, path, i, col)
-    return Dataset(s=s, a=a, y=y, x=x), raw
-
-
-def _number(value: str, path: str, i: int, col: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise DataError(f"{path} row {i + 2}: non-numeric value {value!r} in column {col!r}")
+                f"{where} row {row + 2}: non-numeric value {cell!r} in column {col!r}"
+            ) from None
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------
-# raw-column exclusion rules (CSV-name based)
+# exclusion rules over named CSV columns
 # ---------------------------------------------------------------------------
 
-_RAW_OPS = {
-    "==": lambda v, c: v == c,
-    "!=": lambda v, c: v != c,
-    ">=": lambda v, c: v >= c,
-    "<=": lambda v, c: v <= c,
-    ">": lambda v, c: v > c,
-    "<": lambda v, c: v < c,
-    "in": lambda v, c: v in c,
+_COMPARATORS = {
+    "==": np.equal,
+    "!=": np.not_equal,
+    ">=": np.greater_equal,
+    "<=": np.less_equal,
+    ">": np.greater,
+    "<": np.less,
+    "in": np.isin,
 }
 
 
-def evaluate_raw_rules(rules: list, raw_rows: list[dict], mask_rows) -> np.ndarray:
-    """Evaluate clause lists against raw CSV rows (selected by mask_rows).
+def evaluate_raw_rules(rules: list, columns: dict, mask_rows) -> np.ndarray:
+    """Evaluate clause lists on the rows ``mask_rows`` selects.
 
-    Each clause is a list of {"var": column name, "op": comparator,
-    "value": constant}; values compare numerically.
+    ``columns`` maps CSV column names to their cells, as ``load_dataset``
+    returns them. Each clause is a list of {"var": column name, "op":
+    comparator, "value": number, or a list of numbers for "in"}; a row
+    matches when every predicate of at least one clause holds. Cells
+    compare numerically and an empty cell reads as NaN, which satisfies
+    only "!=". An unknown column or comparator, or a value of the wrong
+    type, is a ConfigError; a non-numeric cell in a selected row of a
+    rule column is a DataError.
     """
-    rows = [raw_rows[i] for i in np.flatnonzero(mask_rows)]
-    out = np.zeros(len(rows), dtype=bool)
+    rows = np.flatnonzero(mask_rows)
+    values: dict[str, np.ndarray] = {}
+    out = np.zeros(rows.size, dtype=bool)
     for clause in rules:
-        m = np.ones(len(rows), dtype=bool)
+        match = np.ones(rows.size, dtype=bool)
         for pred in clause:
-            var, op, value = pred["var"], pred["op"], pred["value"]
-            if op not in _RAW_OPS:
+            if not isinstance(pred, dict):
+                raise ConfigError(f"exclusion rule predicate {pred!r} is not an object")
+            var, op, value = pred.get("var"), pred.get("op"), pred.get("value")
+            if op not in _COMPARATORS:
                 raise ConfigError(f"unknown comparator {op!r} in exclusion rule")
-            for i, row in enumerate(rows):
-                if var not in row:
-                    raise ConfigError(f"exclusion rule references unknown column {var!r}")
-                cell = row[var].strip()
-                try:
-                    v = float(cell) if cell != "" else float("nan")
-                except ValueError:
-                    raise DataError(f"non-numeric value {cell!r} in rule column {var!r}")
-                m[i] &= bool(_RAW_OPS[op](v, value))
-        out |= m
+            if var not in columns:
+                raise ConfigError(f"exclusion rule references unknown column {var!r}")
+            constant = _rule_constant(var, op, value)
+            if var not in values:
+                values[var] = _floats([columns[var][i] for i in rows], var, "CSV", rows)
+            match &= _COMPARATORS[op](values[var], constant)
+        out |= match
     return out
+
+
+def _rule_constant(var: str, op: str, value) -> np.ndarray:
+    """A predicate's constant: a number, or for "in" a list of numbers."""
+    items = value if op == "in" and isinstance(value, list) else [value]
+    numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items)
+    if not numeric or (op == "in") != isinstance(value, list):
+        kind = "a list of numbers" if op == "in" else "a number"
+        raise ConfigError(f"exclusion rule {var!r} {op} needs {kind}, got {value!r}")
+    return np.asarray(value, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +265,12 @@ def _stage(label: str):
 def cmd_analyze(config: dict) -> dict:
     """Run the fit / partition / estimate pipeline, returning the report."""
     _check_schema(config)
-    data, raw = load_dataset(_require(config, "input"), _require(config, "roles"))
+    data, columns = load_dataset(_require(config, "input"), _require(config, "roles"))
     family = _family(config.get("outcome_family", "gaussian"))
     methods = config.get("methods", ["trimmed_aipw"])
     for m in methods:
         if m not in _METHODS:
-            raise ConfigError(f"unknown method {m!r}; choose from {_METHODS}")
+            raise ConfigError(f"unknown method {m!r}; choose from {tuple(_METHODS)}")
     variance_method = config.get("variance", "sandwich")
     if variance_method not in ("sandwich", "bootstrap"):
         raise ConfigError("variance must be 'sandwich' or 'bootstrap'")
@@ -240,23 +285,12 @@ def cmd_analyze(config: dict) -> dict:
     if variance_method == "bootstrap" and seed is None:
         raise ConfigError("bootstrap variance requires an explicit seed")
 
-    with _stage("fit"):
-        sampling = fit_sampling_score(data)
-        known_p = config.get("known_propensity")
-        propensity = fit_propensity_score(data, known_probability=known_p)
-        needs_outcome = any("aipw" in m for m in methods)
-        outcome = fit_outcome_models(data, family) if needs_outcome else None
-
     r1_mask = None
     if config.get("exclusion_rules"):
-        r1_mask = evaluate_raw_rules(config["exclusion_rules"], raw, data.target_mask)
-
-    partition = None
-    if needs_partition:
-        with _stage("partition"):
-            partition = partition_population(
-                data, sampling, propensity, r1_mask, p3_star, epsilon
-            )
+        r1_mask = evaluate_raw_rules(config["exclusion_rules"], columns, data.target_mask)
+    sampling, propensity, outcome, partition = _fit_components(
+        data, config, family, any("aipw" in m for m in methods), r1_mask, needs_partition
+    )
 
     report: dict = {
         "schema_version": 1,
@@ -289,13 +323,13 @@ def cmd_analyze(config: dict) -> dict:
         for m in methods:
             report["estimates"].append(
                 _run_method(
-                    m, data, sampling, propensity, outcome, partition,
-                    variance_method, config, r1_mask,
+                    m, data, (sampling, propensity, outcome, partition),
+                    variance_method, config, family, r1_mask,
                 ).to_dict()
             )
 
     if outcome is not None and partition is not None:
-        zeta = _extrapolations(config, data, raw, family, outcome, partition)
+        zeta = _extrapolations(config, data, columns, family, outcome, partition)
         if zeta is not None:
             report["zeta"] = zeta
     return report
@@ -307,49 +341,46 @@ def _family(name: str) -> GlmFamily:
     return _FAMILIES[name]
 
 
-def _run_method(
-    method, data, sampling, propensity, outcome, partition,
-    variance_method, config, r1_mask,
-) -> EstimateReport:
-    def point(ds: Dataset, mask):
-        sf = fit_sampling_score(ds)
-        pf = fit_propensity_score(ds, known_probability=config.get("known_propensity"))
-        of = (
-            fit_outcome_models(ds, _family(config.get("outcome_family", "gaussian")))
-            if "aipw" in method
-            else None
-        )
-        if method.startswith("trimmed"):
-            part = partition_population(
-                ds, sf, pf, mask, config["p3_star"], float(config.get("epsilon", 1e-8))
+def _fit_components(data, config, family, outcome: bool, r1_mask, trimmed: bool):
+    """Sampling, propensity and (if ``outcome``) outcome fits, and the
+    partition (if ``trimmed``) at the configured p3* and epsilon."""
+    with _stage("fit"):
+        sampling = fit_sampling_score(data)
+        propensity = fit_propensity_score(data, known_probability=config.get("known_propensity"))
+        fits = fit_outcome_models(data, family) if outcome else None
+    partition = None
+    if trimmed:
+        with _stage("partition"):
+            partition = partition_population(
+                data, sampling, propensity, r1_mask,
+                config["p3_star"], float(config.get("epsilon", 1e-8)),
             )
-            if method == "trimmed_ipw":
-                return trimmed_ipw(ds, sf, pf, part, variance="none").estimate
-            return trimmed_aipw(ds, sf, pf, of, part, variance="none").estimate
-        if method == "ipw":
-            return hajek_ipw(ds, sf, pf, variance="none").estimate
-        return augmented_ipw(ds, sf, pf, of, variance="none").estimate
-
-    if method == "ipw":
-        rep = hajek_ipw(data, sampling, propensity, variance="sandwich" if variance_method == "sandwich" else "none")
-    elif method == "aipw":
-        rep = augmented_ipw(data, sampling, propensity, outcome, variance="sandwich" if variance_method == "sandwich" else "none")
-    elif method == "trimmed_ipw":
-        rep = trimmed_ipw(data, sampling, propensity, partition, variance="sandwich" if variance_method == "sandwich" else "none")
-    else:
-        rep = trimmed_aipw(data, sampling, propensity, outcome, partition, variance="sandwich" if variance_method == "sandwich" else "none")
-
-    if variance_method == "bootstrap":
-        reps = int(config.get("bootstrap_reps", 500))
-        var, lo, hi = bootstrap_ci(point, data, reps, int(config["seed"]), r1_mask=r1_mask)
-        rep = EstimateReport(
-            rep.estimate, var, lo, hi, rep.method, rep.trimmed, "bootstrap",
-            rep.n1, rep.n2, rep.p_hat, rep.delta_star,
-        )
-    return rep
+    return sampling, propensity, fits, partition
 
 
-def _extrapolations(config, data, raw, family, outcome, partition):
+def _run_method(
+    method, data, components, variance_method, config, family, r1_mask,
+) -> EstimateReport:
+    """One method's report; ``components`` are the full-sample fits and
+    partition. A bootstrap refits them on every replicate."""
+    run = _METHODS[method]
+    rep = run(data, *components, "sandwich" if variance_method == "sandwich" else "none")
+    if variance_method != "bootstrap":
+        return rep
+
+    def point(ds: Dataset, mask):
+        trimmed = method.startswith("trimmed")
+        refit = _fit_components(ds, config, family, "aipw" in method, mask, trimmed)
+        return run(ds, *refit, "none").estimate
+
+    reps = int(config.get("bootstrap_reps", 500))
+    var, lo, hi = bootstrap_ci(point, data, reps, int(config["seed"]), r1_mask=r1_mask)
+    return dataclasses.replace(
+        rep, variance=var, ci_low=lo, ci_high=hi, variance_method="bootstrap"
+    )
+
+
+def _extrapolations(config, data, columns, family, outcome, partition):
     """Group extrapolations for EPD; surrogate-stratum refits optional."""
     sens = config.get("sensitivity", {})
     filters = sens.get("extrapolation", {}) if isinstance(sens, dict) else {}
@@ -362,7 +393,7 @@ def _extrapolations(config, data, raw, family, outcome, partition):
         fits = outcome
         filt = filters.get(f"r{group}_trial_filter")
         if filt:
-            trial_mask = evaluate_raw_rules(filt, raw, data.trial_mask)
+            trial_mask = evaluate_raw_rules(filt, columns, data.trial_mask)
             idx = np.flatnonzero(data.trial_mask)[trial_mask]
             if idx.size == 0:
                 raise DataError(f"extrapolation filter for group {group} matches no trial rows")

@@ -9,6 +9,14 @@ inference enter as weighted-mean residual rows. The asymptotic variance
 of the contrast eta'Xi is eta' A^-1 B A^-T eta / n with A the Jacobian
 of the mean estimating function and B its second moment.
 
+One core computes the per-row quantities (sampling score, propensity,
+transport weights, threshold membership, outcome means and the AIPW
+residual) at a stacked parameter vector. The four public estimators are
+thin wrappers over one estimate function that reads that core at the
+component fits; its weighted means are the plug-in solution of the
+stacked system, whose estimating functions read the same core at
+perturbed parameters.
+
 A is estimated by central finite differences. Differentiating the
 membership weight at its own smoothing scale (1e-8 by default) would
 count the one or two target rows inside the difference window rather
@@ -28,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import expit, ndtri
@@ -36,6 +44,7 @@ from scipy.special import expit, ndtri
 from .data import Dataset
 from .errors import (
     ConfigError,
+    ExtvalError,
     NegativeVarianceError,
     NotConvergedError,
     NumericalError,
@@ -114,47 +123,11 @@ class StackedSystem:
         return self.xi.shape[0]
 
 
-def participation_weights(
-    data: Dataset, sampling_fit: GlmFit, propensity_fit: GlmFit
-) -> tuple[np.ndarray, np.ndarray]:
-    """Arm-specific transport weights over all rows.
-
-    w_a = 1{s=1, a} * (1 - hs) / (hs * e_a); identically zero on target
-    rows. Raises when a trial row's score underflows to zero.
-    """
-    hs = predict_mean(sampling_fit, data.x)
-    e1 = predict_mean(propensity_fit, data.x)
-    trial = data.trial_mask
-    if np.any(hs[trial] <= 0.0) or np.any(e1[trial] <= 0.0) or np.any(e1[trial] >= 1.0):
-        raise ZeroWeightError("sampling or propensity score is numerically 0/1 on a trial row")
-    a = np.where(trial, data.a, 0.0)
-    base = np.where(trial, (1.0 - hs) / hs, 0.0)
-    w1 = np.where(trial & (a == 1), base / e1, 0.0)
-    w0 = np.where(trial & (a == 0), base / (1.0 - e1), 0.0)
-    if not (np.all(np.isfinite(w1)) and np.all(np.isfinite(w0))):
-        raise ZeroWeightError("non-finite transport weight")
-    return w1, w0
-
-
 def _hajek(values: np.ndarray, weights: np.ndarray, what: str) -> float:
     total = float(np.sum(weights))
     if total <= 0.0:
         raise ZeroWeightError(f"total weight for {what} is not positive")
     return float(np.sum(weights * values) / total)
-
-
-def _k_all_rows(data: Dataset, hs, e1, partition: PartitionResult) -> np.ndarray:
-    """Smooth inclusion weight on every row; exclusion forcing applies to
-    target rows only (trial rows are study-eligible by construction)."""
-    k = _smooth_k(hs * e1, hs * (1.0 - e1), partition.delta_star, partition.epsilon)
-    k[np.flatnonzero(data.target_mask)[partition.r1_mask]] = 0.0
-    return k
-
-
-def _filled(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    a = np.where(data.trial_mask, data.a, 0.0)
-    y = np.where(data.trial_mask, data.y, 0.0)
-    return a, y
 
 
 def _outcome_link(outcome_fits: tuple[GlmFit, GlmFit]):
@@ -173,6 +146,142 @@ def _check_fits(*fits: GlmFit):
 
 
 # ---------------------------------------------------------------------------
+# the estimator core
+# ---------------------------------------------------------------------------
+
+class _Rows(NamedTuple):
+    """Per-row quantities of the pipeline at one parameter vector."""
+
+    hs: np.ndarray
+    e1: np.ndarray
+    w1: np.ndarray
+    w0: np.ndarray
+    k: np.ndarray | float           # 1.0 when untrimmed
+    m1: np.ndarray | None
+    m0: np.ndarray | None
+    means: list                     # (weights, values) of each weighted-mean row
+
+
+class _Pipeline:
+    """One estimator's data, component fits and threshold, laid out as the
+    parameter vector of its stacked system.
+
+    Blocks, in order: sampling coefficients, propensity coefficients
+    (omitted for a fixed propensity), outcome coefficients (aipw only), the
+    threshold (trimmed with a positive threshold only), then the
+    weighted means whose contrast is the treatment effect. ``nuisance`` is
+    the vector up to the weighted means, at the component fits.
+    """
+
+    def __init__(self, kind, data, sampling_fit, propensity_fit, outcome_fits, partition):
+        if kind not in ("ipw", "aipw"):
+            raise ConfigError(f"unknown system kind {kind!r}")
+        if kind == "aipw" and outcome_fits is None:
+            raise ConfigError("aipw system requires outcome fits")
+        data.require_both_samples()
+        _check_fits(sampling_fit, propensity_fit, *(outcome_fits or ()))
+        self.kind, self.data, self.partition = kind, data, partition
+        self.a = np.where(data.trial_mask, data.a, 0.0)
+        self.y = np.where(data.trial_mask, data.y, 0.0)
+        self.treated = data.trial_mask & (self.a == 1)
+        self.control = data.trial_mask & (self.a == 0)
+        # exclusions force k to 0 on target rows only; trial rows are
+        # study-eligible by construction
+        self.r1 = np.zeros(data.n, dtype=bool)
+        if partition is not None:
+            self.r1[np.flatnonzero(data.target_mask)[partition.r1_mask]] = True
+        # a boundary threshold (p3* at the attainable mass) is pinned, not
+        # estimated: its equation holds identically and carries no noise
+        self.estimate_delta = partition is not None and partition.delta_star > 0.0
+        self.fixed_e1 = predict_mean(propensity_fit, data.x) if propensity_fit.fixed else None
+        self.link = _outcome_link(outcome_fits) if outcome_fits is not None else None
+
+        blocks = [("sampling", sampling_fit.coefficients)]
+        if not propensity_fit.fixed:
+            blocks.append(("propensity", propensity_fit.coefficients))
+        if kind == "aipw":
+            blocks += [
+                ("outcome1", outcome_fits[0].coefficients),
+                ("outcome0", outcome_fits[1].coefficients),
+            ]
+        if self.estimate_delta:
+            blocks.append(("threshold", [partition.delta_star]))
+        self.nuisance = np.concatenate([np.asarray(v, dtype=float) for _, v in blocks])
+        self.tail = ("mu31", "mu30") if kind == "ipw" else ("v1", "v2", "v3")
+        self.slices: dict[str, slice] = {}
+        self.labels: list[str] = []
+        offset = 0
+        widths = [(name, len(v)) for name, v in blocks] + [(t, 1) for t in self.tail]
+        for name, width in widths:
+            self.slices[name] = slice(offset, offset + width)
+            self.labels += [name] if width == 1 else [f"{name}[{i}]" for i in range(width)]
+            offset += width
+        self.dim = offset
+
+    def rows(self, xi: np.ndarray, scale: float | None = None) -> _Rows:
+        """hs, e1, the transport weights, k, m1/m0 and the weighted-mean
+        rows at ``xi``; ``scale`` smooths the threshold membership (the
+        partition's epsilon by default, see threshold_bandwidth)."""
+        x, s, a = self.data.x, self.data.s, self.a
+        hs = expit(x @ xi[self.slices["sampling"]])
+        e1 = self.fixed_e1
+        if e1 is None:
+            e1 = expit(x @ xi[self.slices["propensity"]])
+        e0 = 1.0 - e1
+        base = np.where(self.data.trial_mask, (1.0 - hs) / hs, 0.0)
+        w1 = np.where(self.treated, base / e1, 0.0)
+        w0 = np.where(self.control, base / e0, 0.0)
+        k = 1.0
+        if self.partition is not None:
+            part = self.partition
+            delta = xi[self.slices["threshold"]][0] if self.estimate_delta else part.delta_star
+            k = _smooth_k(hs * e1, hs * e0, delta, scale or part.epsilon)
+            k = np.where(self.r1, 0.0, k)
+        if self.kind == "ipw":
+            return _Rows(hs, e1, w1, w0, k, None, None, [(k * w1, self.y), (k * w0, self.y)])
+        m1 = self.link(x @ xi[self.slices["outcome1"]])
+        m0 = self.link(x @ xi[self.slices["outcome0"]])
+        resid = s * (self.y - a * m1 - (1.0 - a) * m0)
+        means = [(k * w1, resid), (k * w0, resid), (k * (1.0 - s), m1 - m0)]
+        return _Rows(hs, e1, w1, w0, k, m1, m0, means)
+
+    def weighted_means(self, fitted: _Rows) -> list[float]:
+        """The weighted means at the component fits: the point estimate's
+        terms and the plug-in solution of the stacked system."""
+        hs, e1 = fitted.hs[self.data.trial_mask], fitted.e1[self.data.trial_mask]
+        if np.any(hs <= 0.0) or np.any(e1 <= 0.0) or np.any(e1 >= 1.0):
+            raise ZeroWeightError("sampling or propensity score is numerically 0/1 on a trial row")
+        if not (np.all(np.isfinite(fitted.w1)) and np.all(np.isfinite(fitted.w0))):
+            raise ZeroWeightError("non-finite transport weight")
+        means = [_hajek(v, w, name) for (w, v), name in zip(fitted.means[:2], self.tail)]
+        if self.kind == "aipw":
+            w, v = fitted.means[2]
+            # untrimmed, the projection is the plain mean over the target rows
+            if self.partition is None:
+                means.append(float(np.mean(v[self.data.target_mask])))
+            else:
+                means.append(_hajek(v, w, "v3"))
+        return means
+
+    def psi(self, xi: np.ndarray, scale: float | None = None) -> np.ndarray:
+        """The (n, dim) estimating-function rows at ``xi``."""
+        x, s, a, y = self.data.x, self.data.s, self.a, self.y
+        r = self.rows(xi, scale)
+        out = np.empty((x.shape[0], self.dim))
+        out[:, self.slices["sampling"]] = (s - r.hs)[:, None] * x
+        if self.fixed_e1 is None:
+            out[:, self.slices["propensity"]] = (s * (a - r.e1))[:, None] * x
+        if self.kind == "aipw":
+            out[:, self.slices["outcome1"]] = (s * a * (y - r.m1))[:, None] * x
+            out[:, self.slices["outcome0"]] = (s * (1.0 - a) * (y - r.m0))[:, None] * x
+        if self.estimate_delta:
+            out[:, self.slices["threshold"]] = ((1.0 - s) * (r.k - self.partition.p3_star))[:, None]
+        for name, (w, v) in zip(self.tail, r.means):
+            out[:, self.slices[name]] = (w * (v - xi[self.slices[name]][0]))[:, None]
+        return out
+
+
+# ---------------------------------------------------------------------------
 # point estimators
 # ---------------------------------------------------------------------------
 
@@ -183,16 +292,7 @@ def hajek_ipw(
     variance: str = "sandwich",
 ) -> EstimateReport:
     """Self-normalized weighting estimator of the target-population ATE."""
-    data.require_both_samples()
-    _check_fits(sampling_fit, propensity_fit)
-    w1, w0 = participation_weights(data, sampling_fit, propensity_fit)
-    _, y = _filled(data)
-    est = _hajek(y, w1, "treated arm") - _hajek(y, w0, "control arm")
-    var, lo, hi = _maybe_sandwich(
-        variance, est,
-        lambda: build_stacked_system("ipw", data, sampling_fit, propensity_fit),
-    )
-    return EstimateReport(est, var, lo, hi, "ipw", False, variance, data.n1, data.n2)
+    return _estimate("ipw", data, sampling_fit, propensity_fit, None, None, variance)
 
 
 def trimmed_ipw(
@@ -203,24 +303,7 @@ def trimmed_ipw(
     variance: str = "sandwich",
 ) -> EstimateReport:
     """Weighting estimator for the well-represented group."""
-    data.require_both_samples()
-    _check_fits(sampling_fit, propensity_fit)
-    w1, w0 = participation_weights(data, sampling_fit, propensity_fit)
-    hs = predict_mean(sampling_fit, data.x)
-    e1 = predict_mean(propensity_fit, data.x)
-    k = _k_all_rows(data, hs, e1, partition)
-    _, y = _filled(data)
-    mu31 = _hajek(y, k * w1, "trimmed treated arm")
-    mu30 = _hajek(y, k * w0, "trimmed control arm")
-    est = mu31 - mu30
-    var, lo, hi = _maybe_sandwich(
-        variance, est,
-        lambda: build_stacked_system("ipw", data, sampling_fit, propensity_fit, partition=partition),
-    )
-    return EstimateReport(
-        est, var, lo, hi, "ipw", True, variance, data.n1, data.n2,
-        p_hat=partition.p_hat, delta_star=partition.delta_star,
-    )
+    return _estimate("ipw", data, sampling_fit, propensity_fit, None, partition, variance)
 
 
 def augmented_ipw(
@@ -232,22 +315,7 @@ def augmented_ipw(
 ) -> EstimateReport:
     """Doubly robust estimator: weighted residuals plus an outcome-model
     projection averaged over all target rows."""
-    data.require_both_samples()
-    _check_fits(sampling_fit, propensity_fit, *outcome_fits)
-    w1, w0 = participation_weights(data, sampling_fit, propensity_fit)
-    link = _outcome_link(outcome_fits)
-    m1 = link(data.x @ outcome_fits[0].coefficients)
-    m0 = link(data.x @ outcome_fits[1].coefficients)
-    a, y = _filled(data)
-    resid = data.s * (y - a * m1 - (1.0 - a) * m0)
-    target = data.target_mask
-    augmentation = float(np.mean((m1 - m0)[target]))
-    est = _hajek(resid, w1, "treated arm") - _hajek(resid, w0, "control arm") + augmentation
-    var, lo, hi = _maybe_sandwich(
-        variance, est,
-        lambda: build_stacked_system("aipw", data, sampling_fit, propensity_fit, outcome_fits),
-    )
-    return EstimateReport(est, var, lo, hi, "aipw", False, variance, data.n1, data.n2)
+    return _estimate("aipw", data, sampling_fit, propensity_fit, outcome_fits, None, variance)
 
 
 def trimmed_aipw(
@@ -259,41 +327,32 @@ def trimmed_aipw(
     variance: str = "sandwich",
 ) -> EstimateReport:
     """Augmented weighting estimator for the well-represented group."""
-    data.require_both_samples()
-    _check_fits(sampling_fit, propensity_fit, *outcome_fits)
-    w1, w0 = participation_weights(data, sampling_fit, propensity_fit)
-    hs = predict_mean(sampling_fit, data.x)
-    e1 = predict_mean(propensity_fit, data.x)
-    k = _k_all_rows(data, hs, e1, partition)
-    link = _outcome_link(outcome_fits)
-    m1 = link(data.x @ outcome_fits[0].coefficients)
-    m0 = link(data.x @ outcome_fits[1].coefficients)
-    a, y = _filled(data)
-    resid = data.s * (y - a * m1 - (1.0 - a) * m0)
-    v1 = _hajek(resid, k * w1, "trimmed treated arm")
-    v2 = _hajek(resid, k * w0, "trimmed control arm")
-    v3 = _hajek(m1 - m0, k * (1.0 - data.s), "trimmed target mean")
-    est = v1 - v2 + v3
-    var, lo, hi = _maybe_sandwich(
-        variance, est,
-        lambda: build_stacked_system(
-            "aipw", data, sampling_fit, propensity_fit, outcome_fits, partition
-        ),
-    )
-    return EstimateReport(
-        est, var, lo, hi, "aipw", True, variance, data.n1, data.n2,
-        p_hat=partition.p_hat, delta_star=partition.delta_star,
-    )
+    return _estimate("aipw", data, sampling_fit, propensity_fit, outcome_fits, partition, variance)
 
 
-def _maybe_sandwich(variance: str, est: float, system_factory) -> tuple[float, float, float]:
-    if variance == "none":
-        return float("nan"), float("nan"), float("nan")
-    if variance != "sandwich":
+def _estimate(
+    kind, data, sampling_fit, propensity_fit, outcome_fits, partition, variance,
+) -> EstimateReport:
+    """mu31 - mu30 (ipw) or v1 - v2 + v3 (aipw), with its sandwich variance
+    unless ``variance`` is "none"."""
+    pipeline = _Pipeline(kind, data, sampling_fit, propensity_fit, outcome_fits, partition)
+    means = pipeline.weighted_means(pipeline.rows(pipeline.nuisance))
+    est = means[0] - means[1] if kind == "ipw" else means[0] - means[1] + means[2]
+    var = lo = hi = float("nan")
+    if variance == "sandwich":
+        var = sandwich_variance(build_stacked_system(
+            kind, data, sampling_fit, propensity_fit, outcome_fits, partition
+        ))
+        half = Z95 * float(np.sqrt(var))
+        lo, hi = est - half, est + half
+    elif variance != "none":
         raise ConfigError(f"unknown variance method {variance!r} (use bootstrap_ci for bootstrap)")
-    var = sandwich_variance(system_factory())
-    half = Z95 * float(np.sqrt(var))
-    return var, est - half, est + half
+    trimmed = partition is not None
+    return EstimateReport(
+        est, var, lo, hi, kind, trimmed, variance, data.n1, data.n2,
+        p_hat=partition.p_hat if trimmed else None,
+        delta_star=partition.delta_star if trimmed else None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -318,137 +377,13 @@ def build_stacked_system(
     1e-5 per coordinate; otherwise the components are inconsistent and
     StationarityError is raised.
     """
-    if kind not in ("ipw", "aipw"):
-        raise ConfigError(f"unknown system kind {kind!r}")
-    if kind == "aipw" and outcome_fits is None:
-        raise ConfigError("aipw system requires outcome fits")
-    data.require_both_samples()
-    _check_fits(sampling_fit, propensity_fit, *(outcome_fits or ()))
+    pipeline = _Pipeline(kind, data, sampling_fit, propensity_fit, outcome_fits, partition)
+    fitted = pipeline.rows(pipeline.nuisance)
+    xi_hat = np.concatenate([pipeline.nuisance, pipeline.weighted_means(fitted)])
+    eta = np.zeros(pipeline.dim)
+    eta[-len(pipeline.tail):] = (1.0, -1.0) if kind == "ipw" else (1.0, -1.0, 1.0)
 
-    x = data.x
-    n, q = x.shape
-    s = data.s
-    a, y = _filled(data)
-    trial = data.trial_mask
-    fixed_prop = propensity_fit.fixed
-    trimmed = partition is not None
-    # a boundary threshold (p3* at the attainable mass) is pinned, not
-    # estimated: its equation holds identically and carries no noise
-    estimate_delta = trimmed and partition.delta_star > 0.0
-
-    if trimmed:
-        r1_full = np.zeros(n, dtype=bool)
-        r1_full[np.flatnonzero(data.target_mask)[partition.r1_mask]] = True
-        p3_star = partition.p3_star
-        epsilon = partition.epsilon
-    else:
-        r1_full = np.zeros(n, dtype=bool)
-        epsilon = None
-
-    link = _outcome_link(outcome_fits) if outcome_fits is not None else None
-
-    blocks: list[tuple[str, int]] = [("sampling", q)]
-    if not fixed_prop:
-        blocks.append(("propensity", q))
-    if kind == "aipw":
-        blocks += [("outcome1", q), ("outcome0", q)]
-    if estimate_delta:
-        blocks.append(("threshold", 1))
-    tail = ("mu31", "mu30") if kind == "ipw" else ("v1", "v2", "v3")
-    blocks += [(t, 1) for t in tail]
-
-    labels: list[str] = []
-    for name, width in blocks:
-        labels += [name] if width == 1 else [f"{name}[{i}]" for i in range(width)]
-
-    slices: dict[str, slice] = {}
-    offset = 0
-    for name, width in blocks:
-        slices[name] = slice(offset, offset + width)
-        offset += width
-    dim = offset
-
-    fixed_e1 = predict_mean(propensity_fit, x) if fixed_prop else None
-
-    def psi(xi: np.ndarray, scale: float | None = epsilon) -> np.ndarray:
-        # ``scale`` smooths the threshold membership; see threshold_bandwidth
-        beta = xi[slices["sampling"]]
-        hs = expit(x @ beta)
-        e1 = fixed_e1 if fixed_prop else expit(x @ xi[slices["propensity"]])
-        e0 = 1.0 - e1
-        out = np.empty((n, dim))
-        out[:, slices["sampling"]] = (s - hs)[:, None] * x
-        if not fixed_prop:
-            out[:, slices["propensity"]] = (s * (a - e1))[:, None] * x
-        if kind == "aipw":
-            m1 = link(x @ xi[slices["outcome1"]])
-            m0 = link(x @ xi[slices["outcome0"]])
-            out[:, slices["outcome1"]] = (s * a * (y - m1))[:, None] * x
-            out[:, slices["outcome0"]] = (s * (1.0 - a) * (y - m0))[:, None] * x
-        if trimmed:
-            delta = xi[slices["threshold"]][0] if estimate_delta else partition.delta_star
-            k = _smooth_k(hs * e1, hs * e0, delta, scale)
-            k = np.where(r1_full, 0.0, k)
-            if estimate_delta:
-                out[:, slices["threshold"]] = ((1.0 - s) * (k - p3_star))[:, None]
-        else:
-            k = 1.0
-        base = np.where(trial, (1.0 - hs) / hs, 0.0)
-        w1 = np.where(trial & (a == 1), base / e1, 0.0)
-        w0 = np.where(trial & (a == 0), base / e0, 0.0)
-        if kind == "ipw":
-            out[:, slices["mu31"]] = (k * w1 * (y - xi[slices["mu31"]][0]))[:, None]
-            out[:, slices["mu30"]] = (k * w0 * (y - xi[slices["mu30"]][0]))[:, None]
-        else:
-            resid = s * (y - a * m1 - (1.0 - a) * m0)
-            out[:, slices["v1"]] = (k * w1 * (resid - xi[slices["v1"]][0]))[:, None]
-            out[:, slices["v2"]] = (k * w0 * (resid - xi[slices["v2"]][0]))[:, None]
-            out[:, slices["v3"]] = (k * (1.0 - s) * (m1 - m0 - xi[slices["v3"]][0]))[:, None]
-        return out
-
-    # plug-in solution from the component estimates
-    parts = [np.asarray(sampling_fit.coefficients, dtype=float)]
-    if not fixed_prop:
-        parts.append(np.asarray(propensity_fit.coefficients, dtype=float))
-    if kind == "aipw":
-        parts += [
-            np.asarray(outcome_fits[0].coefficients, dtype=float),
-            np.asarray(outcome_fits[1].coefficients, dtype=float),
-        ]
-    hs_hat = predict_mean(sampling_fit, x)
-    e1_hat = predict_mean(propensity_fit, x)
-    w1_hat, w0_hat = participation_weights(data, sampling_fit, propensity_fit)
-    k_hat = _k_all_rows(data, hs_hat, e1_hat, partition) if trimmed else np.ones(n)
-    if estimate_delta:
-        parts.append(np.array([partition.delta_star]))
-    if kind == "ipw":
-        tails = [_hajek(y, k_hat * w1_hat, "mu31"), _hajek(y, k_hat * w0_hat, "mu30")]
-    else:
-        m1_hat = link(x @ outcome_fits[0].coefficients)
-        m0_hat = link(x @ outcome_fits[1].coefficients)
-        resid_hat = s * (y - a * m1_hat - (1.0 - a) * m0_hat)
-        if trimmed:
-            v3_hat = _hajek(m1_hat - m0_hat, k_hat * (1.0 - s), "v3")
-        else:
-            v3_hat = float(np.mean((m1_hat - m0_hat)[data.target_mask]))
-        tails = [
-            _hajek(resid_hat, k_hat * w1_hat, "v1"),
-            _hajek(resid_hat, k_hat * w0_hat, "v2"),
-            v3_hat,
-        ]
-    parts.append(np.array(tails))
-    xi_hat = np.concatenate(parts)
-
-    eta = np.zeros(dim)
-    if kind == "ipw":
-        eta[slices["mu31"]] = 1.0
-        eta[slices["mu30"]] = -1.0
-    else:
-        eta[slices["v1"]] = 1.0
-        eta[slices["v2"]] = -1.0
-        eta[slices["v3"]] = 1.0
-
-    mean_psi = psi(xi_hat).mean(axis=0)
+    mean_psi = pipeline.psi(xi_hat).mean(axis=0)
     worst = float(np.max(np.abs(mean_psi)))
     if worst > STATIONARITY_TOL:
         raise StationarityError(
@@ -456,13 +391,16 @@ def build_stacked_system(
             f"(max |mean psi| = {worst:.2e})"
         )
     jacobian_psi = bandwidth = None
-    if estimate_delta:
-        keep = data.target_mask & ~r1_full
-        min_prods = hs_hat[keep] * np.minimum(e1_hat[keep], 1.0 - e1_hat[keep])
-        bandwidth = threshold_bandwidth(min_prods, p3_star, partition.p_hat[0], epsilon)
-        jacobian_psi = partial(psi, scale=bandwidth)
+    if pipeline.estimate_delta:
+        keep = data.target_mask & ~pipeline.r1
+        hs, e1 = fitted.hs[keep], fitted.e1[keep]
+        min_prods = hs * np.minimum(e1, 1.0 - e1)
+        bandwidth = threshold_bandwidth(
+            min_prods, partition.p3_star, partition.p_hat[0], partition.epsilon
+        )
+        jacobian_psi = partial(pipeline.psi, scale=bandwidth)
     return StackedSystem(
-        xi=xi_hat, eta=eta, psi=psi, labels=tuple(labels),
+        xi=xi_hat, eta=eta, psi=pipeline.psi, labels=tuple(pipeline.labels),
         jacobian_psi=jacobian_psi, bandwidth=bandwidth,
     )
 
@@ -553,8 +491,9 @@ def bootstrap_ci(
     Trial and target rows are resampled independently with replacement;
     ``estimator(dataset, r1_mask)`` re-runs the full pipeline on each
     replicate. Replicate r draws from default_rng([seed, r]), so results
-    are identical under any execution order. Errors in individual
-    replicates are tolerated up to ``max_error_share``.
+    are identical under any execution order. Numerical failures of
+    individual replicates (an ExtvalError or a LinAlgError) are tolerated
+    up to ``max_error_share``; any other exception is a bug and propagates.
     """
     if reps < 100:
         raise ConfigError("bootstrap needs at least 100 replicates")
@@ -575,7 +514,7 @@ def bootstrap_ci(
             ]
         try:
             estimates[r] = estimator(data.subset(bi), sub_mask)
-        except Exception:
+        except (ExtvalError, np.linalg.LinAlgError):
             failures += 1
     if failures > max_error_share * reps:
         raise NumericalError(

@@ -2,8 +2,7 @@
 
 Supplies the three nuisance models of the pipeline: the participation
 (sampling) score, the treatment propensity score, and the per-arm
-outcome regressions, plus the per-observation score rows used to stack
-estimating equations.
+outcome regressions.
 
 Only the two links the pipeline needs are implemented: logit for
 Bernoulli responses and identity for Gaussian responses. The Bernoulli
@@ -26,7 +25,6 @@ from .errors import (
     DataError,
     DimensionError,
     EmptyGroupError,
-    NotConvergedError,
     SeparationError,
     SingularInformationError,
 )
@@ -160,23 +158,6 @@ def predict_mean(fit: GlmFit, x: np.ndarray):
     eta = xm @ fit.coefficients
     mean = expit(eta) if fit.family is GlmFamily.BERNOULLI_LOGIT else eta
     return float(mean[0]) if single else mean
-
-
-def score_contributions(fit: GlmFit, x_matrix: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-observation likelihood score rows (y - mean(x)) * x.
-
-    At a converged fit on its own data the column sums vanish, which is
-    what makes these rows usable as estimating-function blocks.
-    """
-    if not fit.converged:
-        raise NotConvergedError("score contributions require a converged fit")
-    x = np.asarray(x_matrix, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or x.shape[1] != fit.q:
-        raise DimensionError("design matrix does not match fit dimension")
-    if y.shape != (x.shape[0],):
-        raise DimensionError("response length does not match design rows")
-    return (y - predict_mean(fit, x))[:, None] * x
 
 
 def fit_sampling_score(data: Dataset) -> GlmFit:

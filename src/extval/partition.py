@@ -4,7 +4,9 @@ Target rows fall into three groups: rows matching known exclusion
 criteria (unrepresented), rows whose participation-by-treatment score
 products fall below a threshold delta (underrepresented), and the rest
 (well-represented). The threshold is solved so that the well-represented
-group is a requested share of the full target sample.
+group is a requested share of the full target sample. Exclusions arrive
+as a boolean mask over the target rows; rules over named CSV columns are
+evaluated into that mask by the command line (``cli.evaluate_raw_rules``).
 
 Group membership is smoothed through a normal CDF with a tiny scale so
 that threshold estimation can be stacked into standard M-estimation
@@ -16,14 +18,12 @@ threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
 
 import numpy as np
 from scipy.special import ndtr
 
 from .data import Dataset
 from .errors import (
-    ConfigError,
     DataError,
     DegenerateScoresError,
     DimensionError,
@@ -36,83 +36,6 @@ DEFAULT_EPSILON = 1e-8
 MEAN_TOL = 1e-6
 BISECT_ITER = 200
 INTERVAL_FLOOR = 1e-10
-
-_OPS = {
-    "==": lambda v, c: v == c,
-    "!=": lambda v, c: v != c,
-    ">=": lambda v, c: v >= c,
-    "<=": lambda v, c: v <= c,
-    ">": lambda v, c: v > c,
-    "<": lambda v, c: v < c,
-    "in": lambda v, c: np.isin(v, np.asarray(c, dtype=float)),
-}
-
-
-@dataclass(frozen=True)
-class Predicate:
-    """Atomic comparison against one covariate column."""
-
-    var: int
-    op: str
-    value: Union[float, Sequence[float]]
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        if not 0 <= self.var < x.shape[1]:
-            raise ConfigError(f"exclusion rule references invalid covariate index {self.var}")
-        if self.op not in _OPS:
-            raise ConfigError(f"unknown comparator {self.op!r} in exclusion rule")
-        try:
-            return _OPS[self.op](x[:, self.var], self.value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"comparator {self.op!r} incompatible with value {self.value!r}") from exc
-
-
-@dataclass(frozen=True)
-class ExclusionRule:
-    """Disjunction of conjunctive clauses over covariate columns.
-
-    A row is excluded when every predicate of at least one clause holds.
-    The empty rule excludes nothing.
-    """
-
-    clauses: tuple[tuple[Predicate, ...], ...] = ()
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        mask = np.zeros(x.shape[0], dtype=bool)
-        for clause in self.clauses:
-            m = np.ones(x.shape[0], dtype=bool)
-            for pred in clause:
-                m &= pred.evaluate(x)
-            mask |= m
-        return mask
-
-    def to_json(self) -> list:
-        return [
-            [{"var": p.var, "op": p.op, "value": p.value} for p in clause]
-            for clause in self.clauses
-        ]
-
-    @classmethod
-    def from_json(cls, obj: list) -> "ExclusionRule":
-        clauses = tuple(
-            tuple(Predicate(int(p["var"]), str(p["op"]), p["value"]) for p in clause)
-            for clause in obj
-        )
-        return cls(clauses)
-
-
-@dataclass(frozen=True)
-class SmoothInclusionParams:
-    """Threshold delta and smoothing scale epsilon."""
-
-    delta: float
-    epsilon: float = DEFAULT_EPSILON
-
-    def __post_init__(self):
-        if self.delta < 0:
-            raise ConfigError("threshold delta must be nonnegative")
-        if self.epsilon <= 0:
-            raise ConfigError("smoothing scale epsilon must be positive")
 
 
 @dataclass(frozen=True)
@@ -141,20 +64,6 @@ class PartitionResult:
     @property
     def counts(self) -> tuple[int, int, int]:
         return tuple(int(np.sum(self.labels == g)) for g in (1, 2, 3))
-
-
-def smooth_inclusion(hs, e1, e0, params: SmoothInclusionParams):
-    """Smoothed indicator that both score products clear the threshold.
-
-    Product of two normal CDFs centered at delta with scale epsilon,
-    evaluated at hs*e1 and hs*e0. Scalar in, scalar out; arrays in,
-    arrays out.
-    """
-    hs = np.asarray(hs, dtype=float)
-    p1 = hs * np.asarray(e1, dtype=float)
-    p0 = hs * np.asarray(e0, dtype=float)
-    k = _smooth_k(p1, p0, params.delta, params.epsilon)
-    return float(k) if np.ndim(k) == 0 else k
 
 
 def _smooth_k(prod1, prod0, delta: float, epsilon: float):
@@ -240,36 +149,20 @@ def solve_threshold(
     return float(delta)
 
 
-def apply_exclusion_rules(data: Dataset, rules: ExclusionRule) -> np.ndarray:
-    """Boolean mask over target rows: true where any clause matches."""
-    return rules.evaluate(data.x[data.target_mask])
-
-
-def _resolve_r1_mask(data: Dataset, rules) -> np.ndarray:
-    n2 = data.n2
-    if rules is None:
-        return np.zeros(n2, dtype=bool)
-    if isinstance(rules, ExclusionRule):
-        return apply_exclusion_rules(data, rules)
-    mask = np.asarray(rules, dtype=bool)
-    if mask.shape != (n2,):
-        raise DimensionError("exclusion mask must align with target rows")
-    return mask
-
-
 def partition_population(
     data: Dataset,
     sampling_fit: GlmFit,
     propensity_fit: GlmFit,
-    rules,
+    rules: np.ndarray | None,
     p3_star: float,
     epsilon: float = DEFAULT_EPSILON,
 ) -> PartitionResult:
     """Label every target row and solve the inclusion threshold.
 
-    ``rules`` may be an ExclusionRule over covariate columns, a boolean
-    mask aligned with the target rows (for criteria expressed outside
-    the model covariates), or None.
+    ``rules`` is a boolean mask aligned with the target rows, true where a
+    row meets a known exclusion criterion, or None for no exclusions.
+    The command line builds that mask from rules over named CSV columns
+    (``cli.evaluate_raw_rules``).
     """
     data.require_both_samples()
     for fit in (sampling_fit, propensity_fit):
@@ -279,7 +172,9 @@ def partition_population(
     hs = predict_mean(sampling_fit, x_t)
     e1 = predict_mean(propensity_fit, x_t)
     e0 = 1.0 - e1
-    r1 = _resolve_r1_mask(data, rules)
+    r1 = np.zeros(data.n2, dtype=bool) if rules is None else np.asarray(rules, dtype=bool)
+    if r1.shape != (data.n2,):
+        raise DimensionError("exclusion mask must align with target rows")
     delta = solve_threshold((hs, e1, e0), p3_star, epsilon, r1)
 
     k = _smooth_k(hs * e1, hs * e0, delta, epsilon)

@@ -77,8 +77,8 @@ class SensitivityGrid:
         writer.writerow(self.CSV_HEADER)
         for r in self.rows:
             writer.writerow([
-                repr(r.k1), repr(r.k2), r.assumption,
-                repr(r.estimate), repr(r.ci_low), repr(r.ci_high),
+                repr(float(r.k1)), repr(float(r.k2)), r.assumption,
+                repr(float(r.estimate)), repr(float(r.ci_low)), repr(float(r.ci_high)),
             ])
         return buf.getvalue()
 

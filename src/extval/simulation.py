@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import expit
 
 from .data import Dataset
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, ExtvalError, NumericalError
 from .estimators import trimmed_aipw, trimmed_ipw
 from .glm import GlmFamily, fit_outcome_models, fit_propensity_score, fit_sampling_score
 from .partition import partition_population
@@ -360,7 +360,7 @@ def _replication_block(config: StudyConfig, reps: list[int]) -> list:
     for rep in reps:
         try:
             results.append(_one_replication(config, rep))
-        except Exception as exc:    # scored as a per-replication failure
+        except (ExtvalError, np.linalg.LinAlgError) as exc:    # a per-replication failure
             results.append(exc)
     return results
 

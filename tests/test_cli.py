@@ -12,7 +12,7 @@ from extval import (
     partition_population,
     trimmed_aipw,
 )
-from extval.cli import cmd_analyze, cmd_sensitivity, load_dataset, main
+from extval.cli import cmd_analyze, cmd_sensitivity, evaluate_raw_rules, load_dataset, main
 
 
 def _write_fixture(path, n1=120, n2=300, seed=91, flag_share=0.05):
@@ -74,13 +74,15 @@ def fixture_csv(tmp_path):
 
 
 def test_load_dataset_roles(fixture_csv):
-    data, raw = load_dataset(str(fixture_csv), {
+    data, columns = load_dataset(str(fixture_csv), {
         "s": "selected", "a": "treat", "y": "outcome", "covariates": ["x1", "x2"],
     })
     assert data.n1 == 120 and data.n2 == 300
     assert data.q == 3          # intercept prepended
     assert np.all(data.x[:, 0] == 1.0)
-    assert len(raw) == 420
+    assert set(columns) == {"selected", "treat", "outcome", "x1", "x2", "ineligible"}
+    assert all(len(cells) == 420 for cells in columns.values())
+    assert np.array_equal(data.x[:, 1], [float(c) for c in columns["x1"]])
 
 
 def test_load_dataset_rejects_outcome_on_target_row(tmp_path):
@@ -147,10 +149,10 @@ def test_analyze_report_contents(fixture_csv):
 
 def test_analyze_matches_library_exactly(fixture_csv):
     report = cmd_analyze(_config(fixture_csv))
-    data, raw = load_dataset(str(fixture_csv), {
+    data, columns = load_dataset(str(fixture_csv), {
         "s": "selected", "a": "treat", "y": "outcome", "covariates": ["x1", "x2"],
     })
-    flags = np.array([float(r["ineligible"]) for r in raw])[data.target_mask.astype(bool)]
+    flags = np.array([float(c) for c in columns["ineligible"]])[data.target_mask]
     sampling = fit_sampling_score(data)
     propensity = fit_propensity_score(data)
     outcome = fit_outcome_models(data, GlmFamily.GAUSSIAN_IDENTITY)
@@ -243,6 +245,36 @@ def test_main_exit_codes(tmp_path, fixture_csv):
     del cfg["seed"]
     missing_seed.write_text(json.dumps(cfg))
     assert _run_main(["analyze", "--config", missing_seed]) == 2
+
+
+@pytest.mark.parametrize("predicate", [
+    {"var": "ineligible", "op": "in", "value": 3},
+    {"var": "ineligible", "op": "==", "value": "1"},
+    {"var": "no_such_column", "op": "==", "value": 1},
+    {"var": "ineligible", "op": "~=", "value": 1},
+])
+def test_main_rejects_invalid_rule(tmp_path, fixture_csv, predicate):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_config(fixture_csv, exclusion_rules=[[predicate]])))
+    assert _run_main(["analyze", "--config", cfg_path]) == 2
+
+
+def test_rules_read_named_columns(fixture_csv):
+    # the vectorised engine agrees with a per-row reading of the CSV
+    data, columns = load_dataset(str(fixture_csv), _config(fixture_csv)["roles"])
+    rules = [
+        [{"var": "ineligible", "op": "in", "value": [1]}, {"var": "x1", "op": "<", "value": 0.5}],
+        [{"var": "x2", "op": ">=", "value": 1.0}],
+    ]
+    with open(fixture_csv, newline="") as fh:
+        raw = [row for row in csv.DictReader(fh) if row["selected"] == "0"]
+    expected = [
+        (float(r["ineligible"]) in (1.0,) and float(r["x1"]) < 0.5) or float(r["x2"]) >= 1.0
+        for r in raw
+    ]
+    mask = evaluate_raw_rules(rules, columns, data.target_mask)
+    assert mask.tolist() == expected
+    assert mask.any() and not mask.all()
 
 
 def test_main_simulate_smoke_and_determinism(tmp_path):

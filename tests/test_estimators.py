@@ -9,6 +9,7 @@ from extval import (
     GlmFit,
     NumericalError,
     PartitionResult,
+    SingularSystemError,
     StackedSystem,
     StationarityError,
     ZeroWeightError,
@@ -182,6 +183,20 @@ def test_stacked_dimensions_and_contrast_aipw():
     assert np.all(system.eta[:-3] == 0.0)
 
 
+@pytest.mark.parametrize("estimator, kind, trimmed", [
+    (hajek_ipw, "ipw", False), (trimmed_ipw, "ipw", True),
+    (augmented_ipw, "aipw", False), (trimmed_aipw, "aipw", True),
+])
+def test_estimate_is_the_stacked_plug_in_contrast(estimator, kind, trimmed):
+    data, sampling, propensity, outcome = _moderate_pipeline(seed=9)
+    part = partition_population(data, sampling, propensity, None, 0.8) if trimmed else None
+    fits = outcome if kind == "aipw" else None
+    report = estimator(data, sampling, propensity, *([fits] if fits else []), *([part] if part else []))
+    system = build_stacked_system(kind, data, sampling, propensity, fits, part)
+    assert report.variance_method == "sandwich" and report.variance > 0
+    assert report.estimate == pytest.approx(system.eta @ system.xi, rel=1e-12, abs=0.0)
+
+
 def test_stacked_fixed_propensity_omits_its_block():
     data, sampling, _, _ = _moderate_pipeline(q=3)
     fixed = fit_propensity_score(data, known_probability=0.5)
@@ -294,7 +309,14 @@ def test_bootstrap_rep_floor_and_failure_share():
         bootstrap_ci(lambda ds, m: 0.0, data, 50, seed=1)
 
     def flaky(ds, _mask):
-        raise ValueError("boom")
+        raise SingularSystemError("boom")
 
     with pytest.raises(NumericalError):
         bootstrap_ci(flaky, data, 120, seed=1)
+
+    # only ExtvalError and LinAlgError count as failed replicates; a bug propagates
+    def buggy(ds, _mask):
+        raise TypeError("not a numerical failure")
+
+    with pytest.raises(TypeError):
+        bootstrap_ci(buggy, data, 120, seed=1)

@@ -9,7 +9,6 @@ from extval import (
     DimensionError,
     GlmFamily,
     GlmFit,
-    NotConvergedError,
     SeparationError,
     SingularInformationError,
     fit_glm,
@@ -18,7 +17,6 @@ from extval import (
     fit_sampling_score,
     make_dataset,
     predict_mean,
-    score_contributions,
 )
 
 BERN = GlmFamily.BERNOULLI_LOGIT
@@ -123,28 +121,16 @@ def test_predict_mean_dimension_check():
         predict_mean(fit, np.ones(4))
 
 
-def test_score_contributions_forms():
-    fit = fit_glm(np.ones((2, 1)), np.array([1.0, 0.0]), BERN)
-    rows = score_contributions(fit, np.ones((2, 1)), np.array([1.0, 0.0]))
-    assert np.allclose(rows[:, 0], [0.5, -0.5])
-    gfit = fit_glm(np.ones((3, 1)), np.array([1.0, 2.0, 3.0]), GAUSS)
-    rows = score_contributions(gfit, np.ones((3, 1)), np.array([1.0, 2.0, 3.0]))
-    assert np.allclose(rows[:, 0], [-1.0, 0.0, 1.0])
-
-
 def test_score_contributions_sum_to_zero_at_mle():
+    # the per-row score rows (y - mean(x)) x that the stacked systems use
+    # sum to zero at a converged fit on its own data
     rng = np.random.default_rng(5)
     x = np.column_stack([np.ones(20), rng.standard_normal((20, 2))])
     y = (rng.random(20) < expit(x @ np.array([0.5, -1.0, 0.3]))).astype(float)
     fit = fit_glm(x, y, BERN)
-    rows = score_contributions(fit, x, y)
+    rows = (y - predict_mean(fit, x))[:, None] * x
+    assert fit.converged
     assert np.max(np.abs(rows.sum(axis=0))) < 1e-6
-
-
-def test_score_contributions_require_convergence():
-    fit = GlmFit(np.zeros(1), BERN, False, 100, 0.0)
-    with pytest.raises(NotConvergedError):
-        score_contributions(fit, np.ones((2, 1)), np.array([1.0, 0.0]))
 
 
 def _two_sample(rng, n1, n2, q=3, beta=None):

@@ -2,25 +2,29 @@ import numpy as np
 import pytest
 
 from extval import (
+    ConfigError,
     DegenerateScoresError,
-    ExclusionRule,
+    DimensionError,
     GlmFamily,
     GlmFit,
-    Predicate,
-    SmoothInclusionParams,
     UnattainableProportionError,
-    apply_exclusion_rules,
     make_dataset,
     partition_population,
-    smooth_inclusion,
     solve_threshold,
 )
+from extval.cli import evaluate_raw_rules
 from extval.partition import _smooth_k
 
-RULE_E_OR_X4 = ExclusionRule((
-    (Predicate(5, "==", 1.0),),
-    (Predicate(4, ">=", 3.0),),
-))
+# the generating process's exclusion over named columns: the flag or x4 at its cut
+RULE_E_OR_X4 = [
+    [{"var": "flag", "op": "==", "value": 1}],
+    [{"var": "x4", "op": ">=", "value": 3.0}],
+]
+
+
+def _columns(x, names):
+    # CSV cells by column name, as load_dataset returns them
+    return {name: tuple(repr(float(v)) for v in x[:, j]) for j, name in enumerate(names)}
 
 
 def _target_only_dataset(x_target):
@@ -34,56 +38,58 @@ def test_exclusion_rule_matches_direct_mask():
     rng = np.random.default_rng(21)
     m = 500
     x = np.column_stack([np.ones(m), rng.standard_normal((m, 4)), (rng.random(m) < 0.2).astype(float)])
-    data = _target_only_dataset(x)
-    mask = apply_exclusion_rules(data, RULE_E_OR_X4)
-    x_t = data.x[data.target_mask]
-    expected = (x_t[:, 5] == 1.0) | (x_t[:, 4] >= 3.0)
+    columns = _columns(x, ["one", "x1", "x2", "x3", "x4", "flag"])
+    mask = evaluate_raw_rules(RULE_E_OR_X4, columns, np.ones(m, dtype=bool))
+    expected = (x[:, 5] == 1.0) | (x[:, 4] >= 3.0)
     assert np.array_equal(mask, expected)
     assert mask.any()
+    # the mask is what the partition takes: those rows become group 1
+    data = _target_only_dataset(x)
+    sampling, propensity = _fits_for(6)
+    part = partition_population(data, sampling, propensity, mask, 0.5)
+    assert np.array_equal(part.r1_mask, mask)
 
 
 def test_empty_rule_excludes_nothing():
-    data = _target_only_dataset(np.ones((10, 2)))
-    mask = apply_exclusion_rules(data, ExclusionRule())
-    assert not mask.any()
+    columns = _columns(np.ones((10, 2)), ["one", "x1"])
+    assert not evaluate_raw_rules([], columns, np.ones(10, dtype=bool)).any()
+    data = _target_only_dataset(np.column_stack([np.ones(10), np.arange(10.0)]))
+    sampling, propensity = _fits_for(2)
+    assert not partition_population(data, sampling, propensity, None, 0.5).r1_mask.any()
 
 
 def test_conjunction_within_clause():
     x = np.array([[1.0, 2.0, 5.0], [1.0, 2.0, 1.0], [1.0, 0.0, 5.0]])
-    rule = ExclusionRule(((Predicate(1, "==", 2.0), Predicate(2, ">", 3.0)),))
-    data = _target_only_dataset(x)
-    assert apply_exclusion_rules(data, rule).tolist() == [True, False, False]
-
-
-def test_rule_json_round_trip():
-    rule = RULE_E_OR_X4
-    assert ExclusionRule.from_json(rule.to_json()) == rule
+    rule = [[{"var": "x1", "op": "==", "value": 2.0}, {"var": "x2", "op": ">", "value": 3.0}]]
+    mask = evaluate_raw_rules(rule, _columns(x, ["one", "x1", "x2"]), np.ones(3, dtype=bool))
+    assert mask.tolist() == [True, False, False]
 
 
 def test_rule_error_paths():
-    from extval import ConfigError
-
+    columns = _columns(np.ones((4, 2)), ["one", "x1"])
+    rows = np.ones(4, dtype=bool)
+    with pytest.raises(ConfigError):
+        evaluate_raw_rules([[{"var": "x9", "op": "==", "value": 1.0}]], columns, rows)
+    with pytest.raises(ConfigError):
+        evaluate_raw_rules([[{"var": "one", "op": "~=", "value": 1.0}]], columns, rows)
     data = _target_only_dataset(np.ones((4, 2)))
-    with pytest.raises(ConfigError):
-        apply_exclusion_rules(data, ExclusionRule(((Predicate(9, "==", 1.0),),)))
-    with pytest.raises(ConfigError):
-        apply_exclusion_rules(data, ExclusionRule(((Predicate(0, "~=", 1.0),),)))
+    sampling, propensity = _fits_for(2)
+    with pytest.raises(DimensionError):
+        partition_population(data, sampling, propensity, np.zeros(3, dtype=bool), 0.5)
 
 
 def test_rule_set_membership():
     x = np.array([[1.0, 2.0], [1.0, 5.0], [1.0, 7.0]])
-    rule = ExclusionRule(((Predicate(1, "in", (2.0, 7.0)),),))
-    data = _target_only_dataset(x)
-    assert apply_exclusion_rules(data, rule).tolist() == [True, False, True]
+    rule = [[{"var": "x1", "op": "in", "value": [2.0, 7.0]}]]
+    mask = evaluate_raw_rules(rule, _columns(x, ["one", "x1"]), np.ones(3, dtype=bool))
+    assert mask.tolist() == [True, False, True]
 
 
 def test_smooth_inclusion_trivial_values():
-    params = SmoothInclusionParams(delta=0.01, epsilon=1e-8)
-    assert smooth_inclusion(1.0, 0.5, 0.5, params) == pytest.approx(1.0, abs=1e-12)
-    at_threshold = SmoothInclusionParams(delta=0.25, epsilon=1e-8)
-    assert smooth_inclusion(0.5, 0.5, 0.5, at_threshold) == pytest.approx(0.25, abs=1e-12)
-    far_below = SmoothInclusionParams(delta=0.2, epsilon=1e-8)
-    assert smooth_inclusion(0.001, 0.5, 0.5, far_below) == pytest.approx(0.0, abs=1e-12)
+    # membership of a row whose two score products are (hs*e1, hs*e0)
+    assert _smooth_k(0.5, 0.5, 0.01, 1e-8) == pytest.approx(1.0, abs=1e-12)
+    assert _smooth_k(0.25, 0.25, 0.25, 1e-8) == pytest.approx(0.25, abs=1e-12)
+    assert _smooth_k(0.0005, 0.0005, 0.2, 1e-8) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_smooth_matches_hard_indicator_away_from_threshold():
@@ -202,9 +208,9 @@ def test_partition_rule_covering_everything_is_unattainable():
     rng = np.random.default_rng(17)
     data = _partition_dataset(rng)
     sampling, propensity = _fits_for(3)
-    rule = ExclusionRule(((Predicate(0, "==", 1.0),),))
+    everything = np.ones(data.n2, dtype=bool)
     with pytest.raises(UnattainableProportionError):
-        partition_population(data, sampling, propensity, rule, 0.5)
+        partition_population(data, sampling, propensity, everything, 0.5)
 
 
 def test_partition_group_shares_synthetic_2_8_90():
@@ -220,8 +226,7 @@ def test_partition_group_shares_synthetic_2_8_90():
     data = make_dataset(x1, (rng.random(n1) < 0.5).astype(float), rng.standard_normal(n1), x2)
     sampling = GlmFit(np.array([-1.0, 0.5, 0.5, 0.0]), GlmFamily.BERNOULLI_LOGIT, True, 5, 0.0)
     propensity = GlmFit(np.zeros(4), GlmFamily.BERNOULLI_LOGIT, True, 0, 0.0)
-    rule = ExclusionRule(((Predicate(3, "==", 1.0),),))
-    part = partition_population(data, sampling, propensity, rule, 0.9)
+    part = partition_population(data, sampling, propensity, x2[:, 3] == 1.0, 0.9)
     c1, c2, c3 = part.counts
     assert c1 == int(0.02 * n2)
     assert part.p_hat[0] == pytest.approx(0.02, abs=1e-12)

@@ -129,6 +129,18 @@ def test_sweep_csv_layout():
     assert lines[1].startswith("1.0,1.0,gpd,")
 
 
+def test_sweep_csv_numpy_grid_parses():
+    # a numpy grid must not leak numpy reprs such as np.float64(-1.0)
+    grid = sensitivity_sweep(APPLICATION_INPUT, np.linspace(-1, 1, 3), np.array([1.0]), "epd")
+    lines = grid.to_csv().strip().splitlines()
+    assert len(lines) == 4
+    for line in lines[1:]:
+        k1, k2, assumption, *rest = line.split(",")
+        assert assumption == "epd"
+        assert all(np.isfinite(float(cell)) for cell in (k1, k2, *rest))
+    assert lines[1].startswith("-1.0,1.0,epd,")
+
+
 def test_sweep_input_validation():
     with pytest.raises(ConfigError):
         sensitivity_sweep(APPLICATION_INPUT, [], [1.0], "gpd")

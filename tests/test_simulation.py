@@ -5,6 +5,7 @@ from extval import (
     ConfigError,
     DgpConfig,
     GlmFamily,
+    SingularSystemError,
     StudyConfig,
     calibrate_intercept,
     dgp_covariate_sampler,
@@ -209,3 +210,23 @@ def test_efficiency_bound_guards():
     )
     with pytest.warns(RuntimeWarning):
         efficiency_bound_mc(diverging, mc_draws=100_000)
+
+
+@pytest.mark.parametrize("error, propagates", [(TypeError, True), (SingularSystemError, False)])
+def test_replication_block_counts_only_numerical_failures(monkeypatch, error, propagates):
+    from extval import simulation
+
+    def broken(*args, **kwargs):
+        raise error("from the estimator")
+
+    monkeypatch.setattr(simulation, "trimmed_ipw", broken)
+    cfg = StudyConfig(
+        dgp=DgpConfig(n_total=20_000), replications=1, p3_stars=(0.8,),
+        methods=("ipw",), assumptions=("gpd",), master_seed=2, oracle_draws=100_000,
+    )
+    if propagates:
+        with pytest.raises(error):
+            simulation._replication_block(cfg, [0])
+    else:
+        [result] = simulation._replication_block(cfg, [0])
+        assert isinstance(result, error)
