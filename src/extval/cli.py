@@ -48,7 +48,7 @@ from .glm import (
     fit_sampling_score,
     predict_mean,
 )
-from .partition import partition_population
+from .partition import DEFAULT_EPSILON, partition_population
 from .sensitivity import (
     SensitivityInput,
     extrapolate_group_ate,
@@ -77,16 +77,23 @@ _METHODS = {
 # dataset loading
 # ---------------------------------------------------------------------------
 
-def load_dataset(path: str, roles: dict) -> tuple[Dataset, dict[str, tuple[str, ...]]]:
+class CsvColumns(dict):
+    """A CSV's columns by name, each a tuple of its cells (one per data
+    row), and ``lines``: the file line of each data row, for errors."""
+
+    lines: np.ndarray
+
+
+def load_dataset(path: str, roles: dict) -> tuple[Dataset, CsvColumns]:
     """Parse a CSV into a Dataset, prepending the constant-1 column.
 
     ``roles`` maps {"s": column, "a": column, "y": column,
     "covariates": [columns...]}. Treatment and outcome cells must be
     empty exactly on target rows; anything else is a role
-    misassignment. Returns the dataset and every CSV column by name (a
-    tuple of its cells, one per data row) so that exclusion rules may
-    reference non-model columns. Blank lines are skipped; every other
-    row must have as many fields as the header.
+    misassignment. Returns the dataset and every CSV column by name so
+    that exclusion rules may reference non-model columns. Blank lines are
+    skipped; every other row must have as many fields as the header. An
+    error in a row names its line in the file.
     """
     for key in ("s", "a", "y", "covariates"):
         if key not in roles:
@@ -95,7 +102,11 @@ def load_dataset(path: str, roles: dict) -> tuple[Dataset, dict[str, tuple[str, 
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            rows = [row for row in reader if row]
+            rows, lines = [], []
+            for row in reader:
+                if row:
+                    rows.append(row)
+                    lines.append(reader.line_num)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if header is None:
@@ -106,50 +117,51 @@ def load_dataset(path: str, roles: dict) -> tuple[Dataset, dict[str, tuple[str, 
         raise DataError(f"{path}: missing columns {missing}")
     if not rows:
         raise DataError(f"{path}: no data rows")
+    lines = np.array(lines)
     ragged = [len(row) != len(header) for row in rows]
-    _fail_at(path, ragged, f"the header has {len(header)} fields")
-    columns = dict(zip(header, zip(*rows)))
+    _fail_at(path, lines, ragged, f"the header has {len(header)} fields")
+    columns = CsvColumns(zip(header, zip(*rows)))
+    columns.lines = lines
     del rows
 
     flags = [c.strip() for c in columns[roles["s"]]]
-    _fail_at(path, [f not in ("0", "1") for f in flags], "participation flag must be 0 or 1")
+    _fail_at(path, lines, [f not in ("0", "1") for f in flags], "participation flag must be 0 or 1")
     trial = np.array([f == "1" for f in flags])
     has_a = np.array([bool(c.strip()) for c in columns[roles["a"]]])
     has_y = np.array([bool(c.strip()) for c in columns[roles["y"]]])
-    _fail_at(path, trial & ~(has_a & has_y), "trial row lacks treatment or outcome")
+    _fail_at(path, lines, trial & ~(has_a & has_y), "trial row lacks treatment or outcome")
     _fail_at(
-        path, ~trial & (has_a | has_y),
+        path, lines, ~trial & (has_a | has_y),
         "treatment/outcome present on a target row; check the column role assignment",
     )
     x = np.empty((trial.size, len(roles["covariates"]) + 1))
     x[:, 0] = 1.0
     for j, col in enumerate(roles["covariates"]):
-        _fail_at(path, [not c.strip() for c in columns[col]], f"empty covariate {col!r}")
-        x[:, j + 1] = _floats(columns[col], col, path)
-    a = _floats(columns[roles["a"]], roles["a"], path)
-    y = _floats(columns[roles["y"]], roles["y"], path)
+        _fail_at(path, lines, [not c.strip() for c in columns[col]], f"empty covariate {col!r}")
+        x[:, j + 1] = _floats(columns[col], col, path, lines)
+    a = _floats(columns[roles["a"]], roles["a"], path, lines)
+    y = _floats(columns[roles["y"]], roles["y"], path, lines)
     return Dataset(s=trial.astype(float), a=a, y=y, x=x), columns
 
 
-def _fail_at(path: str, bad, message: str):
-    """DataError naming the first data row flagged in ``bad``."""
+def _fail_at(path: str, lines: np.ndarray, bad, message: str):
+    """DataError naming the file line of the first data row flagged in ``bad``."""
     rows = np.flatnonzero(bad)
     if rows.size:
-        raise DataError(f"{path} row {rows[0] + 2}: {message}")
+        raise DataError(f"{path} line {lines[rows[0]]}: {message}")
 
 
-def _floats(cells, col: str, where: str, rows=None) -> np.ndarray:
-    """CSV cells as floats, empty cells as NaN. ``rows`` are the cells'
-    data-row numbers (all rows in order by default), for the error."""
+def _floats(cells, col: str, where: str, lines) -> np.ndarray:
+    """CSV cells as floats, empty cells as NaN. ``lines`` are the cells'
+    file lines, for the error."""
     out = []
     for i, cell in enumerate(cells):
         cell = cell.strip()
         try:
             out.append(float(cell) if cell else np.nan)
         except ValueError:
-            row = i if rows is None else rows[i]
             raise DataError(
-                f"{where} row {row + 2}: non-numeric value {cell!r} in column {col!r}"
+                f"{where} line {lines[i]}: non-numeric value {cell!r} in column {col!r}"
             ) from None
     return np.array(out)
 
@@ -173,15 +185,17 @@ def evaluate_raw_rules(rules: list, columns: dict, mask_rows) -> np.ndarray:
     """Evaluate clause lists on the rows ``mask_rows`` selects.
 
     ``columns`` maps CSV column names to their cells, as ``load_dataset``
-    returns them. Each clause is a list of {"var": column name, "op":
-    comparator, "value": number, or a list of numbers for "in"}; a row
-    matches when every predicate of at least one clause holds. Cells
-    compare numerically and an empty cell reads as NaN, which satisfies
-    only "!=". An unknown column or comparator, or a value of the wrong
-    type, is a ConfigError; a non-numeric cell in a selected row of a
-    rule column is a DataError.
+    returns them; errors name the file line from its ``lines``, or count
+    data rows from line 2 when it has none. Each clause is a list of
+    {"var": column name, "op": comparator, "value": number, or a list of
+    numbers for "in"}; a row matches when every predicate of at least one
+    clause holds. Cells compare numerically and an empty cell reads as
+    NaN, which satisfies only "!=". An unknown column or comparator, or a
+    value of the wrong type, is a ConfigError; a non-numeric cell in a
+    selected row of a rule column is a DataError.
     """
     rows = np.flatnonzero(mask_rows)
+    lines = getattr(columns, "lines", np.arange(len(mask_rows)) + 2)[rows]
     values: dict[str, np.ndarray] = {}
     out = np.zeros(rows.size, dtype=bool)
     for clause in rules:
@@ -196,7 +210,7 @@ def evaluate_raw_rules(rules: list, columns: dict, mask_rows) -> np.ndarray:
                 raise ConfigError(f"exclusion rule references unknown column {var!r}")
             constant = _rule_constant(var, op, value)
             if var not in values:
-                values[var] = _floats([columns[var][i] for i in rows], var, "CSV", rows)
+                values[var] = _floats([columns[var][i] for i in rows], var, "CSV", lines)
             match &= _COMPARATORS[op](values[var], constant)
         out |= match
     return out
@@ -275,7 +289,7 @@ def cmd_analyze(config: dict) -> dict:
     if variance_method not in ("sandwich", "bootstrap"):
         raise ConfigError("variance must be 'sandwich' or 'bootstrap'")
     p3_star = config.get("p3_star")
-    epsilon = float(config.get("epsilon", 1e-8))
+    epsilon = float(config.get("epsilon", DEFAULT_EPSILON))
     needs_partition = any(m.startswith("trimmed") for m in methods)
     if needs_partition and p3_star is None:
         raise ConfigError("trimmed methods require p3_star")
@@ -289,7 +303,8 @@ def cmd_analyze(config: dict) -> dict:
     if config.get("exclusion_rules"):
         r1_mask = evaluate_raw_rules(config["exclusion_rules"], columns, data.target_mask)
     sampling, propensity, outcome, partition = _fit_components(
-        data, config, family, any("aipw" in m for m in methods), r1_mask, needs_partition
+        data, config, family, any("aipw" in m for m in methods), r1_mask,
+        (p3_star, epsilon) if needs_partition else None,
     )
 
     report: dict = {
@@ -341,20 +356,17 @@ def _family(name: str) -> GlmFamily:
     return _FAMILIES[name]
 
 
-def _fit_components(data, config, family, outcome: bool, r1_mask, trimmed: bool):
+def _fit_components(data, config, family, outcome: bool, r1_mask, threshold):
     """Sampling, propensity and (if ``outcome``) outcome fits, and the
-    partition (if ``trimmed``) at the configured p3* and epsilon."""
+    partition at ``threshold``, a (p3*, epsilon) pair, unless it is None."""
     with _stage("fit"):
         sampling = fit_sampling_score(data)
         propensity = fit_propensity_score(data, known_probability=config.get("known_propensity"))
         fits = fit_outcome_models(data, family) if outcome else None
     partition = None
-    if trimmed:
+    if threshold is not None:
         with _stage("partition"):
-            partition = partition_population(
-                data, sampling, propensity, r1_mask,
-                config["p3_star"], float(config.get("epsilon", 1e-8)),
-            )
+            partition = partition_population(data, sampling, propensity, r1_mask, *threshold)
     return sampling, propensity, fits, partition
 
 
@@ -368,9 +380,11 @@ def _run_method(
     if variance_method != "bootstrap":
         return rep
 
+    partition = components[3]
+    threshold = (partition.p3_star, partition.epsilon) if method.startswith("trimmed") else None
+
     def point(ds: Dataset, mask):
-        trimmed = method.startswith("trimmed")
-        refit = _fit_components(ds, config, family, "aipw" in method, mask, trimmed)
+        refit = _fit_components(ds, config, family, "aipw" in method, mask, threshold)
         return run(ds, *refit, "none").estimate
 
     reps = int(config.get("bootstrap_reps", 500))

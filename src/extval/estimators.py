@@ -15,7 +15,8 @@ residual) at a stacked parameter vector. The four public estimators are
 thin wrappers over one estimate function that reads that core at the
 component fits; its weighted means are the plug-in solution of the
 stacked system, whose estimating functions read the same core at
-perturbed parameters.
+perturbed parameters. The weighting estimators are the augmented ones
+with outcome models fixed at zero, so every system has one layout.
 
 A is estimated by central finite differences. Differentiating the
 membership weight at its own smoothing scale (1e-8 by default) would
@@ -157,8 +158,8 @@ class _Rows(NamedTuple):
     w1: np.ndarray
     w0: np.ndarray
     k: np.ndarray | float           # 1.0 when untrimmed
-    m1: np.ndarray | None
-    m0: np.ndarray | None
+    m1: np.ndarray
+    m0: np.ndarray
     means: list                     # (weights, values) of each weighted-mean row
 
 
@@ -167,20 +168,19 @@ class _Pipeline:
     parameter vector of its stacked system.
 
     Blocks, in order: sampling coefficients, propensity coefficients
-    (omitted for a fixed propensity), outcome coefficients (aipw only), the
-    threshold (trimmed with a positive threshold only), then the
-    weighted means whose contrast is the treatment effect. ``nuisance`` is
-    the vector up to the weighted means, at the component fits.
+    (omitted for a fixed propensity), outcome coefficients (omitted
+    without outcome fits, which fixes the outcome models at zero), the
+    threshold (trimmed with a positive threshold only), then the weighted
+    means v1, v2, v3 whose contrast v1 - v2 + v3 is the treatment effect.
+    ``nuisance`` is the vector up to the weighted means, at the fits.
     """
 
-    def __init__(self, kind, data, sampling_fit, propensity_fit, outcome_fits, partition):
-        if kind not in ("ipw", "aipw"):
-            raise ConfigError(f"unknown system kind {kind!r}")
-        if kind == "aipw" and outcome_fits is None:
-            raise ConfigError("aipw system requires outcome fits")
+    tail = ("v1", "v2", "v3")
+
+    def __init__(self, data, sampling_fit, propensity_fit, outcome_fits, partition):
         data.require_both_samples()
         _check_fits(sampling_fit, propensity_fit, *(outcome_fits or ()))
-        self.kind, self.data, self.partition = kind, data, partition
+        self.data, self.partition = data, partition
         self.a = np.where(data.trial_mask, data.a, 0.0)
         self.y = np.where(data.trial_mask, data.y, 0.0)
         self.treated = data.trial_mask & (self.a == 1)
@@ -195,11 +195,16 @@ class _Pipeline:
         self.estimate_delta = partition is not None and partition.delta_star > 0.0
         self.fixed_e1 = predict_mean(propensity_fit, data.x) if propensity_fit.fixed else None
         self.link = _outcome_link(outcome_fits) if outcome_fits is not None else None
+        # m1, m0 and the residual when the outcome models are fixed at zero
+        self.fixed_m = None
+        if outcome_fits is None:
+            zero = np.zeros(data.n)
+            self.fixed_m = (zero, zero, self.y)
 
         blocks = [("sampling", sampling_fit.coefficients)]
         if not propensity_fit.fixed:
             blocks.append(("propensity", propensity_fit.coefficients))
-        if kind == "aipw":
+        if self.fixed_m is None:
             blocks += [
                 ("outcome1", outcome_fits[0].coefficients),
                 ("outcome0", outcome_fits[1].coefficients),
@@ -207,7 +212,6 @@ class _Pipeline:
         if self.estimate_delta:
             blocks.append(("threshold", [partition.delta_star]))
         self.nuisance = np.concatenate([np.asarray(v, dtype=float) for _, v in blocks])
-        self.tail = ("mu31", "mu30") if kind == "ipw" else ("v1", "v2", "v3")
         self.slices: dict[str, slice] = {}
         self.labels: list[str] = []
         offset = 0
@@ -237,11 +241,12 @@ class _Pipeline:
             delta = xi[self.slices["threshold"]][0] if self.estimate_delta else part.delta_star
             k = _smooth_k(hs * e1, hs * e0, delta, scale or part.epsilon)
             k = np.where(self.r1, 0.0, k)
-        if self.kind == "ipw":
-            return _Rows(hs, e1, w1, w0, k, None, None, [(k * w1, self.y), (k * w0, self.y)])
-        m1 = self.link(x @ xi[self.slices["outcome1"]])
-        m0 = self.link(x @ xi[self.slices["outcome0"]])
-        resid = s * (self.y - a * m1 - (1.0 - a) * m0)
+        if self.fixed_m is None:
+            m1 = self.link(x @ xi[self.slices["outcome1"]])
+            m0 = self.link(x @ xi[self.slices["outcome0"]])
+            resid = s * (self.y - a * m1 - (1.0 - a) * m0)
+        else:
+            m1, m0, resid = self.fixed_m
         means = [(k * w1, resid), (k * w0, resid), (k * (1.0 - s), m1 - m0)]
         return _Rows(hs, e1, w1, w0, k, m1, m0, means)
 
@@ -254,13 +259,12 @@ class _Pipeline:
         if not (np.all(np.isfinite(fitted.w1)) and np.all(np.isfinite(fitted.w0))):
             raise ZeroWeightError("non-finite transport weight")
         means = [_hajek(v, w, name) for (w, v), name in zip(fitted.means[:2], self.tail)]
-        if self.kind == "aipw":
-            w, v = fitted.means[2]
-            # untrimmed, the projection is the plain mean over the target rows
-            if self.partition is None:
-                means.append(float(np.mean(v[self.data.target_mask])))
-            else:
-                means.append(_hajek(v, w, "v3"))
+        w, v = fitted.means[2]
+        # untrimmed, the projection is the plain mean over the target rows
+        if self.partition is None:
+            means.append(float(np.mean(v[self.data.target_mask])))
+        else:
+            means.append(_hajek(v, w, "v3"))
         return means
 
     def psi(self, xi: np.ndarray, scale: float | None = None) -> np.ndarray:
@@ -271,7 +275,7 @@ class _Pipeline:
         out[:, self.slices["sampling"]] = (s - r.hs)[:, None] * x
         if self.fixed_e1 is None:
             out[:, self.slices["propensity"]] = (s * (a - r.e1))[:, None] * x
-        if self.kind == "aipw":
+        if self.fixed_m is None:
             out[:, self.slices["outcome1"]] = (s * a * (y - r.m1))[:, None] * x
             out[:, self.slices["outcome0"]] = (s * (1.0 - a) * (y - r.m0))[:, None] * x
         if self.estimate_delta:
@@ -292,7 +296,7 @@ def hajek_ipw(
     variance: str = "sandwich",
 ) -> EstimateReport:
     """Self-normalized weighting estimator of the target-population ATE."""
-    return _estimate("ipw", data, sampling_fit, propensity_fit, None, None, variance)
+    return _estimate(data, sampling_fit, propensity_fit, None, None, variance)
 
 
 def trimmed_ipw(
@@ -303,7 +307,7 @@ def trimmed_ipw(
     variance: str = "sandwich",
 ) -> EstimateReport:
     """Weighting estimator for the well-represented group."""
-    return _estimate("ipw", data, sampling_fit, propensity_fit, None, partition, variance)
+    return _estimate(data, sampling_fit, propensity_fit, None, partition, variance)
 
 
 def augmented_ipw(
@@ -315,7 +319,7 @@ def augmented_ipw(
 ) -> EstimateReport:
     """Doubly robust estimator: weighted residuals plus an outcome-model
     projection averaged over all target rows."""
-    return _estimate("aipw", data, sampling_fit, propensity_fit, outcome_fits, None, variance)
+    return _estimate(data, sampling_fit, propensity_fit, outcome_fits, None, variance)
 
 
 def trimmed_aipw(
@@ -327,29 +331,30 @@ def trimmed_aipw(
     variance: str = "sandwich",
 ) -> EstimateReport:
     """Augmented weighting estimator for the well-represented group."""
-    return _estimate("aipw", data, sampling_fit, propensity_fit, outcome_fits, partition, variance)
+    return _estimate(data, sampling_fit, propensity_fit, outcome_fits, partition, variance)
 
 
 def _estimate(
-    kind, data, sampling_fit, propensity_fit, outcome_fits, partition, variance,
+    data, sampling_fit, propensity_fit, outcome_fits, partition, variance,
 ) -> EstimateReport:
-    """mu31 - mu30 (ipw) or v1 - v2 + v3 (aipw), with its sandwich variance
-    unless ``variance`` is "none"."""
-    pipeline = _Pipeline(kind, data, sampling_fit, propensity_fit, outcome_fits, partition)
-    means = pipeline.weighted_means(pipeline.rows(pipeline.nuisance))
-    est = means[0] - means[1] if kind == "ipw" else means[0] - means[1] + means[2]
+    """v1 - v2 + v3, with its sandwich variance unless ``variance`` is
+    "none"; the weighting estimator ("ipw") when ``outcome_fits`` is None."""
+    pipeline = _Pipeline(data, sampling_fit, propensity_fit, outcome_fits, partition)
+    v1, v2, v3 = pipeline.weighted_means(pipeline.rows(pipeline.nuisance))
+    est = v1 - v2 + v3
     var = lo = hi = float("nan")
     if variance == "sandwich":
         var = sandwich_variance(build_stacked_system(
-            kind, data, sampling_fit, propensity_fit, outcome_fits, partition
+            data, sampling_fit, propensity_fit, outcome_fits, partition
         ))
         half = Z95 * float(np.sqrt(var))
         lo, hi = est - half, est + half
     elif variance != "none":
         raise ConfigError(f"unknown variance method {variance!r} (use bootstrap_ci for bootstrap)")
     trimmed = partition is not None
+    method = "ipw" if outcome_fits is None else "aipw"
     return EstimateReport(
-        est, var, lo, hi, kind, trimmed, variance, data.n1, data.n2,
+        est, var, lo, hi, method, trimmed, variance, data.n1, data.n2,
         p_hat=partition.p_hat if trimmed else None,
         delta_star=partition.delta_star if trimmed else None,
     )
@@ -360,7 +365,6 @@ def _estimate(
 # ---------------------------------------------------------------------------
 
 def build_stacked_system(
-    kind: str,
     data: Dataset,
     sampling_fit: GlmFit,
     propensity_fit: GlmFit,
@@ -370,18 +374,21 @@ def build_stacked_system(
     """Stack the estimating functions of the full pipeline.
 
     Row blocks, in order: sampling-score rows, propensity-score rows
-    (omitted for a fixed propensity), outcome-score rows (aipw only),
-    the threshold row (trimmed only), then the weighted-mean rows whose
-    contrast is the treatment effect. The plug-in solution assembled
+    (omitted for a fixed propensity), outcome-score rows, the threshold
+    row (trimmed only), then the weighted-mean rows v1, v2, v3 whose
+    contrast v1 - v2 + v3 is the treatment effect. Without
+    ``outcome_fits`` the system is the weighting estimator's: the outcome
+    models are fixed at zero, so it has no outcome rows and v3 is 0. The
+    plug-in solution assembled
     from the component fits must zero the mean estimating function to
     1e-5 per coordinate; otherwise the components are inconsistent and
     StationarityError is raised.
     """
-    pipeline = _Pipeline(kind, data, sampling_fit, propensity_fit, outcome_fits, partition)
+    pipeline = _Pipeline(data, sampling_fit, propensity_fit, outcome_fits, partition)
     fitted = pipeline.rows(pipeline.nuisance)
     xi_hat = np.concatenate([pipeline.nuisance, pipeline.weighted_means(fitted)])
     eta = np.zeros(pipeline.dim)
-    eta[-len(pipeline.tail):] = (1.0, -1.0) if kind == "ipw" else (1.0, -1.0, 1.0)
+    eta[-3:] = (1.0, -1.0, 1.0)
 
     mean_psi = pipeline.psi(xi_hat).mean(axis=0)
     worst = float(np.max(np.abs(mean_psi)))

@@ -4,9 +4,12 @@ Target rows fall into three groups: rows matching known exclusion
 criteria (unrepresented), rows whose participation-by-treatment score
 products fall below a threshold delta (underrepresented), and the rest
 (well-represented). The threshold is solved so that the well-represented
-group is a requested share of the full target sample. Exclusions arrive
-as a boolean mask over the target rows; rules over named CSV columns are
-evaluated into that mask by the command line (``cli.evaluate_raw_rules``).
+group is a requested share p3* of the full target sample. That makes it
+a quantile-style trim: the threshold is an order statistic of the
+non-excluded rows' smaller score products, moved within a few smoothing
+scales so that the smoothed share is p3*. Exclusions arrive as a boolean
+mask over the target rows; rules over named CSV columns are evaluated
+into that mask by the command line (``cli.evaluate_raw_rules``).
 
 Group membership is smoothed through a normal CDF with a tiny scale so
 that threshold estimation can be stacked into standard M-estimation
@@ -34,8 +37,6 @@ from .glm import GlmFit, predict_mean
 
 DEFAULT_EPSILON = 1e-8
 MEAN_TOL = 1e-6
-BISECT_ITER = 200
-INTERVAL_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -44,10 +45,10 @@ class PartitionResult:
 
     ``labels`` holds 1/2/3 for unrepresented/underrepresented/well-
     represented. ``p_hat`` is (p1, p2, p3) where p1 is the labeled
-    exclusion share, p3 the achieved mean smooth weight (= p3_star up to
-    solver tolerance), and p2 the remainder; hard label counts can
-    differ from p_hat by less than one row when the threshold sits
-    inside a smoothing window.
+    exclusion share, p3 the achieved mean smooth weight (p3_star to
+    about 1e-12), and p2 the remainder. The row that the
+    threshold sits on carries a fractional weight, so hard label counts
+    can differ from p_hat by less than one row.
     """
 
     labels: np.ndarray
@@ -76,12 +77,16 @@ def solve_threshold(
     epsilon: float = DEFAULT_EPSILON,
     r1_mask: np.ndarray | None = None,
 ) -> float:
-    """Solve for the threshold delta* by bisection.
+    """Solve for the threshold delta* at its order statistic.
 
-    ``target_scores`` is (hs, e1, e0), arrays over target rows. The
-    objective is the mean smooth inclusion weight over all target rows,
-    with excluded rows forced to zero; it is nonincreasing in delta.
-    Plateau ties resolve to the smallest delta achieving mean <= p3*.
+    ``target_scores`` is (hs, e1, e0), arrays over the m target rows. The
+    smooth inclusion weights summed over the target rows (excluded rows
+    at zero) fall with delta and must equal p3*·m. With j = floor(p3*·m),
+    the (j+1)-th largest non-excluded min product q takes the fractional
+    row p3*·m - j, so the sum crosses p3*·m within ten smoothing scales of
+    q. An Illinois (modified regula falsi) solve on that bracket finds
+    delta*. A whole p3*·m leaves the sum flat just above q, and any point
+    there solves it. delta* is 0 at the attainable mass.
     """
     hs, e1, e0 = (np.asarray(v, dtype=float) for v in target_scores)
     m = hs.shape[0]
@@ -106,46 +111,46 @@ def solve_threshold(
             raise DegenerateScoresError(
                 "all score products are identical; threshold is undetermined"
             )
+    count = p3_star * m
+    # a product one rounding from a whole count is that count, so that its
+    # floor finds the same order statistic as the whole count would
+    if abs(count - round(count)) <= 4.0 * np.spacing(count):
+        count = float(round(count))
 
-    def mean_k(delta: float) -> float:
-        return float(np.sum(_smooth_k(prod1, prod0, delta, epsilon))) / m
+    def excess(delta: float) -> float:
+        return float(np.sum(_smooth_k(prod1, prod0, delta, epsilon))) - count
 
-    lo = 0.0
-    hi = float(min_prods.max()) + max(1.0, 50.0 * epsilon)
-    f_lo = mean_k(lo) - p3_star
-    if f_lo < -MEAN_TOL:
+    f0 = excess(0.0) / m
+    if f0 < -MEAN_TOL:
         raise UnattainableProportionError(
-            f"attainable mass {f_lo + p3_star:.8f} below requested p3*={p3_star} "
+            f"attainable mass {f0 + p3_star:.8f} below requested p3*={p3_star} "
             "(score products too close to zero for the smoothing scale)"
         )
-    if f_lo <= 1e-9:
-        return lo
-    delta = None
-    for _ in range(BISECT_ITER):
-        mid = 0.5 * (lo + hi)
-        f = mean_k(mid) - p3_star
-        if abs(f) <= 1e-9:
-            delta = mid
+    if f0 <= 1e-9:
+        return 0.0
+    # the count at delta = 0 exceeds p3*·m, so j < the non-excluded rows
+    j = int(np.floor(count))
+    at = min_prods.size - j - 1
+    q = float(np.partition(min_prods, at)[at])
+    lo, f_lo = q - 10.0 * epsilon, excess(q - 10.0 * epsilon)
+    hi = delta = q + 10.0 * epsilon
+    f_hi = f = excess(hi)
+    kept = 0
+    for _ in range(100):
+        # stop at a share within 1e-12 of p3*, or at the float spacing of delta
+        if abs(f) <= 1e-12 * m or hi - lo <= 4.0 * np.spacing(abs(q)):
             break
-        if f > 0:
-            lo = mid
+        delta = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        f = excess(delta)
+        # halving the value of an end kept twice keeps both ends moving
+        if f > 0.0:
+            lo, f_lo, f_hi = delta, f, f_hi * (0.5 if kept < 0 else 1.0)
+            kept = -1
         else:
-            hi = mid
-        if hi - lo < INTERVAL_FLOOR and abs(f) <= MEAN_TOL:
-            delta = mid
-            break
-    if delta is None:
-        delta = 0.5 * (lo + hi)
-    if abs(mean_k(delta) - p3_star) > MEAN_TOL:
-        raise NotConvergedError("threshold bisection did not reach the mean tolerance")
-    # plateau tie-break: the smallest delta achieving mean <= p3*, a few
-    # smoothing scales above the largest min product below the threshold
-    if not np.any(np.abs(min_prods - delta) <= 8.0 * epsilon):
-        below = min_prods[min_prods < delta]
-        if below.size:
-            snapped = float(below.max()) + 4.0 * epsilon
-            if abs(mean_k(snapped) - p3_star) <= MEAN_TOL:
-                delta = snapped
+            hi, f_hi, f_lo = delta, f, f_lo * (0.5 if kept > 0 else 1.0)
+            kept = 1
+    if abs(f) / m > MEAN_TOL:
+        raise NotConvergedError("threshold solve did not reach the mean tolerance")
     return float(delta)
 
 

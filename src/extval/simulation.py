@@ -28,7 +28,7 @@ from .data import Dataset
 from .errors import ConfigError, ExtvalError, NumericalError
 from .estimators import trimmed_aipw, trimmed_ipw
 from .glm import GlmFamily, fit_outcome_models, fit_propensity_score, fit_sampling_score
-from .partition import partition_population
+from .partition import DEFAULT_EPSILON, partition_population
 from .sensitivity import SensitivityInput, epd_estimate, gpd_estimate
 
 
@@ -235,7 +235,7 @@ class StudyConfig:
     methods: tuple[str, ...] = ("ipw", "aipw")
     assumptions: tuple[str, ...] = ("gpd", "epd")
     master_seed: int = 0
-    epsilon: float = 1e-8
+    epsilon: float = DEFAULT_EPSILON
     oracle_draws: int = 4_000_000
     max_failure_share: float = 0.01
 

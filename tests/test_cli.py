@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from extval import (
+    DataError,
     GlmFamily,
     fit_outcome_models,
     fit_propensity_score,
@@ -131,6 +132,23 @@ def test_load_dataset_non_numeric_covariate(tmp_path):
     with pytest.raises(Exception) as exc:
         load_dataset(str(path), {"s": "selected", "a": "treat", "y": "outcome", "covariates": ["x1"]})
     assert "non-numeric" in str(exc.value)
+
+
+def test_load_dataset_error_names_file_line_past_blank_line(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("s,a,y,x1\n1,1,2.0,0.1\n\n0,,,abc\n")
+    with pytest.raises(DataError) as exc:
+        load_dataset(str(path), {"s": "s", "a": "a", "y": "y", "covariates": ["x1"]})
+    assert "line 4:" in str(exc.value)
+
+
+def test_rule_error_names_file_line_past_blank_line(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("s,a,y,x1,flag\n1,1,2.0,0.1,0\n0,,,0.2,0\n\n0,,,0.3,abc\n")
+    data, columns = load_dataset(str(path), {"s": "s", "a": "a", "y": "y", "covariates": ["x1"]})
+    with pytest.raises(DataError) as exc:
+        evaluate_raw_rules([[{"var": "flag", "op": "==", "value": 1}]], columns, data.target_mask)
+    assert "line 5:" in str(exc.value)
 
 
 def test_analyze_report_contents(fixture_csv):

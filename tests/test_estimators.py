@@ -167,17 +167,22 @@ def _moderate_pipeline(seed=77, n1=200, n2=400, q=3):
 def test_stacked_dimensions_and_contrast_ipw():
     data, sampling, propensity, _ = _moderate_pipeline(q=5)
     part = partition_population(data, sampling, propensity, None, 0.8)
-    system = build_stacked_system("ipw", data, sampling, propensity, partition=part)
-    assert system.dim == 5 + 5 + 1 + 2 == 13
-    expected = np.zeros(13)
-    expected[-2], expected[-1] = 1.0, -1.0
+    system = build_stacked_system(data, sampling, propensity, partition=part)
+    # the weighting estimator is the augmented one with outcome models
+    # fixed at zero: no outcome block, and a v3 row whose mean is exactly 0
+    assert system.dim == 5 + 5 + 1 + 3 == 14
+    assert not any(label.startswith("outcome") for label in system.labels)
+    assert system.labels[-3:] == ("v1", "v2", "v3")
+    assert system.xi[-1] == 0.0
+    expected = np.zeros(14)
+    expected[-3:] = 1.0, -1.0, 1.0
     assert np.array_equal(system.eta, expected)
 
 
 def test_stacked_dimensions_and_contrast_aipw():
     data, sampling, propensity, outcome = _moderate_pipeline(q=5)
     part = partition_population(data, sampling, propensity, None, 0.8)
-    system = build_stacked_system("aipw", data, sampling, propensity, outcome, part)
+    system = build_stacked_system(data, sampling, propensity, outcome, part)
     assert system.dim == 4 * 5 + 1 + 3 == 24
     assert system.eta[-3:].tolist() == [1.0, -1.0, 1.0]
     assert np.all(system.eta[:-3] == 0.0)
@@ -192,7 +197,8 @@ def test_estimate_is_the_stacked_plug_in_contrast(estimator, kind, trimmed):
     part = partition_population(data, sampling, propensity, None, 0.8) if trimmed else None
     fits = outcome if kind == "aipw" else None
     report = estimator(data, sampling, propensity, *([fits] if fits else []), *([part] if part else []))
-    system = build_stacked_system(kind, data, sampling, propensity, fits, part)
+    system = build_stacked_system(data, sampling, propensity, fits, part)
+    assert report.method == kind
     assert report.variance_method == "sandwich" and report.variance > 0
     assert report.estimate == pytest.approx(system.eta @ system.xi, rel=1e-12, abs=0.0)
 
@@ -201,15 +207,15 @@ def test_stacked_fixed_propensity_omits_its_block():
     data, sampling, _, _ = _moderate_pipeline(q=3)
     fixed = fit_propensity_score(data, known_probability=0.5)
     part = partition_population(data, sampling, fixed, None, 0.8)
-    system = build_stacked_system("ipw", data, sampling, fixed, partition=part)
-    assert system.dim == 3 + 1 + 2
+    system = build_stacked_system(data, sampling, fixed, partition=part)
+    assert system.dim == 3 + 1 + 3
 
 
 def test_stacked_stationarity_at_plugin():
     data, sampling, propensity, outcome = _moderate_pipeline(seed=5, n1=250, n2=250)
     part = partition_population(data, sampling, propensity, None, 0.9)
-    for kind, fits in (("ipw", None), ("aipw", outcome)):
-        system = build_stacked_system(kind, data, sampling, propensity, fits, part)
+    for fits in (None, outcome):
+        system = build_stacked_system(data, sampling, propensity, fits, part)
         assert np.max(np.abs(system.psi(system.xi).mean(axis=0))) <= 1e-5
 
 
@@ -218,7 +224,7 @@ def test_stacked_rejects_foreign_fits():
     other, *_ = _moderate_pipeline(seed=60)
     foreign = fit_sampling_score(other)
     with pytest.raises(StationarityError):
-        build_stacked_system("ipw", data, foreign, propensity)
+        build_stacked_system(data, foreign, propensity)
 
 
 def test_sandwich_on_plain_mean_system():

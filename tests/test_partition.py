@@ -113,7 +113,7 @@ def test_solve_threshold_matches_sort_quantile_oracle():
         oracle = np.sort(prods)[19]  # 20th smallest: keep exactly 80 rows
         assert abs(delta - oracle) < 1e-4
         k = _smooth_k(hs * e, hs * e, delta, 1e-8)
-        assert abs(np.mean(k) - 0.8) <= 1e-6
+        assert abs(np.mean(k) - 0.8) <= 1e-9
 
 
 def test_solve_threshold_fractional_target():
@@ -122,7 +122,45 @@ def test_solve_threshold_fractional_target():
     e = np.full(100, 0.5)
     delta = solve_threshold((hs, e, e), 0.815, 1e-8)
     k = _smooth_k(hs * e, hs * e, delta, 1e-8)
-    assert abs(np.mean(k) - 0.815) <= 1e-6
+    assert abs(np.mean(k) - 0.815) <= 1e-9
+
+
+def test_solve_threshold_count_just_below_whole():
+    # p3*·m = 3999.9995: the floor is 3999, so the 4000th largest product
+    # carries 0.9995 of a row and the threshold sits a few scales below it
+    rng = np.random.default_rng(33)
+    prods = rng.random(5000)
+    e = np.full(5000, 0.5)
+    delta = solve_threshold((2.0 * prods, e, e), 0.7999999999, 1e-8)
+    k = _smooth_k(prods, prods, delta, 1e-8)
+    assert abs(np.mean(k) - 0.7999999999) <= 1e-9
+    q = np.sort(prods)[::-1][3999]
+    assert q - 10e-8 < delta < q
+
+
+def test_solve_threshold_count_rounded_below_whole():
+    # 0.7 * 90 is 62.99999999999999 in floating point: the threshold must
+    # still sit above the 64th largest product, as for a count of 63
+    rng = np.random.default_rng(1)
+    prods = rng.random(90)
+    e = np.full(90, 0.5)
+    deltas = [solve_threshold((2.0 * prods, e, e), p3, 1e-8) for p3 in (0.7, np.nextafter(0.7, 1.0))]
+    assert deltas[0] == deltas[1]
+    assert 0 < deltas[0] - np.sort(prods)[::-1][63] < 11e-8
+
+
+def test_solve_threshold_whole_count_with_close_neighbour():
+    # p3*·m = 80 exactly, and the 80th largest product lies 4.7 smoothing
+    # scales above the 81st: the two rows share one row's weight between them
+    rng = np.random.default_rng(34)
+    prods = np.sort(rng.random(100))
+    q = prods[19]
+    prods[20] = q + 4.7e-8
+    e = np.full(100, 0.5)
+    delta = solve_threshold((2.0 * prods, e, e), 0.8, 1e-8)
+    k = _smooth_k(prods, prods, delta, 1e-8)
+    assert abs(np.mean(k) - 0.8) <= 1e-9
+    assert q < delta < q + 4.7e-8
 
 
 def test_solve_threshold_full_mass_returns_zero():
