@@ -487,7 +487,13 @@ def cmd_simulate(config: dict, threads: int = 1) -> str:
             master_seed=int(config["seed"]),
             oracle_draws=int(config.get("oracle_draws", 4_000_000)),
         )
-        csv_text = run_study(study, n_jobs=max(1, threads)).to_csv()
+        report = run_study(study, n_jobs=max(1, threads))
+        print(
+            f"simulate n_total={study.dgp.n_total}: "
+            f"{report.failures}/{report.replications} replications failed",
+            file=sys.stderr,
+        )
+        csv_text = report.to_csv()
         chunks.append(csv_text if not chunks else "".join(csv_text.splitlines(True)[1:]))
     return "".join(chunks)
 

@@ -6,7 +6,7 @@ they are invariant to rescaling the weights. Variances come from
 M-estimation: every nuisance fit contributes its score rows, the
 threshold contributes its defining equation, and the targets of
 inference enter as weighted-mean residual rows. The asymptotic variance
-of the contrast eta'Xi is eta' A^-1 B A^-T eta / n with A the Jacobian
+of the contrast eta'xi is eta' A^-1 B A^-T eta / n with A the Jacobian
 of the mean estimating function and B its second moment.
 
 One core computes the per-row quantities (sampling score, propensity,
@@ -14,23 +14,26 @@ transport weights, threshold membership, outcome means and the AIPW
 residual) at a stacked parameter vector. The four public estimators are
 thin wrappers over one estimate function that reads that core at the
 component fits; its weighted means are the plug-in solution of the
-stacked system, whose estimating functions read the same core at
-perturbed parameters. The weighting estimators are the augmented ones
+stacked system, whose estimating functions read the same core at other
+parameter vectors. The weighting estimators are the augmented ones
 with outcome models fixed at zero, so every system has one layout.
 
-A is estimated by central finite differences. Differentiating the
-membership weight at its own smoothing scale (1e-8 by default) would
-count the one or two target rows inside the difference window rather
-than estimate the density of score products at the threshold, and so
-make the variance a function of the step size. For A alone, the
-threshold membership is therefore smoothed at a data-driven bandwidth:
-the Hall-Sheather bandwidth in quantile space, at the level of the
-threshold among the non-excluded target min-products, converted to
-product units as half the gap between the order statistics at that
-level plus and minus the bandwidth (as quantile-regression sandwiches
-estimate the sparsity). The threshold's difference step sits well
-inside that bandwidth. B, the plug-in solution and every point
-estimate keep the membership's own scale.
+A is built in closed form from the same per-row quantities (Stefanski &
+Boos 2002, "The calculus of M-estimation"): -X'diag(c)X/n for each GLM
+block, and for the threshold and weighted-mean rows the chained
+derivatives of the membership, the transport weights and the outcome
+means. The variance is then the mean square of the contrast's per-row
+influence values, -psi_i' A^-T eta, over n. The derivative of the
+membership at its own smoothing scale (1e-8 by default) would count the
+one or two target rows next to the threshold rather than estimate the
+density of score products there. In A alone, the membership is
+therefore smoothed at a data-driven bandwidth: the Hall-Sheather
+bandwidth in quantile space, at the level of the threshold among the
+non-excluded target min-products, converted to product units as half
+the gap between the order statistics at that level plus and minus the
+bandwidth (as quantile-regression sandwiches estimate the sparsity). B,
+the plug-in solution and every point estimate keep the membership's own
+scale.
 """
 
 from __future__ import annotations
@@ -40,13 +43,12 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import expit, ndtri
+from scipy.special import expit, ndtr, ndtri
 
 from .data import Dataset
 from .errors import (
     ConfigError,
     ExtvalError,
-    NegativeVarianceError,
     NotConvergedError,
     NumericalError,
     SingularSystemError,
@@ -57,9 +59,6 @@ from .glm import GlmFamily, GlmFit, predict_mean
 from .partition import PartitionResult, _smooth_k
 
 Z95 = 1.96
-FD_REL_STEP = 1e-5
-FD_ABS_FLOOR = 1e-7
-THRESHOLD_STEP_SHARE = 1e-3     # threshold step as a share of the Jacobian bandwidth
 HALL_SHEATHER_ALPHA = 0.05
 STATIONARITY_TOL = 1e-5
 
@@ -105,16 +104,18 @@ class StackedSystem:
 
     ``psi`` maps a parameter vector to the (n, dim) matrix of per-row
     estimating-function values; ``eta`` is the contrast whose variance
-    is wanted. A system with an estimated threshold (label
-    ``"threshold"``) also carries ``bandwidth``, the smoothing scale of
-    the threshold membership at which the Jacobian is taken, and
-    ``jacobian_psi``, the same estimating functions smoothed at that
-    bandwidth; without them the Jacobian is taken from ``psi``.
+    is wanted; ``jacobian`` is the (dim, dim) Jacobian of the mean
+    estimating function at ``xi``. A system with an estimated threshold
+    (label ``"threshold"``) also carries ``bandwidth``, the smoothing
+    scale of the threshold membership at which ``jacobian`` is taken,
+    and ``jacobian_psi``, the same estimating functions smoothed at that
+    bandwidth; without them ``jacobian`` is that of ``psi``.
     """
 
     xi: np.ndarray
     eta: np.ndarray
     psi: Callable[[np.ndarray], np.ndarray]
+    jacobian: np.ndarray
     labels: tuple[str, ...] = field(default=())
     jacobian_psi: Callable[[np.ndarray], np.ndarray] | None = None
     bandwidth: float | None = None
@@ -132,12 +133,18 @@ def _hajek(values: np.ndarray, weights: np.ndarray, what: str) -> float:
 
 
 def _outcome_link(outcome_fits: tuple[GlmFit, GlmFit]):
+    """The outcome mean as a function of the linear predictor, and its
+    derivative as a function of the mean."""
     fam = outcome_fits[0].family
     if outcome_fits[1].family is not fam:
         raise ConfigError("outcome fits must share a family")
     if fam is GlmFamily.BERNOULLI_LOGIT:
-        return lambda eta: expit(eta)
-    return lambda eta: eta
+        return expit, lambda m: m * (1.0 - m)
+    return (lambda eta: eta), np.ones_like
+
+
+def _normal_pdf(u: np.ndarray) -> np.ndarray:
+    return np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi)
 
 
 def _check_fits(*fits: GlmFit):
@@ -194,7 +201,9 @@ class _Pipeline:
         # estimated: its equation holds identically and carries no noise
         self.estimate_delta = partition is not None and partition.delta_star > 0.0
         self.fixed_e1 = predict_mean(propensity_fit, data.x) if propensity_fit.fixed else None
-        self.link = _outcome_link(outcome_fits) if outcome_fits is not None else None
+        self.link, self.link_slope = (
+            _outcome_link(outcome_fits) if outcome_fits is not None else (None, None)
+        )
         # m1, m0 and the residual when the outcome models are fixed at zero
         self.fixed_m = None
         if outcome_fits is None:
@@ -269,8 +278,12 @@ class _Pipeline:
 
     def psi(self, xi: np.ndarray, scale: float | None = None) -> np.ndarray:
         """The (n, dim) estimating-function rows at ``xi``."""
+        return self.stack(xi, self.rows(xi, scale))
+
+    def stack(self, xi: np.ndarray, r: _Rows) -> np.ndarray:
+        """The (n, dim) estimating-function rows at ``xi``, from the per-row
+        quantities ``r`` at ``xi``."""
         x, s, a, y = self.data.x, self.data.s, self.a, self.y
-        r = self.rows(xi, scale)
         out = np.empty((x.shape[0], self.dim))
         out[:, self.slices["sampling"]] = (s - r.hs)[:, None] * x
         if self.fixed_e1 is None:
@@ -283,6 +296,89 @@ class _Pipeline:
         for name, (w, v) in zip(self.tail, r.means):
             out[:, self.slices[name]] = (w * (v - xi[self.slices[name]][0]))[:, None]
         return out
+
+    def membership_slopes(self, r: _Rows, xi: np.ndarray, scale: float | None = None):
+        """The threshold membership k at ``xi`` smoothed at ``scale`` and its
+        derivatives, as {block: per-row multiplier of x} for the score
+        coefficients and per-row values for the threshold.
+
+        With k = Phi(u1) Phi(u0), u1 = (hs e1 - delta)/h and
+        u0 = (hs e0 - delta)/h, write g1 = phi(u1) Phi(u0)/h and
+        g0 = Phi(u1) phi(u0)/h, both 0 on excluded rows.
+        """
+        part = self.partition
+        delta = xi[self.slices["threshold"]][0] if self.estimate_delta else part.delta_star
+        h = scale or part.epsilon
+        hs, e1 = r.hs, r.e1
+        e0 = 1.0 - e1
+        u1, u0 = (hs * e1 - delta) / h, (hs * e0 - delta) / h
+        c1, c0 = ndtr(u1), ndtr(u0)
+        k, g1, g0 = (
+            np.where(self.r1, 0.0, v)
+            for v in (c1 * c0, _normal_pdf(u1) * c0 / h, c1 * _normal_pdf(u0) / h)
+        )
+        return k, {
+            "sampling": (g1 * e1 + g0 * e0) * hs * (1.0 - hs),
+            "propensity": (g1 - g0) * hs * e1 * e0,
+            "threshold": -(g1 + g0),
+        }
+
+    def jacobian(self, xi: np.ndarray, r: _Rows, scale: float | None = None) -> np.ndarray:
+        """The (dim, dim) Jacobian of the mean of ``psi(., scale)`` at ``xi``,
+        in closed form from the per-row quantities ``r`` at ``xi``.
+
+        Each GLM block is -X'diag(c)X/n, with c = hs(1 - hs), s e1 e0,
+        s a m1' and s (1 - a) m0'. Each weighted-mean row w (v - v_j) with
+        w = k omega chains the derivatives of the membership k, of the
+        transport weight omega (d w1 = -w1 x and d w0 = -w0 x in the
+        sampling coefficients, d w1 = -w1 e0 x and d w0 = w0 e1 x in the
+        propensity coefficients) and of the value v in the outcome
+        coefficients; its diagonal entry is -mean(w).
+        """
+        x, s, a = self.data.x, self.data.s, self.a
+        n = x.shape[0]
+        sl = self.slices
+        jac = np.zeros((self.dim, self.dim))
+
+        def gram(block: str, c: np.ndarray):
+            jac[sl[block], sl[block]] = -(x.T @ (c[:, None] * x)) / n
+
+        e0 = 1.0 - r.e1
+        gram("sampling", r.hs * (1.0 - r.hs))
+        # per block, the derivatives of log omega and of v, as multipliers of x
+        log_slopes = {"sampling": (-1.0, -1.0, 0.0)}
+        value_slopes = {}
+        if self.fixed_e1 is None:
+            gram("propensity", s * r.e1 * e0)
+            log_slopes["propensity"] = (-e0, r.e1, 0.0)
+        if self.fixed_m is None:
+            dm1, dm0 = self.link_slope(r.m1), self.link_slope(r.m0)
+            d1, d0 = s * a * dm1, s * (1.0 - a) * dm0
+            gram("outcome1", d1)
+            gram("outcome0", d0)
+            value_slopes = {"outcome1": (-d1, -d1, dm1), "outcome0": (-d0, -d0, -dm0)}
+        k, k_slopes = 1.0, {}
+        if self.partition is not None:
+            k, k_slopes = self.membership_slopes(r, xi, scale)
+        if self.estimate_delta:
+            row = sl["threshold"].start
+            for block in log_slopes:
+                jac[row, sl[block]] = ((1.0 - s) * k_slopes[block]) @ x / n
+            jac[row, row] = np.mean((1.0 - s) * k_slopes["threshold"])
+
+        omegas = (r.w1, r.w0, 1.0 - s)
+        for j, name in enumerate(self.tail):
+            row = sl[name].start
+            omega, centred = omegas[j], r.means[j][1] - xi[row]
+            for block, slopes in log_slopes.items():
+                c = (k_slopes.get(block, 0.0) + k * slopes[j]) * omega * centred
+                jac[row, sl[block]] = c @ x / n
+            for block, slopes in value_slopes.items():
+                jac[row, sl[block]] = (k * omega * slopes[j]) @ x / n
+            if self.estimate_delta:
+                jac[row, sl["threshold"]] = np.mean(k_slopes["threshold"] * omega * centred)
+            jac[row, row] = -np.mean(k * omega)
+        return jac
 
 
 # ---------------------------------------------------------------------------
@@ -338,19 +434,22 @@ def _estimate(
     data, sampling_fit, propensity_fit, outcome_fits, partition, variance,
 ) -> EstimateReport:
     """v1 - v2 + v3, with its sandwich variance unless ``variance`` is
-    "none"; the weighting estimator ("ipw") when ``outcome_fits`` is None."""
-    pipeline = _Pipeline(data, sampling_fit, propensity_fit, outcome_fits, partition)
-    v1, v2, v3 = pipeline.weighted_means(pipeline.rows(pipeline.nuisance))
-    est = v1 - v2 + v3
-    var = lo = hi = float("nan")
+    "none"; the weighting estimator ("ipw") when ``outcome_fits`` is None.
+    Under the sandwich, the weighted means are read off the stacked
+    system's plug-in solution, so the pipeline is built once."""
     if variance == "sandwich":
-        var = sandwich_variance(build_stacked_system(
-            data, sampling_fit, propensity_fit, outcome_fits, partition
-        ))
-        half = Z95 * float(np.sqrt(var))
-        lo, hi = est - half, est + half
-    elif variance != "none":
+        system = build_stacked_system(data, sampling_fit, propensity_fit, outcome_fits, partition)
+        v1, v2, v3 = system.xi[-3:].tolist()
+        var = sandwich_variance(system)
+    elif variance == "none":
+        pipeline = _Pipeline(data, sampling_fit, propensity_fit, outcome_fits, partition)
+        v1, v2, v3 = pipeline.weighted_means(pipeline.rows(pipeline.nuisance))
+        var = float("nan")
+    else:
         raise ConfigError(f"unknown variance method {variance!r} (use bootstrap_ci for bootstrap)")
+    est = v1 - v2 + v3
+    half = Z95 * float(np.sqrt(var))
+    lo, hi = est - half, est + half
     trimmed = partition is not None
     method = "ipw" if outcome_fits is None else "aipw"
     return EstimateReport(
@@ -382,15 +481,20 @@ def build_stacked_system(
     plug-in solution assembled
     from the component fits must zero the mean estimating function to
     1e-5 per coordinate; otherwise the components are inconsistent and
-    StationarityError is raised.
+    StationarityError is raised. The Jacobian is taken in closed form at
+    the plug-in solution, with the threshold membership smoothed at
+    ``bandwidth`` (see threshold_bandwidth) when the threshold is
+    estimated.
     """
     pipeline = _Pipeline(data, sampling_fit, propensity_fit, outcome_fits, partition)
+    # the per-row quantities read only the nuisance block, so these are
+    # also the rows at the plug-in solution
     fitted = pipeline.rows(pipeline.nuisance)
     xi_hat = np.concatenate([pipeline.nuisance, pipeline.weighted_means(fitted)])
     eta = np.zeros(pipeline.dim)
     eta[-3:] = (1.0, -1.0, 1.0)
 
-    mean_psi = pipeline.psi(xi_hat).mean(axis=0)
+    mean_psi = pipeline.stack(xi_hat, fitted).mean(axis=0)
     worst = float(np.max(np.abs(mean_psi)))
     if worst > STATIONARITY_TOL:
         raise StationarityError(
@@ -407,8 +511,9 @@ def build_stacked_system(
         )
         jacobian_psi = partial(pipeline.psi, scale=bandwidth)
     return StackedSystem(
-        xi=xi_hat, eta=eta, psi=pipeline.psi, labels=tuple(pipeline.labels),
-        jacobian_psi=jacobian_psi, bandwidth=bandwidth,
+        xi=xi_hat, eta=eta, psi=pipeline.psi,
+        jacobian=pipeline.jacobian(xi_hat, fitted, bandwidth),
+        labels=tuple(pipeline.labels), jacobian_psi=jacobian_psi, bandwidth=bandwidth,
     )
 
 
@@ -427,7 +532,7 @@ def threshold_bandwidth(
     m = min_prods.size
     level = 1.0 - p3_star / (1.0 - p1_hat)
     z = ndtri(level)
-    density = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+    density = _normal_pdf(z)
     h = (
         m ** (-1.0 / 3.0)
         * ndtri(1.0 - 0.5 * HALL_SHEATHER_ALPHA) ** (2.0 / 3.0)
@@ -440,45 +545,32 @@ def threshold_bandwidth(
 
 
 def sandwich_variance(system: StackedSystem) -> float:
-    """Variance of the system's contrast via A^-1 B A^-T / n.
+    """Variance of the system's contrast, eta' A^-1 B A^-T eta / n.
 
-    B is the empirical second moment of the rows of ``psi``. A is the
-    central finite-difference Jacobian of the mean of ``jacobian_psi``
-    (``psi`` when the system has no estimated threshold): relative step
-    1e-5 per coordinate with absolute floor 1e-7, except the threshold,
-    whose step is 1e-3 of the system's bandwidth. Because the threshold
-    membership inside ``jacobian_psi`` is smoothed at that bandwidth
-    rather than at the membership's own scale, A estimates the density
-    of score products at the threshold and does not depend on the step.
+    A is the system's ``jacobian`` and B the empirical second moment of
+    the rows of ``psi``, evaluated once at ``xi``. With u solving
+    A'u = eta, the variance is the mean square of the contrast's
+    influence values -psi_i'u over n, which needs no inverse of A and
+    is never negative.
     """
-    xi = system.xi
-    dim = system.dim
-    rows = system.psi(xi)
-    n = rows.shape[0]
-    b = rows.T @ rows / n
-    jacobian_psi = system.jacobian_psi or system.psi
-    steps = np.maximum(FD_REL_STEP * np.abs(xi), FD_ABS_FLOOR)
-    if system.bandwidth is not None:
-        steps[system.labels.index("threshold")] = THRESHOLD_STEP_SHARE * system.bandwidth
-    a = np.empty((dim, dim))
-    for j, h in enumerate(steps):
-        up = xi.copy()
-        up[j] += h
-        dn = xi.copy()
-        dn[j] -= h
-        a[:, j] = (jacobian_psi(up).mean(axis=0) - jacobian_psi(dn).mean(axis=0)) / (2.0 * h)
-    try:
-        bread = np.linalg.solve(a, np.eye(dim))
-    except np.linalg.LinAlgError:
-        raise SingularSystemError("Jacobian of the stacked system is singular")
-    if not np.all(np.isfinite(bread)):
-        raise SingularSystemError("Jacobian inverse is non-finite")
-    var = float(system.eta @ bread @ b @ bread.T @ system.eta) / n
+    rows = system.psi(system.xi)
+    values = _influence_values(system, rows)
+    var = float(values @ values) / rows.shape[0] ** 2
     if not np.isfinite(var):
         raise NumericalError("sandwich variance is non-finite")
-    if var < 0.0:
-        raise NegativeVarianceError(f"sandwich variance is negative ({var:.3e})")
     return var
+
+
+def _influence_values(system: StackedSystem, rows: np.ndarray) -> np.ndarray:
+    """Per-row influence values of the contrast: eta'(xi_hat - xi) is
+    their mean to first order, since xi_hat - xi = -A^-1 mean(psi)."""
+    try:
+        u = np.linalg.solve(system.jacobian.T, system.eta)
+    except np.linalg.LinAlgError:
+        raise SingularSystemError("Jacobian of the stacked system is singular")
+    if not np.all(np.isfinite(u)):
+        raise SingularSystemError("Jacobian solve is non-finite")
+    return -(rows @ u)
 
 
 # ---------------------------------------------------------------------------

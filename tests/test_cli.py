@@ -7,12 +7,14 @@ import pytest
 from extval import (
     DataError,
     GlmFamily,
+    StudyReport,
     fit_outcome_models,
     fit_propensity_score,
     fit_sampling_score,
     partition_population,
     trimmed_aipw,
 )
+from extval import cli
 from extval.cli import cmd_analyze, cmd_sensitivity, evaluate_raw_rules, load_dataset, main
 
 
@@ -295,7 +297,7 @@ def test_rules_read_named_columns(fixture_csv):
     assert mask.any() and not mask.all()
 
 
-def test_main_simulate_smoke_and_determinism(tmp_path):
+def test_main_simulate_smoke_and_determinism(tmp_path, capsys):
     cfg = {
         "schema_version": 1,
         "sizes": [20000],
@@ -317,6 +319,29 @@ def test_main_simulate_smoke_and_determinism(tmp_path):
     lines = out1.read_text().strip().splitlines()
     assert lines[0].startswith("trial_size,target_size,proportion")
     assert len(lines) == 2
+    assert capsys.readouterr().err.splitlines() == ["simulate n_total=20000: 0/3 replications failed"] * 2
+
+
+def test_main_simulate_reports_failures_per_size(tmp_path, capsys, monkeypatch):
+    # a stand-in study that lost some replications; the CSV carries only
+    # the cells, so the count reaches the user through stderr alone
+    def study_with_failures(study, n_jobs=1):
+        failures = study.dgp.n_total // 10_000
+        return StudyReport(cells=(), true_tau=0.0, replications=study.replications,
+                           failures=failures, sd_defined=True)
+
+    monkeypatch.setattr(cli, "run_study", study_with_failures)
+    cfg_path = tmp_path / "study.json"
+    cfg_path.write_text(json.dumps({
+        "schema_version": 1, "sizes": [20000, 50000], "replications": 100, "seed": 1,
+    }))
+    out = tmp_path / "study.csv"
+    assert _run_main(["simulate", "--config", cfg_path, "--output", out]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "simulate n_total=20000: 2/100 replications failed",
+        "simulate n_total=50000: 5/100 replications failed",
+    ]
+    assert out.read_text().splitlines() == [",".join(StudyReport.CSV_HEADER)]
 
 
 def test_main_simulate_requires_seed(tmp_path):

@@ -1,6 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from scipy.special import logit
+from scipy.special import expit, logit
 
 from extval import (
     ConfigError,
@@ -149,7 +151,7 @@ def test_exact_linear_outcomes_reduce_to_model_contrast():
     assert rep.estimate == pytest.approx(expected, abs=1e-8)
 
 
-def _moderate_pipeline(seed=77, n1=200, n2=400, q=3):
+def _moderate_pipeline(seed=77, n1=200, n2=400, q=3, family=GAUSS):
     # well-behaved overlap so stacked systems are comfortably regular
     rng = np.random.default_rng(seed)
     x1 = np.column_stack([np.ones(n1), rng.standard_normal((n1, q - 1)) + 0.4])
@@ -157,10 +159,12 @@ def _moderate_pipeline(seed=77, n1=200, n2=400, q=3):
     a = (rng.random(n1) < 0.5).astype(float)
     y = np.where(a == 1, x1 @ np.ones(q), x1 @ np.r_[0.0, np.ones(q - 1)])
     y = y + rng.standard_normal(n1)
+    if family is BERN:
+        y = (rng.random(n1) < expit(y - 1.0)).astype(float)
     data = make_dataset(x1, a, y, x2)
     sampling = fit_sampling_score(data)
     propensity = fit_propensity_score(data)
-    outcome = fit_outcome_models(data, GAUSS)
+    outcome = fit_outcome_models(data, family)
     return data, sampling, propensity, outcome
 
 
@@ -235,6 +239,7 @@ def test_sandwich_on_plain_mean_system():
         xi=np.array([mu]),
         eta=np.array([1.0]),
         psi=lambda xi: (y - xi[0])[:, None],
+        jacobian=np.array([[-1.0]]),
         labels=("mu",),
     )
     var = sandwich_variance(system)
@@ -250,21 +255,66 @@ def test_sandwich_positive_on_pipeline():
     assert rep.ci_high - rep.estimate == pytest.approx(1.96 * rep.se, rel=1e-12)
 
 
-def test_sandwich_does_not_depend_on_difference_step(monkeypatch):
+def _difference_jacobian(system, rel_step=1e-5):
+    """Central-difference Jacobian of the mean of ``jacobian_psi`` (``psi``
+    without an estimated threshold): relative step ``rel_step`` per
+    coordinate with absolute floor 1e-7, except the threshold, whose step
+    is 1e-3 of the system's bandwidth."""
+    xi = system.xi
+    psi = system.jacobian_psi or system.psi
+    steps = np.maximum(rel_step * np.abs(xi), 1e-7)
+    if system.bandwidth is not None:
+        steps[system.labels.index("threshold")] = 1e-3 * system.bandwidth
+    jac = np.empty((system.dim, system.dim))
+    for j, h in enumerate(steps):
+        up, dn = xi.copy(), xi.copy()
+        up[j] += h
+        dn[j] -= h
+        jac[:, j] = (psi(up).mean(axis=0) - psi(dn).mean(axis=0)) / (2.0 * h)
+    return jac
+
+
+@pytest.mark.parametrize("family", [GAUSS, BERN])
+@pytest.mark.parametrize("augmented", [False, True])
+@pytest.mark.parametrize("setup", ["untrimmed", "trimmed", "fixed_propensity", "boundary"])
+def test_closed_form_jacobian_matches_differences(family, augmented, setup):
+    data, sampling, propensity, outcome = _moderate_pipeline(seed=21, q=4, family=family)
+    if setup == "fixed_propensity":
+        propensity = fit_propensity_score(data, known_probability=0.5)
+    part = None
+    if setup in ("trimmed", "fixed_propensity"):
+        part = partition_population(data, sampling, propensity, None, 0.8)
+    elif setup == "boundary":
+        part = partition_population(data, sampling, propensity, None, 1.0)
+        assert part.delta_star == 0.0
+    system = build_stacked_system(data, sampling, propensity, outcome if augmented else None, part)
+    assert ("threshold" in system.labels) == (setup in ("trimmed", "fixed_propensity"))
+    diff = _difference_jacobian(system)
+    # relative to the largest entry of each estimating function's row
+    err = np.abs(system.jacobian - diff) / np.abs(diff).max(axis=1, keepdims=True)
+    smooth = [j for j, label in enumerate(system.labels) if label != "threshold"]
+    assert err[:, smooth].max() <= 1e-6
+    if "threshold" in system.labels:
+        assert err[:, system.labels.index("threshold")].max() <= 1e-4
+
+
+def test_sandwich_does_not_depend_on_difference_step():
     # a cohort whose threshold sits between sparse target min-products:
     # differencing the membership at its own 1e-8 scale gave SEs of 1.23,
-    # 1.93 and 2.00 at these steps against a bootstrap SE near 0.39
+    # 1.93 and 2.00 at these steps against a bootstrap SE near 0.39; the
+    # closed-form Jacobian must agree with differences of the smoothed
+    # estimating functions at every step
     data, truth = generate_cohort(DgpConfig(n_total=50_000), [820_700, 2])
     sampling = fit_sampling_score(data)
     propensity = fit_propensity_score(data)
     outcome = fit_outcome_models(data, GAUSS)
     part = partition_population(data, sampling, propensity, truth.excluded[data.target_mask], 0.8)
-    ses = []
+    system = build_stacked_system(data, sampling, propensity, outcome, part)
+    se = np.sqrt(sandwich_variance(system))
+    assert se == pytest.approx(trimmed_aipw(data, sampling, propensity, outcome, part).se, rel=1e-12)
     for step in (1e-4, 1e-5, 1e-6):
-        monkeypatch.setattr(estimators, "FD_REL_STEP", step)
-        ses.append(trimmed_aipw(data, sampling, propensity, outcome, part).se)
-    assert np.all(np.isfinite(ses))
-    assert max(ses) - min(ses) <= 1e-3 * min(ses)
+        differenced = dataclasses.replace(system, jacobian=_difference_jacobian(system, step))
+        assert np.sqrt(sandwich_variance(differenced)) == pytest.approx(se, rel=1e-3)
 
 
 def test_threshold_bandwidth_is_half_the_order_statistic_gap():
