@@ -17,7 +17,6 @@ from .errors import (
     DimensionError,
     EmptyGroupError,
     ExtvalError,
-    NegativeVarianceError,
     NotConvergedError,
     NumericalError,
     SeparationError,

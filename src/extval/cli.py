@@ -23,6 +23,7 @@ Exit codes: 0 success, 2 configuration error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -88,12 +89,12 @@ def load_dataset(path: str, roles: dict) -> tuple[Dataset, CsvColumns]:
     """Parse a CSV into a Dataset, prepending the constant-1 column.
 
     ``roles`` maps {"s": column, "a": column, "y": column,
-    "covariates": [columns...]}. Treatment and outcome cells must be
-    empty exactly on target rows; anything else is a role
-    misassignment. Returns the dataset and every CSV column by name so
-    that exclusion rules may reference non-model columns. Blank lines are
-    skipped; every other row must have as many fields as the header. An
-    error in a row names its line in the file.
+    "covariates": [columns...]}. Role cells are read as numbers, an empty
+    cell as NaN, and the Dataset checks them: treatment and outcome must
+    be empty exactly on target rows. Returns the dataset and every CSV
+    column by name so that exclusion rules may reference non-model
+    columns. Blank lines are skipped; every other row must have as many
+    fields as the header. An error in a row names its line in the file.
     """
     for key in ("s", "a", "y", "covariates"):
         if key not in roles:
@@ -118,51 +119,46 @@ def load_dataset(path: str, roles: dict) -> tuple[Dataset, CsvColumns]:
     if not rows:
         raise DataError(f"{path}: no data rows")
     lines = np.array(lines)
-    ragged = [len(row) != len(header) for row in rows]
-    _fail_at(path, lines, ragged, f"the header has {len(header)} fields")
-    columns = CsvColumns(zip(header, zip(*rows)))
-    columns.lines = lines
-    del rows
-
-    flags = [c.strip() for c in columns[roles["s"]]]
-    _fail_at(path, lines, [f not in ("0", "1") for f in flags], "participation flag must be 0 or 1")
-    trial = np.array([f == "1" for f in flags])
-    has_a = np.array([bool(c.strip()) for c in columns[roles["a"]]])
-    has_y = np.array([bool(c.strip()) for c in columns[roles["y"]]])
-    _fail_at(path, lines, trial & ~(has_a & has_y), "trial row lacks treatment or outcome")
-    _fail_at(
-        path, lines, ~trial & (has_a | has_y),
-        "treatment/outcome present on a target row; check the column role assignment",
-    )
-    x = np.empty((trial.size, len(roles["covariates"]) + 1))
-    x[:, 0] = 1.0
-    for j, col in enumerate(roles["covariates"]):
-        _fail_at(path, lines, [not c.strip() for c in columns[col]], f"empty covariate {col!r}")
-        x[:, j + 1] = _floats(columns[col], col, path, lines)
-    a = _floats(columns[roles["a"]], roles["a"], path, lines)
-    y = _floats(columns[roles["y"]], roles["y"], path, lines)
-    return Dataset(s=trial.astype(float), a=a, y=y, x=x), columns
+    with _naming_lines(path, lines):
+        for i, row in enumerate(rows):
+            if len(row) != len(header):
+                raise DataError(f"the header has {len(header)} fields", row=i)
+        columns = CsvColumns(zip(header, zip(*rows)))
+        columns.lines = lines
+        del rows
+        x = np.ones((lines.size, len(roles["covariates"]) + 1))
+        for j, col in enumerate(roles["covariates"]):
+            x[:, j + 1] = _floats(columns[col], col)
+        s, a, y = (_floats(columns[roles[k]], roles[k]) for k in ("s", "a", "y"))
+        return Dataset(s=s, a=a, y=y, x=x), columns
 
 
-def _fail_at(path: str, lines: np.ndarray, bad, message: str):
-    """DataError naming the file line of the first data row flagged in ``bad``."""
-    rows = np.flatnonzero(bad)
-    if rows.size:
-        raise DataError(f"{path} line {lines[rows[0]]}: {message}")
+@contextlib.contextmanager
+def _naming_lines(where: str, lines: np.ndarray):
+    """Re-raise a DataError about row ``i`` as one that names its file
+    line, ``lines[i]``."""
+    try:
+        yield
+    except DataError as exc:
+        if exc.row is None:
+            raise
+        raise DataError(f"{where} line {lines[exc.row]}: {exc}") from None
 
 
-def _floats(cells, col: str, where: str, lines) -> np.ndarray:
-    """CSV cells as floats, empty cells as NaN. ``lines`` are the cells'
-    file lines, for the error."""
+def _floats(cells, col: str) -> np.ndarray:
+    """CSV cells as floats, empty cells as NaN; a non-numeric cell is a
+    DataError naming its row."""
     out = []
     for i, cell in enumerate(cells):
         cell = cell.strip()
         try:
-            out.append(float(cell) if cell else np.nan)
+            value = float(cell) if cell else np.nan
         except ValueError:
-            raise DataError(
-                f"{where} line {lines[i]}: non-numeric value {cell!r} in column {col!r}"
-            ) from None
+            value = None
+        # NaN is how an empty cell reads, so a NaN spelled out is not a number
+        if value is None or (cell and value != value):
+            raise DataError(f"non-numeric value {cell!r} in column {col!r}", row=i)
+        out.append(value)
     return np.array(out)
 
 
@@ -190,15 +186,20 @@ def evaluate_raw_rules(rules: list, columns: dict, mask_rows) -> np.ndarray:
     {"var": column name, "op": comparator, "value": number, or a list of
     numbers for "in"}; a row matches when every predicate of at least one
     clause holds. Cells compare numerically and an empty cell reads as
-    NaN, which satisfies only "!=". An unknown column or comparator, or a
-    value of the wrong type, is a ConfigError; a non-numeric cell in a
-    selected row of a rule column is a DataError.
+    NaN, which satisfies only "!=". A rule set or clause that is not a
+    list, an unknown column or comparator, or a value of the wrong type,
+    is a ConfigError; a non-numeric cell in a selected row of a rule
+    column is a DataError.
     """
+    if not isinstance(rules, list):
+        raise ConfigError(f"exclusion rules {rules!r} are not a list of clauses")
     rows = np.flatnonzero(mask_rows)
     lines = getattr(columns, "lines", np.arange(len(mask_rows)) + 2)[rows]
     values: dict[str, np.ndarray] = {}
     out = np.zeros(rows.size, dtype=bool)
     for clause in rules:
+        if not isinstance(clause, list):
+            raise ConfigError(f"exclusion rule clause {clause!r} is not a list of predicates")
         match = np.ones(rows.size, dtype=bool)
         for pred in clause:
             if not isinstance(pred, dict):
@@ -210,7 +211,8 @@ def evaluate_raw_rules(rules: list, columns: dict, mask_rows) -> np.ndarray:
                 raise ConfigError(f"exclusion rule references unknown column {var!r}")
             constant = _rule_constant(var, op, value)
             if var not in values:
-                values[var] = _floats([columns[var][i] for i in rows], var, "CSV", lines)
+                with _naming_lines("CSV", lines):
+                    values[var] = _floats([columns[var][i] for i in rows], var)
             match &= _COMPARATORS[op](values[var], constant)
         out |= match
     return out
@@ -263,17 +265,13 @@ def _fit_summary(fit: GlmFit) -> dict:
     }
 
 
+@contextlib.contextmanager
 def _stage(label: str):
-    class _Stage:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, ExtvalError):
-                exc.args = (f"{label}: {exc.args[0]}" if exc.args else label,)
-            return False
-
-    return _Stage()
+    try:
+        yield
+    except ExtvalError as exc:
+        exc.args = (f"{label}: {exc.args[0]}" if exc.args else label,)
+        raise
 
 
 def cmd_analyze(config: dict) -> dict:
@@ -398,6 +396,8 @@ def _extrapolations(config, data, columns, family, outcome, partition):
     """Group extrapolations for EPD; surrogate-stratum refits optional."""
     sens = config.get("sensitivity", {})
     filters = sens.get("extrapolation", {}) if isinstance(sens, dict) else {}
+    if not isinstance(filters, dict):
+        raise ConfigError(f"sensitivity.extrapolation {filters!r} is not an object of trial filters")
     x_target = data.x[data.target_mask]
     zeta = {}
     for group, label in ((1, "zeta1"), (2, "zeta2")):

@@ -46,20 +46,19 @@ class Dataset:
         n = x.shape[0]
         if not (s.shape == a.shape == y.shape == (n,)):
             raise DimensionError("s, a, y must be 1-d arrays matching x rows")
-        if not np.all((s == 0) | (s == 1)):
-            raise DataError("participation flag s must be 0 or 1")
+        # each check names the first row it rejects
         trial = s == 1
-        if np.any(np.isnan(a[trial])) or np.any(np.isnan(y[trial])):
-            raise DataError("trial rows (s=1) must carry treatment and outcome")
-        if np.any(~np.isnan(a[~trial])) or np.any(~np.isnan(y[~trial])):
-            raise DataError(
-                "target rows (s=0) must not carry treatment or outcome; "
-                "check the column role assignment"
-            )
-        if not np.all(np.isin(a[trial], (0.0, 1.0))):
-            raise DataError("treatment must be binary 0/1 on trial rows")
-        if not np.all(np.isfinite(x)):
-            raise DataError("covariates must be finite")
+        no_a, no_y = np.isnan(a), np.isnan(y)
+        for bad, message in (
+            (~trial & (s != 0), "participation flag s must be 0 or 1"),
+            (trial & (no_a | no_y), "trial rows (s=1) must carry treatment and outcome"),
+            (~trial & ~(no_a & no_y), "target rows (s=0) must not carry treatment or "
+             "outcome; check the column role assignment"),
+            (trial & (a != 0) & (a != 1), "treatment must be binary 0/1 on trial rows"),
+            (~np.isfinite(x).all(axis=1), "covariates must be finite"),
+        ):
+            if bad.any():
+                raise DataError(message, row=int(np.argmax(bad)))
 
     @property
     def n(self) -> int:

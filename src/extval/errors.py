@@ -18,9 +18,14 @@ class ConfigError(ExtvalError):
 
 
 class DataError(ExtvalError):
-    """Input data violates a structural requirement."""
+    """Input data violates a structural requirement. ``row`` is the index
+    of the first offending row when the requirement is per row."""
 
     exit_code = 3
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class NumericalError(ExtvalError):
@@ -67,7 +72,3 @@ class StationarityError(NumericalError):
 
 class SingularSystemError(NumericalError):
     """Jacobian of the stacked system is singular."""
-
-
-class NegativeVarianceError(NumericalError):
-    """Sandwich produced a negative variance (numerical breakdown)."""

@@ -17,6 +17,9 @@ component fits; its weighted means are the plug-in solution of the
 stacked system, whose estimating functions read the same core at other
 parameter vectors. The weighting estimators are the augmented ones
 with outcome models fixed at zero, so every system has one layout.
+The sandwich evaluates the stacked rows once, at the plug-in solution;
+it checks there that their mean is zero and raises StationarityError
+when it is not (component fits that do not belong together).
 
 A is built in closed form from the same per-row quantities (Stefanski &
 Boos 2002, "The calculus of M-estimation"): -X'diag(c)X/n for each GLM
@@ -278,11 +281,7 @@ class _Pipeline:
 
     def psi(self, xi: np.ndarray, scale: float | None = None) -> np.ndarray:
         """The (n, dim) estimating-function rows at ``xi``."""
-        return self.stack(xi, self.rows(xi, scale))
-
-    def stack(self, xi: np.ndarray, r: _Rows) -> np.ndarray:
-        """The (n, dim) estimating-function rows at ``xi``, from the per-row
-        quantities ``r`` at ``xi``."""
+        r = self.rows(xi, scale)
         x, s, a, y = self.data.x, self.data.s, self.a, self.y
         out = np.empty((x.shape[0], self.dim))
         out[:, self.slices["sampling"]] = (s - r.hs)[:, None] * x
@@ -478,13 +477,13 @@ def build_stacked_system(
     contrast v1 - v2 + v3 is the treatment effect. Without
     ``outcome_fits`` the system is the weighting estimator's: the outcome
     models are fixed at zero, so it has no outcome rows and v3 is 0. The
-    plug-in solution assembled
-    from the component fits must zero the mean estimating function to
-    1e-5 per coordinate; otherwise the components are inconsistent and
-    StationarityError is raised. The Jacobian is taken in closed form at
-    the plug-in solution, with the threshold membership smoothed at
-    ``bandwidth`` (see threshold_bandwidth) when the threshold is
-    estimated.
+    plug-in solution is assembled from the component fits; that it zeros
+    the mean estimating function is checked by ``sandwich_variance``, on
+    the rows it evaluates anyway, so components that do not belong
+    together raise StationarityError there. The Jacobian is taken in
+    closed form at the plug-in solution, with the threshold membership
+    smoothed at ``bandwidth`` (see threshold_bandwidth) when the threshold
+    is estimated.
     """
     pipeline = _Pipeline(data, sampling_fit, propensity_fit, outcome_fits, partition)
     # the per-row quantities read only the nuisance block, so these are
@@ -493,14 +492,6 @@ def build_stacked_system(
     xi_hat = np.concatenate([pipeline.nuisance, pipeline.weighted_means(fitted)])
     eta = np.zeros(pipeline.dim)
     eta[-3:] = (1.0, -1.0, 1.0)
-
-    mean_psi = pipeline.stack(xi_hat, fitted).mean(axis=0)
-    worst = float(np.max(np.abs(mean_psi)))
-    if worst > STATIONARITY_TOL:
-        raise StationarityError(
-            f"plug-in estimates do not solve the stacked equations "
-            f"(max |mean psi| = {worst:.2e})"
-        )
     jacobian_psi = bandwidth = None
     if pipeline.estimate_delta:
         keep = data.target_mask & ~pipeline.r1
@@ -548,12 +539,20 @@ def sandwich_variance(system: StackedSystem) -> float:
     """Variance of the system's contrast, eta' A^-1 B A^-T eta / n.
 
     A is the system's ``jacobian`` and B the empirical second moment of
-    the rows of ``psi``, evaluated once at ``xi``. With u solving
-    A'u = eta, the variance is the mean square of the contrast's
-    influence values -psi_i'u over n, which needs no inverse of A and
-    is never negative.
+    the rows of ``psi``, evaluated once at ``xi``. The same rows must
+    have a mean of at most 1e-5 per coordinate, or ``xi`` does not solve
+    the system (its component fits are inconsistent) and
+    StationarityError is raised. With u solving A'u = eta, the variance
+    is the mean square of the contrast's influence values -psi_i'u over
+    n, which needs no inverse of A and is never negative.
     """
     rows = system.psi(system.xi)
+    worst = float(np.max(np.abs(rows.mean(axis=0))))
+    if worst > STATIONARITY_TOL:
+        raise StationarityError(
+            f"plug-in estimates do not solve the stacked equations "
+            f"(max |mean psi| = {worst:.2e})"
+        )
     values = _influence_values(system, rows)
     var = float(values @ values) / rows.shape[0] ** 2
     if not np.isfinite(var):

@@ -107,18 +107,21 @@ def fit_glm(x_matrix: np.ndarray, y: np.ndarray, family: GlmFamily) -> GlmFit:
         ll = -0.5 * n * (np.log(2.0 * np.pi * sigma2) + 1.0)
         return GlmFit(coef, family, True, 1, ll)
 
+    # coef, its linear predictor eta and the log-likelihood ll always
+    # describe the same point
     coef = np.zeros(q)
-    ll = _bernoulli_loglik(x @ coef, y)
+    eta = x @ coef
+    ll = _bernoulli_loglik(eta, y)
     converged = False
     steps = 0
     while True:
-        g = x.T @ (y - expit(x @ coef))
+        p = expit(eta)
+        g = x.T @ (y - p)
         if np.max(np.abs(g)) <= SCORE_TOL:
             converged = True
             break
         if steps >= MAX_ITER:
             break
-        p = expit(x @ coef)
         w = p * (1.0 - p)
         h = (x * w[:, None]).T @ x
         try:
@@ -127,15 +130,17 @@ def fit_glm(x_matrix: np.ndarray, y: np.ndarray, family: GlmFamily) -> GlmFit:
             raise SingularInformationError("singular information matrix in logistic fit")
         if not np.all(np.isfinite(step)):
             raise SingularInformationError("non-finite Newton step in logistic fit")
-        # step-halving: never accept a likelihood decrease
-        t = 1.0
-        for _ in range(40):
-            ll_new = _bernoulli_loglik(x @ (coef + t * step), y)
-            if ll_new >= ll - 1e-12:
+        # step-halving: never accept a likelihood decrease; when 40
+        # halvings all decrease it, the fit stops where it is, unconverged
+        for t in 0.5 ** np.arange(40):
+            new_coef = coef + t * step
+            new_eta = x @ new_coef
+            new_ll = _bernoulli_loglik(new_eta, y)
+            if new_ll >= ll - 1e-12:
                 break
-            t *= 0.5
-        coef = coef + t * step
-        ll = ll_new
+        else:
+            break
+        coef, eta, ll = new_coef, new_eta, new_ll
         steps += 1
     # separation pushes coefficients to +-inf; the gradient may still reach
     # the tolerance once probabilities saturate, so guard on magnitude alone

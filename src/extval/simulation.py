@@ -161,7 +161,7 @@ def _chunks(total: int, size: int):
 def calibrate_intercept(
     slopes,
     target_prob: float,
-    covariate_sampler=None,
+    covariate_sampler,
     mc_draws: int = 2_000_000,
     tol: float = 1e-4,
     seed: int = 24_601,
@@ -169,19 +169,13 @@ def calibrate_intercept(
     """Solve for the participation-model intercept hitting a target rate.
 
     ``covariate_sampler(rng, m)`` must return (covariate matrix without
-    the intercept column, exclusion mask); the default is the standard
-    4-covariate sampler with the hard exclusion rule active. Bisection
-    runs on a fixed Monte Carlo sample, so the objective is monotone and
-    deterministic given the seed.
+    the intercept column, exclusion mask), as ``dgp_covariate_sampler``
+    does. Bisection runs on a fixed Monte Carlo sample, so the objective
+    is monotone and deterministic given the seed.
     """
     slopes = np.asarray(slopes, dtype=float)
     if not 0.0 < target_prob < 1.0:
         raise ConfigError("target_prob must lie strictly in (0, 1)")
-    if covariate_sampler is None:
-        covariate_sampler = dgp_covariate_sampler(
-            DgpConfig(beta=(0.0, *slopes), theta0=(0.0,) * (slopes.size + 1),
-                      theta1=(0.0,) * (slopes.size + 1))
-        )
     rng = np.random.default_rng(seed)
     bases = []
     masks = []

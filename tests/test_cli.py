@@ -144,6 +144,39 @@ def test_load_dataset_error_names_file_line_past_blank_line(tmp_path):
     assert "line 4:" in str(exc.value)
 
 
+@pytest.mark.parametrize("bad_row", [
+    "1,1,2.0,0.1",          # ragged: a field short
+    "2,,,0.1,0.2",          # participation flag 2
+    "1,1,,0.1,0.2",         # trial row without an outcome
+    "0,,,,0.2",             # empty covariate
+    "1,yes,2.0,0.1,0.2",    # non-numeric treatment
+    "1,0,high,0.1,0.2",     # non-numeric outcome
+    "0,nan,,0.1,0.2",       # a treatment cell on a target row
+])
+def test_load_dataset_rejection_names_file_line(tmp_path, bad_row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"s,a,y,x1,x2\n1,1,2.0,0.1,0.2\n0,,,0.3,0.4\n\n{bad_row}\n0,,,0.5,0.6\n")
+    with pytest.raises(DataError) as exc:
+        load_dataset(str(path), {"s": "s", "a": "a", "y": "y", "covariates": ["x1", "x2"]})
+    assert str(exc.value).startswith(f"{path} line 5: ")
+
+
+def test_load_dataset_reads_flag_as_number(tmp_path):
+    # role cells are numbers, so a flag written 1.0 is the flag 1
+    path = tmp_path / "flags.csv"
+    path.write_text("s,a,y,x1\n1.0,1,2.0,0.1\n1,0,1.5,0.3\n0.0,,,0.2\n")
+    data, _ = load_dataset(str(path), {"s": "s", "a": "a", "y": "y", "covariates": ["x1"]})
+    assert data.s.tolist() == [1.0, 1.0, 0.0]
+
+
+def test_rule_ignores_non_numeric_cell_in_unselected_row(tmp_path):
+    path = tmp_path / "rules.csv"
+    path.write_text("s,a,y,x1,flag\n1,1,2.0,0.1,n/a\n0,,,0.2,0\n0,,,0.3,1\n")
+    data, columns = load_dataset(str(path), {"s": "s", "a": "a", "y": "y", "covariates": ["x1"]})
+    mask = evaluate_raw_rules([[{"var": "flag", "op": "==", "value": 1}]], columns, data.target_mask)
+    assert mask.tolist() == [False, True]
+
+
 def test_rule_error_names_file_line_past_blank_line(tmp_path):
     path = tmp_path / "blank.csv"
     path.write_text("s,a,y,x1,flag\n1,1,2.0,0.1,0\n0,,,0.2,0\n\n0,,,0.3,abc\n")
@@ -276,6 +309,23 @@ def test_main_exit_codes(tmp_path, fixture_csv):
 def test_main_rejects_invalid_rule(tmp_path, fixture_csv, predicate):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_config(fixture_csv, exclusion_rules=[[predicate]])))
+    assert _run_main(["analyze", "--config", cfg_path]) == 2
+
+
+@pytest.mark.parametrize("rules", [
+    [5], [[{"var": "ineligible", "op": "==", "value": 1}], 3], 7,
+])
+@pytest.mark.parametrize("key", ["exclusion_rules", "r1_trial_filter", "r2_trial_filter", "extrapolation"])
+def test_main_rejects_rule_set_that_is_not_a_list(tmp_path, fixture_csv, rules, key):
+    cfg = _config(fixture_csv)
+    if key == "exclusion_rules":
+        cfg[key] = rules
+    elif key == "extrapolation":      # the block that holds the filters
+        cfg["sensitivity"][key] = rules
+    else:
+        cfg["sensitivity"]["extrapolation"] = {key: rules}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
     assert _run_main(["analyze", "--config", cfg_path]) == 2
 
 

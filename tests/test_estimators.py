@@ -227,8 +227,11 @@ def test_stacked_rejects_foreign_fits():
     data, sampling, propensity, _ = _moderate_pipeline(seed=6)
     other, *_ = _moderate_pipeline(seed=60)
     foreign = fit_sampling_score(other)
+    # the sandwich checks stationarity on the rows it evaluates
     with pytest.raises(StationarityError):
-        build_stacked_system(data, foreign, propensity)
+        sandwich_variance(build_stacked_system(data, foreign, propensity))
+    with pytest.raises(StationarityError):
+        hajek_ipw(data, foreign, propensity)
 
 
 def test_sandwich_on_plain_mean_system():

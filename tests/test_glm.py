@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import minimize
 from scipy.special import expit
 
+from extval import glm
 from extval import (
     DataError,
     Dataset,
@@ -133,6 +134,27 @@ def test_score_contributions_sum_to_zero_at_mle():
     assert np.max(np.abs(rows.sum(axis=0))) < 1e-6
 
 
+def test_refused_newton_step_keeps_a_consistent_point(monkeypatch):
+    # when every halving of a Newton step lowers the likelihood, the fit
+    # stops unconverged at its current point, with that point's likelihood
+    rng = np.random.default_rng(5)
+    x = np.column_stack([np.ones(20), rng.standard_normal((20, 2))])
+    y = (rng.random(20) < expit(x @ np.array([0.5, -1.0, 0.3]))).astype(float)
+    loglik = glm._bernoulli_loglik
+    calls = []
+
+    def every_trial_point_worse(eta, y):
+        calls.append(eta)
+        return loglik(eta, y) - (len(calls) > 1)
+
+    monkeypatch.setattr(glm, "_bernoulli_loglik", every_trial_point_worse)
+    fit = fit_glm(x, y, BERN)
+    assert not fit.converged and fit.iterations == 0
+    assert np.all(fit.coefficients == 0.0)
+    assert fit.log_likelihood == loglik(np.zeros(20), y)
+    assert len(calls) == 41
+
+
 def _two_sample(rng, n1, n2, q=3, beta=None):
     x1 = np.column_stack([np.ones(n1), rng.standard_normal((n1, q - 1))])
     x2 = np.column_stack([np.ones(n2), rng.standard_normal((n2, q - 1))])
@@ -210,10 +232,11 @@ def test_outcome_models_recover_linear_truth():
 
 
 def test_dataset_role_validation():
-    with pytest.raises(DataError):
+    with pytest.raises(DataError) as exc:
         Dataset(
             s=np.array([1.0, 0.0]),
             a=np.array([1.0, 1.0]),   # treatment on a target row
             y=np.array([0.5, np.nan]),
             x=np.ones((2, 1)),
         )
+    assert exc.value.row == 1
