@@ -354,12 +354,16 @@ def _family(name: str) -> GlmFamily:
     return _FAMILIES[name]
 
 
-def _fit_components(data, config, family, outcome: bool, r1_mask, threshold):
+def _fit_components(data, config, family, outcome: bool, r1_mask, threshold, start=(None, None)):
     """Sampling, propensity and (if ``outcome``) outcome fits, and the
-    partition at ``threshold``, a (p3*, epsilon) pair, unless it is None."""
+    partition at ``threshold``, a (p3*, epsilon) pair, unless it is None.
+    ``start`` holds the coefficients the sampling and propensity fits
+    start from (zero when None)."""
     with _stage("fit"):
-        sampling = fit_sampling_score(data)
-        propensity = fit_propensity_score(data, known_probability=config.get("known_propensity"))
+        sampling = fit_sampling_score(data, start[0])
+        propensity = fit_propensity_score(
+            data, known_probability=config.get("known_propensity"), start=start[1],
+        )
         fits = fit_outcome_models(data, family) if outcome else None
     partition = None
     if threshold is not None:
@@ -372,17 +376,19 @@ def _run_method(
     method, data, components, variance_method, config, family, r1_mask,
 ) -> EstimateReport:
     """One method's report; ``components`` are the full-sample fits and
-    partition. A bootstrap refits them on every replicate."""
+    partition. A bootstrap refits them on every replicate, the sampling and
+    propensity models starting from their full-sample coefficients."""
     run = _METHODS[method]
     rep = run(data, *components, "sandwich" if variance_method == "sandwich" else "none")
     if variance_method != "bootstrap":
         return rep
 
-    partition = components[3]
+    sampling, propensity, _, partition = components
+    start = (sampling.coefficients, propensity.coefficients)
     threshold = (partition.p3_star, partition.epsilon) if method.startswith("trimmed") else None
 
     def point(ds: Dataset, mask):
-        refit = _fit_components(ds, config, family, "aipw" in method, mask, threshold)
+        refit = _fit_components(ds, config, family, "aipw" in method, mask, threshold, start)
         return run(ds, *refit, "none").estimate
 
     reps = int(config.get("bootstrap_reps", 500))

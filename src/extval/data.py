@@ -90,8 +90,16 @@ class Dataset:
             raise DataError("need at least one trial row and one target row")
 
     def subset(self, idx: np.ndarray) -> "Dataset":
-        """Row-indexed subset (used by the stratified bootstrap)."""
-        return Dataset(self.s[idx], self.a[idx], self.y[idx], self.x[idx])
+        """Row-indexed subset (used by the stratified bootstrap).
+
+        ``idx`` is a 1-d index array or boolean mask. Every row it selects
+        passed ``__post_init__`` in this dataset, so the subset is built
+        without running those checks again.
+        """
+        sub = object.__new__(Dataset)
+        for name in ("s", "a", "y", "x"):
+            object.__setattr__(sub, name, getattr(self, name)[idx])
+        return sub
 
 
 def make_dataset(

@@ -589,7 +589,10 @@ def bootstrap_ci(
     Trial and target rows are resampled independently with replacement;
     ``estimator(dataset, r1_mask)`` re-runs the full pipeline on each
     replicate. Replicate r draws from default_rng([seed, r]), so results
-    are identical under any execution order. Numerical failures of
+    are identical under any execution order. It draws positions within the
+    trial block, then positions within the target block; these index the
+    target rows and ``r1_mask`` alike, and give the same rows as
+    ``rng.choice`` of the row indices would. Numerical failures of
     individual replicates (an ExtvalError or a LinAlgError) are tolerated
     up to ``max_error_share``; any other exception is a bug and propagates.
     """
@@ -597,19 +600,16 @@ def bootstrap_ci(
         raise ConfigError("bootstrap needs at least 100 replicates")
     idx_trial = np.flatnonzero(data.trial_mask)
     idx_target = np.flatnonzero(data.target_mask)
+    r1_mask = None if r1_mask is None else np.asarray(r1_mask, dtype=bool)
+    n1, n2 = idx_trial.size, idx_target.size
     estimates = np.full(reps, np.nan)
     failures = 0
     for r in range(reps):
         rng = np.random.default_rng([_seed_int(seed), r])
-        bi = np.concatenate([
-            rng.choice(idx_trial, size=idx_trial.size, replace=True),
-            rng.choice(idx_target, size=idx_target.size, replace=True),
-        ])
-        sub_mask = None
-        if r1_mask is not None:
-            sub_mask = np.asarray(r1_mask, dtype=bool)[
-                np.searchsorted(idx_target, bi[idx_trial.size:])
-            ]
+        at_trial = rng.integers(0, n1, n1)
+        at_target = rng.integers(0, n2, n2)
+        bi = np.concatenate([idx_trial[at_trial], idx_target[at_target]])
+        sub_mask = None if r1_mask is None else r1_mask[at_target]
         try:
             estimates[r] = estimator(data.subset(bi), sub_mask)
         except (ExtvalError, np.linalg.LinAlgError):

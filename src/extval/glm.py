@@ -9,6 +9,12 @@ Bernoulli responses and identity for Gaussian responses. The Bernoulli
 solver is Newton's method with step-halving on the log-likelihood
 (iteratively reweighted least squares); the Gaussian fit is the exact
 normal-equation solution.
+
+A Bernoulli fit starts at zero unless it is given a ``start``. The
+bootstrap starts each replicate's sampling and propensity refits at the
+full-sample coefficients, a few Newton steps from the replicate's own
+maximum. Fits from either start stop once the score is below SCORE_TOL,
+so their coefficients differ by at most H^-1 times twice that tolerance.
 """
 
 from __future__ import annotations
@@ -80,9 +86,13 @@ def _bernoulli_loglik(eta: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
 
 
-def fit_glm(x_matrix: np.ndarray, y: np.ndarray, family: GlmFamily) -> GlmFit:
+def fit_glm(
+    x_matrix: np.ndarray, y: np.ndarray, family: GlmFamily, start: np.ndarray | None = None,
+) -> GlmFit:
     """Maximum-likelihood fit of the given family.
 
+    ``start`` is the coefficient vector Newton's method starts from (zero
+    when None); the exact Gaussian solution needs none and ignores it.
     Convergence means the score (log-likelihood gradient) has max-norm
     at most 1e-8. Bernoulli fits whose coefficients leave [-30, 30]
     raise SeparationError whether or not the gradient test passes:
@@ -93,6 +103,10 @@ def fit_glm(x_matrix: np.ndarray, y: np.ndarray, family: GlmFamily) -> GlmFit:
     y = np.asarray(y, dtype=float)
     _check_design(x, y, family)
     n, q = x.shape
+    if start is not None:
+        start = np.array(start, dtype=float)
+        if start.shape != (q,):
+            raise DimensionError(f"start of shape {start.shape} does not match {q} coefficients")
 
     if family is GlmFamily.GAUSSIAN_IDENTITY:
         xtx = x.T @ x
@@ -109,7 +123,7 @@ def fit_glm(x_matrix: np.ndarray, y: np.ndarray, family: GlmFamily) -> GlmFit:
 
     # coef, its linear predictor eta and the log-likelihood ll always
     # describe the same point
-    coef = np.zeros(q)
+    coef = np.zeros(q) if start is None else start
     eta = x @ coef
     ll = _bernoulli_loglik(eta, y)
     converged = False
@@ -165,18 +179,22 @@ def predict_mean(fit: GlmFit, x: np.ndarray):
     return float(mean[0]) if single else mean
 
 
-def fit_sampling_score(data: Dataset) -> GlmFit:
-    """Logistic regression of participation on covariates, all rows pooled."""
+def fit_sampling_score(data: Dataset, start: np.ndarray | None = None) -> GlmFit:
+    """Logistic regression of participation on covariates, all rows pooled,
+    with Newton's method started at ``start`` (zero when None)."""
     data.require_both_samples()
-    return fit_glm(data.x, data.s, GlmFamily.BERNOULLI_LOGIT)
+    return fit_glm(data.x, data.s, GlmFamily.BERNOULLI_LOGIT, start)
 
 
-def fit_propensity_score(data: Dataset, known_probability: float | None = None) -> GlmFit:
-    """Treatment model among trial rows.
+def fit_propensity_score(
+    data: Dataset, known_probability: float | None = None, start: np.ndarray | None = None,
+) -> GlmFit:
+    """Treatment model among trial rows, started at ``start`` (zero when None).
 
     With ``known_probability`` (randomized assignment) the returned fit
     predicts that probability everywhere and is flagged ``fixed``: it
-    contributes no score equations to stacked systems.
+    contributes no score equations to stacked systems, and ``start`` is
+    not used.
     """
     if known_probability is not None:
         p = float(known_probability)
@@ -191,7 +209,7 @@ def fit_propensity_score(data: Dataset, known_probability: float | None = None) 
     a = data.a[trial]
     if a.min() == a.max():
         raise DataError("both treatment arms must be present among trial rows")
-    return fit_glm(data.x[trial], a, GlmFamily.BERNOULLI_LOGIT)
+    return fit_glm(data.x[trial], a, GlmFamily.BERNOULLI_LOGIT, start)
 
 
 def fit_outcome_models(data: Dataset, family: GlmFamily) -> tuple[GlmFit, GlmFit]:

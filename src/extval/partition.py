@@ -37,6 +37,8 @@ from .glm import GlmFit, predict_mean
 
 DEFAULT_EPSILON = 1e-8
 MEAN_TOL = 1e-6
+# |u| beyond which ndtr(u) is exactly 1.0 or 0.0 in double precision
+SATURATED = 40.0
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,30 @@ def _smooth_k(prod1, prod0, delta: float, epsilon: float):
     return ndtr((prod1 - delta) / epsilon) * ndtr((prod0 - delta) / epsilon)
 
 
+def _windowed_excess(prod1, prod0, min_prods, lo: float, hi: float,
+                     epsilon: float, count: float):
+    """The smoothed count minus ``count`` as a function of delta in [lo, hi].
+
+    ndtr(u) is exactly 1.0 for u >= 40 and exactly 0.0 for u <= -40, and
+    (p - delta) / epsilon is monotone in delta. So a row with
+    (min product - hi) / epsilon >= 40 weighs exactly 1 everywhere on the
+    interval, and one with (min product - lo) / epsilon <= -40 exactly 0.
+    Only the rows between them are smoothed at each delta; they are written
+    into a buffer over all rows, whose sum then adds the same values in the
+    same order as the sum over all rows would.
+    """
+    ones = (min_prods - hi) / epsilon >= SATURATED
+    window = np.flatnonzero(~ones & ((min_prods - lo) / epsilon > -SATURATED))
+    weights = ones.astype(float)
+    p1, p0 = prod1[window], prod0[window]
+
+    def excess(delta: float) -> float:
+        weights[window] = _smooth_k(p1, p0, delta, epsilon)
+        return float(np.sum(weights)) - count
+
+    return excess
+
+
 def solve_threshold(
     target_scores,
     p3_star: float,
@@ -87,6 +113,10 @@ def solve_threshold(
     q. An Illinois (modified regula falsi) solve on that bracket finds
     delta*. A whole p3*·m leaves the sum flat just above q, and any point
     there solves it. delta* is 0 at the attainable mass.
+
+    Each evaluation smooths only the rows whose weight is not exactly 0 or
+    1 on the bracket (``_windowed_excess``); delta* is bit-identical to
+    smoothing every row.
     """
     hs, e1, e0 = (np.asarray(v, dtype=float) for v in target_scores)
     m = hs.shape[0]
@@ -117,10 +147,7 @@ def solve_threshold(
     if abs(count - round(count)) <= 4.0 * np.spacing(count):
         count = float(round(count))
 
-    def excess(delta: float) -> float:
-        return float(np.sum(_smooth_k(prod1, prod0, delta, epsilon))) - count
-
-    f0 = excess(0.0) / m
+    f0 = _windowed_excess(prod1, prod0, min_prods, 0.0, 0.0, epsilon, count)(0.0) / m
     if f0 < -MEAN_TOL:
         raise UnattainableProportionError(
             f"attainable mass {f0 + p3_star:.8f} below requested p3*={p3_star} "
@@ -132,8 +159,12 @@ def solve_threshold(
     j = int(np.floor(count))
     at = min_prods.size - j - 1
     q = float(np.partition(min_prods, at)[at])
-    lo, f_lo = q - 10.0 * epsilon, excess(q - 10.0 * epsilon)
-    hi = delta = q + 10.0 * epsilon
+    lo, hi = q - 10.0 * epsilon, q + 10.0 * epsilon
+    # regula falsi keeps every iterate in [lo, hi] up to a rounding of
+    # hi - lo, far inside the margin by which ndtr saturates before +-40
+    excess = _windowed_excess(prod1, prod0, min_prods, lo, hi, epsilon, count)
+    f_lo = excess(lo)
+    delta = hi
     f_hi = f = excess(hi)
     kept = 0
     for _ in range(100):

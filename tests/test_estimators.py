@@ -6,6 +6,7 @@ from scipy.special import expit, logit
 
 from extval import (
     ConfigError,
+    Dataset,
     DgpConfig,
     GlmFamily,
     GlmFit,
@@ -379,3 +380,34 @@ def test_bootstrap_rep_floor_and_failure_share():
 
     with pytest.raises(TypeError):
         bootstrap_ci(buggy, data, 120, seed=1)
+
+
+def test_bootstrap_draw_contract():
+    # replicate r gets the rows of rng.choice over the trial, then the target
+    # row indices, from default_rng([seed, r]), and the r1 flags of its target rows
+    rng = np.random.default_rng(45)
+    n = 60
+    s = (rng.random(n) < 0.4).astype(float)
+    a = np.where(s == 1, (rng.random(n) < 0.5).astype(float), np.nan)
+    y = np.where(s == 1, rng.standard_normal(n), np.nan)
+    data = Dataset(s, a, y, np.column_stack([np.ones(n), np.arange(n, dtype=float)]))
+    r1 = rng.random(int(n - s.sum())) < 0.3
+    seen = []
+
+    def record(ds, mask):
+        seen.append((ds, mask))
+        return 0.0
+
+    bootstrap_ci(record, data, 100, seed=17, r1_mask=r1)
+    idx_trial, idx_target = np.flatnonzero(s == 1), np.flatnonzero(s == 0)
+    for r, (ds, mask) in enumerate(seen[:20]):
+        ref = np.random.default_rng([17, r])
+        bi = np.concatenate([
+            ref.choice(idx_trial, size=idx_trial.size, replace=True),
+            ref.choice(idx_target, size=idx_target.size, replace=True),
+        ])
+        ref_mask = r1[np.searchsorted(idx_target, bi[idx_trial.size:])]
+        np.testing.assert_array_equal(ds.x, data.x[bi])
+        for got, want in ((ds.s, s), (ds.a, a), (ds.y, y)):
+            np.testing.assert_array_equal(got, want[bi])
+        np.testing.assert_array_equal(mask, ref_mask)

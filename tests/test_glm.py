@@ -7,6 +7,7 @@ from extval import glm
 from extval import (
     DataError,
     Dataset,
+    DgpConfig,
     DimensionError,
     GlmFamily,
     GlmFit,
@@ -16,6 +17,7 @@ from extval import (
     fit_outcome_models,
     fit_propensity_score,
     fit_sampling_score,
+    generate_cohort,
     make_dataset,
     predict_mean,
 )
@@ -240,3 +242,65 @@ def test_dataset_role_validation():
             x=np.ones((2, 1)),
         )
     assert exc.value.row == 1
+
+
+def test_warm_start_matches_cold_fit_on_bootstrap_resamples():
+    # both fits stop with a score of max-norm at most SCORE_TOL, so their
+    # coefficients differ by at most |H^-1|_inf * 2 * SCORE_TOL
+    data, _ = generate_cohort(DgpConfig(n_total=20_000), [5, 9])
+    full = (fit_sampling_score(data), fit_propensity_score(data))
+    idx_trial, idx_target = np.flatnonzero(data.trial_mask), np.flatnonzero(data.target_mask)
+    iterations = np.zeros(2, dtype=int)
+    for r in range(20):
+        rng = np.random.default_rng([3, r])
+        ds = data.subset(np.concatenate([
+            idx_trial[rng.integers(0, idx_trial.size, idx_trial.size)],
+            idx_target[rng.integers(0, idx_target.size, idx_target.size)],
+        ]))
+        for fit_score, start, x in (
+            (fit_sampling_score, full[0], ds.x),
+            (fit_propensity_score, full[1], ds.x[ds.trial_mask]),
+        ):
+            warm, cold = fit_score(ds, start=start.coefficients), fit_score(ds)
+            assert warm.converged and cold.converged
+            p = predict_mean(cold, x)
+            h = (x * (p * (1.0 - p))[:, None]).T @ x
+            bound = 2.0 * glm.SCORE_TOL * np.max(np.sum(np.abs(np.linalg.inv(h)), axis=1))
+            assert np.max(np.abs(warm.coefficients - cold.coefficients)) <= bound
+            iterations += (warm.iterations, cold.iterations)
+    assert iterations[0] < iterations[1]
+
+
+def test_warm_start_still_detects_separation():
+    x = np.column_stack([np.ones(10), np.arange(10.0)])
+    y = (np.arange(10) >= 5).astype(float)
+    with pytest.raises(SeparationError):
+        fit_glm(x, y, BERN, start=np.array([-4.5, 1.0]))
+
+
+def test_warm_start_of_wrong_length_raises():
+    x = np.column_stack([np.ones(10), np.arange(10.0)])
+    y = np.tile([0.0, 1.0], 5)
+    for family in (BERN, GAUSS):
+        with pytest.raises(DimensionError):
+            fit_glm(x, y, family, start=np.zeros(3))
+    data = make_dataset(x, y, np.zeros(10), x)
+    with pytest.raises(DimensionError):
+        fit_sampling_score(data, start=np.zeros(1))
+
+
+@pytest.mark.parametrize("rows", ["trial", "target", "mixed"])
+def test_subset_equals_dataset_of_the_same_rows(rows):
+    rng = np.random.default_rng(12)
+    data = _two_sample(rng, 30, 40)
+    idx = {
+        "trial": np.flatnonzero(data.trial_mask)[[3, 3, 0, 29]],
+        "target": np.flatnonzero(data.target_mask)[[5, 39, 5]],
+        "mixed": rng.integers(0, data.n, 50),
+    }[rows]
+    sub = data.subset(idx)
+    built = Dataset(data.s[idx], data.a[idx], data.y[idx], data.x[idx])
+    for name in ("s", "a", "y", "x"):
+        got, want = getattr(sub, name), getattr(built, name)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extval import (
     ConfigError,
@@ -7,13 +9,15 @@ from extval import (
     DimensionError,
     GlmFamily,
     GlmFit,
+    NotConvergedError,
     UnattainableProportionError,
     make_dataset,
     partition_population,
     solve_threshold,
 )
+from extval import partition
 from extval.cli import evaluate_raw_rules
-from extval.partition import _smooth_k
+from extval.partition import MEAN_TOL, _smooth_k
 
 # the generating process's exclusion over named columns: the flag or x4 at its cut
 RULE_E_OR_X4 = [
@@ -183,6 +187,68 @@ def test_solve_threshold_degenerate_plateau():
     e = np.full(50, 0.5)
     with pytest.raises(DegenerateScoresError):
         solve_threshold((hs, e, e), 0.5, 1e-8)
+
+
+EPS = 1e-8
+# a row's (hs, e1) with e0 = 1 - e1: ordinary products, or products of 0
+# to 80 smoothing scales, around the 40 below which a weight at delta = 0
+# is not exactly 1
+_rows = st.one_of(
+    st.tuples(st.floats(0.01, 1.0), st.floats(0.05, 0.95)),
+    st.tuples(st.integers(0, 160).map(lambda k: k * EPS), st.just(0.5)),
+)
+
+
+@st.composite
+def _threshold_problems(draw):
+    pool = draw(st.lists(_rows, min_size=2, max_size=30))
+    m = draw(st.integers(2, 150))
+    # rows drawn from a small pool repeat, so products tie
+    hs, e1 = np.array([pool[i] for i in draw(st.lists(
+        st.integers(0, len(pool) - 1), min_size=m, max_size=m))]).T
+    excluded = np.array(draw(st.lists(st.integers(0, 7).map(lambda v: v == 0), min_size=m, max_size=m)))
+    kept = int(m - excluded.sum())
+    if kept and draw(st.booleans()):
+        p3_star = draw(st.integers(1, kept)) / m   # a whole p3*·m
+    else:
+        p3_star = draw(st.floats(0.0, 1.0, exclude_min=True)) * max(kept, 1) / m
+    return (hs, e1, 1.0 - e1), p3_star, excluded
+
+
+def _smooth_every_row(prod1, prod0, min_prods, lo, hi, epsilon, count):
+    return lambda delta: float(np.sum(_smooth_k(prod1, prod0, delta, epsilon))) - count
+
+
+def _solve(scores, p3_star, excluded):
+    try:
+        return solve_threshold(scores, p3_star, EPS, excluded)
+    except (UnattainableProportionError, DegenerateScoresError, NotConvergedError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(_threshold_problems())
+def test_windowed_solve_property(problem):
+    scores, p3_star, excluded = problem
+    delta = _solve(scores, p3_star, excluded)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(partition, "_windowed_excess", _smooth_every_row)
+        reference = _solve(scores, p3_star, excluded)
+    # smoothing only the rows near the bracket changes no bit of the solve
+    assert delta == reference
+    if isinstance(delta, type):
+        return
+    hs, e1, e0 = scores
+    k = np.where(excluded, 0.0, _smooth_k(hs * e1, hs * e0, delta, EPS))
+    assert abs(np.mean(k) - p3_star) <= MEAN_TOL
+    # the (j+1)-th largest kept min product, as in the sort-quantile oracle
+    min_prods = np.sort(np.minimum(hs * e1, hs * e0)[~excluded])[::-1]
+    count = p3_star * len(hs)
+    if abs(count - round(count)) <= 4.0 * np.spacing(count):
+        count = round(count)
+    j = int(np.floor(count))
+    if j < min_prods.size:
+        assert abs(delta - min_prods[j]) < 1e-4
 
 
 def test_mean_smooth_inclusion_nonincreasing_in_delta():
