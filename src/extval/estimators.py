@@ -41,6 +41,8 @@ scale.
 
 from __future__ import annotations
 
+import os
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
@@ -59,7 +61,8 @@ from .errors import (
     ZeroWeightError,
 )
 from .glm import GlmFamily, GlmFit, predict_mean
-from .partition import PartitionResult, _smooth_k
+from .parallel import ordered_map
+from .partition import PartitionResult, _membership
 
 Z95 = 1.96
 HALL_SHEATHER_ALPHA = 0.05
@@ -251,7 +254,7 @@ class _Pipeline:
         if self.partition is not None:
             part = self.partition
             delta = xi[self.slices["threshold"]][0] if self.estimate_delta else part.delta_star
-            k = _smooth_k(hs * e1, hs * e0, delta, scale or part.epsilon)
+            k = _membership(hs * e1, hs * e0, delta, scale or part.epsilon)
             k = np.where(self.r1, 0.0, k)
         if self.fixed_m is None:
             m1 = self.link(x @ xi[self.slices["outcome1"]])
@@ -588,40 +591,67 @@ def bootstrap_ci(
 
     Trial and target rows are resampled independently with replacement;
     ``estimator(dataset, r1_mask)`` re-runs the full pipeline on each
-    replicate. Replicate r draws from default_rng([seed, r]), so results
-    are identical under any execution order. It draws positions within the
-    trial block, then positions within the target block; these index the
-    target rows and ``r1_mask`` alike, and give the same rows as
-    ``rng.choice`` of the row indices would. Numerical failures of
-    individual replicates (an ExtvalError or a LinAlgError) are tolerated
-    up to ``max_error_share``; any other exception is a bug and propagates.
+    replicate. Replicate r draws from default_rng([seed, r]). It draws
+    positions within the trial block, then positions within the target
+    block; these index the target rows and ``r1_mask`` alike, and give the
+    same rows as ``rng.choice`` of the row indices would.
+
+    Replicates run on one forked worker process per CPU in this process's
+    affinity mask (``taskset`` limits it), at most ``reps``, and serially
+    on one CPU or inside a multiprocessing child (``parallel.ordered_map``).
+    The workers inherit ``estimator``, ``data`` and ``r1_mask`` and return
+    one outcome per replicate, which are put back in replicate order, so
+    the variance, the interval and the failure count do not depend on the
+    worker count. Each worker inherits the BLAS thread setting as well.
+
+    Numerical failures of individual replicates (an ExtvalError or a
+    LinAlgError, or a non-finite estimate) are tolerated up to
+    ``max_error_share``; past it, NumericalError names the count of each
+    failure class. Any other exception is a bug and propagates with its
+    own class.
     """
     if reps < 100:
         raise ConfigError("bootstrap needs at least 100 replicates")
-    idx_trial = np.flatnonzero(data.trial_mask)
-    idx_target = np.flatnonzero(data.target_mask)
-    r1_mask = None if r1_mask is None else np.asarray(r1_mask, dtype=bool)
-    n1, n2 = idx_trial.size, idx_target.size
-    estimates = np.full(reps, np.nan)
-    failures = 0
-    for r in range(reps):
-        rng = np.random.default_rng([_seed_int(seed), r])
-        at_trial = rng.integers(0, n1, n1)
-        at_target = rng.integers(0, n2, n2)
-        bi = np.concatenate([idx_trial[at_trial], idx_target[at_target]])
-        sub_mask = None if r1_mask is None else r1_mask[at_target]
-        try:
-            estimates[r] = estimator(data.subset(bi), sub_mask)
-        except (ExtvalError, np.linalg.LinAlgError):
-            failures += 1
-    if failures > max_error_share * reps:
-        raise NumericalError(
-            f"bootstrap failed: {failures}/{reps} replicates errored"
-        )
+    replicate = partial(
+        _replicate, estimator, data, _seed_int(seed),
+        np.flatnonzero(data.trial_mask), np.flatnonzero(data.target_mask),
+        None if r1_mask is None else np.asarray(r1_mask, dtype=bool),
+    )
+    outcomes = ordered_map(replicate, range(reps), _cpu_count())
+    estimates = np.array([v if isinstance(v, float) else np.nan for v in outcomes])
+    failures = Counter(
+        v if isinstance(v, str) else "non-finite estimate"
+        for v, good in zip(outcomes, np.isfinite(estimates)) if not good
+    )
+    failed = sum(failures.values())
+    if failed > max_error_share * reps:
+        counts = ", ".join(f"{name}: {count}" for name, count in failures.most_common())
+        raise NumericalError(f"bootstrap failed: {failed}/{reps} replicates errored ({counts})")
     good = estimates[np.isfinite(estimates)]
     var = float(np.var(good, ddof=1)) if good.size > 1 else 0.0
     lo, hi = (float(v) for v in np.percentile(good, [2.5, 97.5]))
     return var, lo, hi
+
+
+def _replicate(estimator, data, seed, idx_trial, idx_target, r1_mask, r: int) -> float | str:
+    """Replicate r's estimate, or the class name of the numerical failure
+    (ExtvalError or LinAlgError) that stopped it."""
+    rng = np.random.default_rng([seed, r])
+    at_trial = rng.integers(0, idx_trial.size, idx_trial.size)
+    at_target = rng.integers(0, idx_target.size, idx_target.size)
+    bi = np.concatenate([idx_trial[at_trial], idx_target[at_target]])
+    sub_mask = None if r1_mask is None else r1_mask[at_target]
+    try:
+        return float(estimator(data.subset(bi), sub_mask))
+    except (ExtvalError, np.linalg.LinAlgError) as exc:
+        return type(exc).__name__
+
+
+def _cpu_count() -> int:
+    """CPUs in this process's affinity mask, which ``taskset`` sets."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _seed_int(seed) -> int:

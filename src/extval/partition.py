@@ -73,6 +73,23 @@ def _smooth_k(prod1, prod0, delta: float, epsilon: float):
     return ndtr((prod1 - delta) / epsilon) * ndtr((prod0 - delta) / epsilon)
 
 
+def _membership(prod1, prod0, delta: float, epsilon: float) -> np.ndarray:
+    """``_smooth_k(prod1, prod0, delta, epsilon)``, bit for bit, smoothing only
+    the rows whose weight is not exactly 0 or 1.
+
+    (p - delta) / epsilon is monotone in p, so u = (min product - delta) /
+    epsilon is the smaller of the two scaled products. A row with u >= 40
+    weighs exactly 1 and one with u <= -40 exactly 0 (see
+    _windowed_excess); the rest, NaN included, are smoothed.
+    """
+    u = (np.minimum(prod1, prod0) - delta) / epsilon
+    ones = u >= SATURATED
+    k = ones.astype(float)
+    window = np.flatnonzero(~(ones | (u <= -SATURATED)))
+    k[window] = _smooth_k(prod1[window], prod0[window], delta, epsilon)
+    return k
+
+
 def _windowed_excess(prod1, prod0, min_prods, lo: float, hi: float,
                      epsilon: float, count: float):
     """The smoothed count minus ``count`` as a function of delta in [lo, hi].
@@ -213,8 +230,7 @@ def partition_population(
         raise DimensionError("exclusion mask must align with target rows")
     delta = solve_threshold((hs, e1, e0), p3_star, epsilon, r1)
 
-    k = _smooth_k(hs * e1, hs * e0, delta, epsilon)
-    k = np.where(r1, 0.0, k)
+    k = np.where(r1, 0.0, _membership(hs * e1, hs * e0, delta, epsilon))
     hard = (hs * e1 >= delta) & (hs * e0 >= delta) & ~r1
     labels = np.full(data.n2, 2, dtype=np.int8)
     labels[r1] = 1

@@ -18,8 +18,8 @@ master seed no matter how many workers execute it.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import expit
@@ -28,6 +28,7 @@ from .data import Dataset
 from .errors import ConfigError, ExtvalError, NumericalError
 from .estimators import trimmed_aipw, trimmed_ipw
 from .glm import GlmFamily, fit_outcome_models, fit_propensity_score, fit_sampling_score
+from .parallel import ordered_map
 from .partition import DEFAULT_EPSILON, partition_population
 from .sensitivity import SensitivityInput, epd_estimate, gpd_estimate
 
@@ -349,14 +350,12 @@ def _one_replication(config: StudyConfig, rep: int) -> dict:
     return out
 
 
-def _replication_block(config: StudyConfig, reps: list[int]) -> list:
-    results = []
-    for rep in reps:
-        try:
-            results.append(_one_replication(config, rep))
-        except (ExtvalError, np.linalg.LinAlgError) as exc:    # a per-replication failure
-            results.append(exc)
-    return results
+def _replication(config: StudyConfig, rep: int):
+    """One replication's results, or the numerical failure that stopped it."""
+    try:
+        return _one_replication(config, rep)
+    except (ExtvalError, np.linalg.LinAlgError) as exc:    # a per-replication failure
+        return exc
 
 
 def run_study(config: StudyConfig, n_jobs: int = 1) -> StudyReport:
@@ -364,20 +363,11 @@ def run_study(config: StudyConfig, n_jobs: int = 1) -> StudyReport:
 
     Deterministic for a fixed master seed: replication r always draws
     from default_rng([master_seed, r]) and aggregation is ordered by r,
-    so the worker count cannot change the report.
+    so the worker count cannot change the report. Replications run on
+    ``n_jobs`` forked worker processes (``parallel.ordered_map``).
     """
     true_tau = true_tau_oracle(config.dgp, config.oracle_draws)
-    reps = list(range(config.replications))
-    if n_jobs > 1 and config.replications > 1:
-        blocks = [reps[i::n_jobs] for i in range(n_jobs)]
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            block_results = list(pool.map(_replication_block, [config] * len(blocks), blocks))
-        results: list = [None] * config.replications
-        for block, res in zip(blocks, block_results):
-            for r, value in zip(block, res):
-                results[r] = value
-    else:
-        results = _replication_block(config, reps)
+    results = ordered_map(partial(_replication, config), range(config.replications), n_jobs)
 
     failures = sum(1 for r in results if isinstance(r, Exception))
     if failures > config.max_failure_share * config.replications:

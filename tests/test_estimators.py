@@ -1,4 +1,6 @@
 import dataclasses
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -382,9 +384,12 @@ def test_bootstrap_rep_floor_and_failure_share():
         bootstrap_ci(buggy, data, 120, seed=1)
 
 
-def test_bootstrap_draw_contract():
+def test_bootstrap_draw_contract(monkeypatch):
     # replicate r gets the rows of rng.choice over the trial, then the target
-    # row indices, from default_rng([seed, r]), and the r1 flags of its target rows
+    # row indices, from default_rng([seed, r]), and the r1 flags of its target rows;
+    # one worker, so the draws recorded here are those the replicates saw
+    # (test_bootstrap_identical_at_one_and_two_workers carries the contract over)
+    monkeypatch.setattr(estimators, "_cpu_count", lambda: 1)
     rng = np.random.default_rng(45)
     n = 60
     s = (rng.random(n) < 0.4).astype(float)
@@ -411,3 +416,103 @@ def test_bootstrap_draw_contract():
         for got, want in ((ds.s, s), (ds.a, a), (ds.y, y)):
             np.testing.assert_array_equal(got, want[bi])
         np.testing.assert_array_equal(mask, ref_mask)
+
+
+def _draw_data(n=60, seed=45):
+    # x[:, 1] holds each row's index, so a replicate's rows can be read off
+    rng = np.random.default_rng(seed)
+    s = (rng.random(n) < 0.4).astype(float)
+    a = np.where(s == 1, (rng.random(n) < 0.5).astype(float), np.nan)
+    y = np.where(s == 1, rng.standard_normal(n), np.nan)
+    data = Dataset(s, a, y, np.column_stack([np.ones(n), np.arange(n, dtype=float)]))
+    return data, rng.random(int(n - s.sum())) < 0.3
+
+
+def test_bootstrap_identical_at_one_and_two_workers(monkeypatch):
+    data, r1 = _draw_data()
+    calls = []
+
+    def estimator(ds, mask):
+        # depends on every drawn row, in order, and on the r1 flags
+        calls.append(None)
+        value = float(ds.x[:, 1] @ np.sin(np.arange(ds.n)) + mask @ np.cos(np.arange(mask.size)))
+        if value % 1.0 < 0.1:
+            raise SingularSystemError("singular on this draw")
+        return value
+
+    results, messages = {}, {}
+    for workers in (1, 2):
+        monkeypatch.setattr(estimators, "_cpu_count", lambda: workers)
+        calls.clear()
+        results[workers] = bootstrap_ci(estimator, data, 120, seed=17, r1_mask=r1, max_error_share=0.5)
+        with pytest.raises(NumericalError) as err:
+            bootstrap_ci(estimator, data, 120, seed=17, r1_mask=r1, max_error_share=0.01)
+        messages[workers] = str(err.value)
+        # the serial loop calls here; two workers call only in their own processes
+        assert len(calls) == (240 if workers == 1 else 0)
+    assert results[1] == results[2]
+    assert messages[1] == messages[2]
+    assert "SingularSystemError: " in messages[1]
+
+
+def test_bootstrap_counts_failures_by_class(monkeypatch):
+    monkeypatch.setattr(estimators, "_cpu_count", lambda: 1)
+    data, _ = _draw_data()
+
+    def estimator(ds, _mask):
+        first = int(ds.x[0, 1])
+        if first % 3 == 0:
+            raise SingularSystemError("singular")
+        if first % 3 == 1:
+            return float("nan")
+        return 1.0
+
+    with pytest.raises(NumericalError) as err:
+        bootstrap_ci(estimator, data, 100, seed=3)
+    counts = dict(
+        part.rsplit(": ", 1) for part in str(err.value).split("(", 1)[1].rstrip(")").split(", ")
+    )
+    assert set(counts) == {"SingularSystemError", "non-finite estimate"}
+    assert str(err.value).startswith(
+        f"bootstrap failed: {sum(map(int, counts.values()))}/100 replicates errored"
+    )
+
+
+def test_bootstrap_bug_in_a_worker_propagates_and_leaves_no_worker(monkeypatch):
+    monkeypatch.setattr(estimators, "_cpu_count", lambda: 2)
+    data, r1 = _draw_data()
+
+    def buggy(ds, mask):
+        if mask.sum() > 6:
+            raise TypeError("not a numerical failure")
+        return 0.0
+
+    with pytest.raises(TypeError, match="not a numerical failure"):
+        bootstrap_ci(buggy, data, 100, seed=5, r1_mask=r1)
+    assert multiprocessing.active_children() == []
+    with pytest.raises(NumericalError):
+        bootstrap_ci(lambda ds, m: float("inf"), data, 100, seed=5)
+    assert multiprocessing.active_children() == []
+    bootstrap_ci(lambda ds, m: 1.0, data, 100, seed=5)
+    assert multiprocessing.active_children() == []
+
+
+def test_bootstrap_runs_serially_inside_a_study_worker(monkeypatch):
+    from extval import simulation
+
+    monkeypatch.setattr(estimators, "_cpu_count", lambda: 2)
+    data, _ = _draw_data()
+    parent = os.getpid()
+
+    def replication(config, rep):
+        # every replicate reports its process: a nested pool would not be this one
+        _, lo, hi = bootstrap_ci(lambda ds, m: float(os.getpid()), data, 100, seed=rep)
+        assert os.getpid() != parent and lo == hi == os.getpid()
+        return {cell: (0.0, -1.0, 1.0) for cell in config.cells}
+
+    monkeypatch.setattr(simulation, "_one_replication", replication)
+    cfg = simulation.StudyConfig(
+        dgp=DgpConfig(n_total=20_000), replications=2, p3_stars=(0.8,), methods=("ipw",),
+        assumptions=("gpd",), oracle_draws=1_000,
+    )
+    assert simulation.run_study(cfg, n_jobs=2).failures == 0

@@ -17,7 +17,7 @@ from extval import (
 )
 from extval import partition
 from extval.cli import evaluate_raw_rules
-from extval.partition import MEAN_TOL, _smooth_k
+from extval.partition import MEAN_TOL, _membership, _smooth_k
 
 # the generating process's exclusion over named columns: the flag or x4 at its cut
 RULE_E_OR_X4 = [
@@ -104,6 +104,21 @@ def test_smooth_matches_hard_indicator_away_from_threshold():
     smooth = _smooth_k(prods, prods, delta, 1e-8)
     hard = (prods >= delta).astype(float)
     assert np.max(np.abs(smooth[keep] - hard[keep])) <= 1e-9
+
+
+def test_membership_is_smooth_k_bit_for_bit():
+    # rows at, inside and beyond 40 smoothing scales either side of delta,
+    # with tied and non-finite products
+    rng = np.random.default_rng(9)
+    delta, eps = 0.3, 1e-8
+    offsets = np.concatenate([
+        rng.uniform(-60.0, 60.0, 400), [-40.0, 40.0, -39.999, 39.999, 0.0],
+    ]) * eps
+    prod1 = np.concatenate([delta + offsets, rng.random(100), [np.nan, 0.5]])
+    prod0 = np.concatenate([delta + rng.permutation(offsets), rng.random(100), [0.5, np.nan]])
+    for scale in (eps, 5e-5):
+        got = _membership(prod1, prod0, delta, scale)
+        assert got.tobytes() == _smooth_k(prod1, prod0, delta, scale).tobytes()
 
 
 def test_solve_threshold_matches_sort_quantile_oracle():

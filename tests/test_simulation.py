@@ -226,7 +226,7 @@ def test_replication_block_counts_only_numerical_failures(monkeypatch, error, pr
     )
     if propagates:
         with pytest.raises(error):
-            simulation._replication_block(cfg, [0])
+            simulation._replication(cfg, 0)
     else:
-        [result] = simulation._replication_block(cfg, [0])
+        result = simulation._replication(cfg, 0)
         assert isinstance(result, error)
