@@ -596,12 +596,14 @@ def bootstrap_ci(
     block; these index the target rows and ``r1_mask`` alike, and give the
     same rows as ``rng.choice`` of the row indices would.
 
-    Replicates run on one forked worker process per CPU in this process's
-    affinity mask (``taskset`` limits it), at most ``reps``, and serially
-    on one CPU or inside a multiprocessing child (``parallel.ordered_map``).
-    The workers inherit ``estimator``, ``data`` and ``r1_mask`` and return
-    one outcome per replicate, which are put back in replicate order, so
-    the variance, the interval and the failure count do not depend on the
+    Replicates run on one process per CPU in this process's affinity mask
+    (``taskset`` limits it), at most ``reps``: this process runs the first
+    share and forked worker processes the others. They run serially on one
+    CPU, on a platform without a safe fork, inside a multiprocessing child
+    or inside an outer ``ordered_map`` (``parallel.ordered_map``). The
+    workers inherit ``estimator``, ``data`` and ``r1_mask`` and return one
+    outcome per replicate, which are put back in replicate order, so the
+    variance, the interval and the failure count do not depend on the
     worker count. Each worker inherits the BLAS thread setting as well.
 
     Numerical failures of individual replicates (an ExtvalError or a

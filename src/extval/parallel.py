@@ -1,24 +1,30 @@
-"""An ordered map over forked worker processes.
+"""An ordered map over worker processes, the calling process among them.
 
 Bootstrap replicates and study replications are independent tasks whose
-results are combined in index order. ``ordered_map`` deals the items
-round-robin to worker processes started by fork: a worker inherits the
-task, closures and data included, from the parent's memory, so only the
-items and the results are pickled. On a 2-CPU machine a pool of two
-forked workers starts in about 16 ms, where spawned workers re-import
-numpy, scipy and the package in about 0.6 s, as long as the whole
-bootstrap of one 5k-row cohort. Forked workers also inherit the parent's
-BLAS thread setting (``OPENBLAS_NUM_THREADS``).
+results are combined in index order. ``ordered_map`` splits the items into
+one contiguous share per process: the calling process runs the first
+share itself while forked worker processes run the others. A forked
+worker inherits the task, closures and data included, from the parent's
+memory, so only the items and the results are pickled. On a 2-CPU
+machine a forked worker starts in about 16 ms, where a spawned one
+re-imports numpy, scipy and the package in about 0.6 s, as long as the
+whole bootstrap of one 5k-row cohort. Forked workers also inherit the
+parent's BLAS thread setting (``OPENBLAS_NUM_THREADS``).
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import pickle
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable
 
 # the task of this worker process, set by _install when the worker starts
 _task: Callable | None = None
+# true while this process runs its own share next to a pool, so that a
+# task which maps again runs its inner map serially
+_sharing = False
 
 
 def _install(task: Callable) -> None:
@@ -26,36 +32,57 @@ def _install(task: Callable) -> None:
     _task = task
 
 
-def _run_block(block: list) -> list:
-    return [_task(item) for item in block]
+def _run(item):
+    return _task(item)
+
+
+def _context(task: Callable):
+    """The start method for workers running ``task``, or None for none.
+
+    Fork, where the platform has it and it is safe: not on macOS, whose
+    system frameworks (the Accelerate BLAS among them) may crash in a
+    forked child. Elsewhere the platform's default method, which pickles
+    the task, so a task that does not pickle runs in this process alone.
+    """
+    if "fork" in multiprocessing.get_all_start_methods() and sys.platform != "darwin":
+        return multiprocessing.get_context("fork")
+    try:
+        pickle.dumps(task)
+    except (pickle.PicklingError, AttributeError, TypeError):
+        return None
+    return multiprocessing.get_context()
 
 
 def ordered_map(task: Callable, items: Iterable, workers: int) -> list:
-    """``[task(item) for item in items]`` on up to ``workers`` forked processes.
+    """``[task(item) for item in items]`` on up to ``workers`` processes.
 
-    Item i goes to worker i mod ``workers``, and the results come back in
-    item order, so they do not depend on the worker count when ``task``
-    is deterministic per item. The plain loop runs, with no pool, when one
-    worker would do, when the platform has no fork start method, or when
-    this process is itself a multiprocessing child, so pools never nest.
-    An exception that escapes ``task`` in a worker is raised here with its
-    own class once every worker has exited; no worker outlives the call.
+    The items are split into ``workers`` contiguous shares; this process
+    runs the first and a pool of ``workers - 1`` worker processes the
+    rest. The results come back in item order, so they do not depend on
+    the worker count when ``task`` is deterministic per item. The plain
+    loop runs, with no pool, when one process would do, when no start
+    method can carry ``task`` (``_context``), when this process is itself
+    a multiprocessing child, or while it runs its share of an outer map,
+    so pools never nest. An exception that escapes ``task`` is raised here
+    with its own class once every worker has exited; no worker outlives
+    the call.
     """
+    global _sharing
     items = list(items)
     workers = min(workers, len(items))
-    if (
-        workers <= 1
-        or "fork" not in multiprocessing.get_all_start_methods()
-        or multiprocessing.parent_process() is not None
-    ):
+    context = None
+    if workers > 1 and not _sharing and multiprocessing.parent_process() is None:
+        context = _context(task)
+    if context is None:
         return [task(item) for item in items]
-    blocks = [items[i::workers] for i in range(workers)]
-    with ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_install, initargs=(task,),
-    ) as pool:
-        done = list(pool.map(_run_block, blocks))
-    results: list = [None] * len(items)
-    for i, block in enumerate(done):
-        results[i::workers] = block
-    return results
+    share = -(-len(items) // workers)
+    workers = -(-len(items) // share)
+    with ProcessPoolExecutor(workers - 1, mp_context=context,
+                             initializer=_install, initargs=(task,)) as pool:
+        rest = pool.map(_run, items[share:], chunksize=share)
+        _sharing = True
+        try:
+            first = [task(item) for item in items[:share]]
+        finally:
+            _sharing = False
+        return first + list(rest)

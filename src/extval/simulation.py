@@ -364,7 +364,8 @@ def run_study(config: StudyConfig, n_jobs: int = 1) -> StudyReport:
     Deterministic for a fixed master seed: replication r always draws
     from default_rng([master_seed, r]) and aggregation is ordered by r,
     so the worker count cannot change the report. Replications run on
-    ``n_jobs`` forked worker processes (``parallel.ordered_map``).
+    ``n_jobs`` processes, this one and forked workers; without a safe fork
+    (Windows, macOS) the workers are spawned (``parallel.ordered_map``).
     """
     true_tau = true_tau_oracle(config.dgp, config.oracle_draws)
     results = ordered_map(partial(_replication, config), range(config.replications), n_jobs)

@@ -448,8 +448,9 @@ def test_bootstrap_identical_at_one_and_two_workers(monkeypatch):
         with pytest.raises(NumericalError) as err:
             bootstrap_ci(estimator, data, 120, seed=17, r1_mask=r1, max_error_share=0.01)
         messages[workers] = str(err.value)
-        # the serial loop calls here; two workers call only in their own processes
-        assert len(calls) == (240 if workers == 1 else 0)
+        # the serial loop calls here for every replicate; at two workers this
+        # process runs the first half and a forked worker the second
+        assert len(calls) == (240 if workers == 1 else 120)
     assert results[1] == results[2]
     assert messages[1] == messages[2]
     assert "SingularSystemError: " in messages[1]
@@ -497,17 +498,16 @@ def test_bootstrap_bug_in_a_worker_propagates_and_leaves_no_worker(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_bootstrap_runs_serially_inside_a_study_worker(monkeypatch):
+def test_bootstrap_runs_serially_inside_a_study_worker(monkeypatch, tmp_path):
     from extval import simulation
 
     monkeypatch.setattr(estimators, "_cpu_count", lambda: 2)
     data, _ = _draw_data()
-    parent = os.getpid()
 
     def replication(config, rep):
         # every replicate reports its process: a nested pool would not be this one
         _, lo, hi = bootstrap_ci(lambda ds, m: float(os.getpid()), data, 100, seed=rep)
-        assert os.getpid() != parent and lo == hi == os.getpid()
+        (tmp_path / f"{rep}.txt").write_text(f"{os.getpid()} {lo} {hi}")
         return {cell: (0.0, -1.0, 1.0) for cell in config.cells}
 
     monkeypatch.setattr(simulation, "_one_replication", replication)
@@ -516,3 +516,11 @@ def test_bootstrap_runs_serially_inside_a_study_worker(monkeypatch):
         assumptions=("gpd",), oracle_draws=1_000,
     )
     assert simulation.run_study(cfg, n_jobs=2).failures == 0
+    # replication 0 ran in this process next to the pool, replication 1 in
+    # the study's forked worker; neither started a pool of its own
+    pids = []
+    for rep in range(2):
+        pid, lo, hi = (tmp_path / f"{rep}.txt").read_text().split()
+        assert float(lo) == float(hi) == float(pid)
+        pids.append(int(pid))
+    assert pids[0] == os.getpid() != pids[1]
