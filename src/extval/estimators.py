@@ -273,14 +273,7 @@ class _Pipeline:
             raise ZeroWeightError("sampling or propensity score is numerically 0/1 on a trial row")
         if not (np.all(np.isfinite(fitted.w1)) and np.all(np.isfinite(fitted.w0))):
             raise ZeroWeightError("non-finite transport weight")
-        means = [_hajek(v, w, name) for (w, v), name in zip(fitted.means[:2], self.tail)]
-        w, v = fitted.means[2]
-        # untrimmed, the projection is the plain mean over the target rows
-        if self.partition is None:
-            means.append(float(np.mean(v[self.data.target_mask])))
-        else:
-            means.append(_hajek(v, w, "v3"))
-        return means
+        return [_hajek(v, w, name) for (w, v), name in zip(fitted.means, self.tail)]
 
     def psi(self, xi: np.ndarray, scale: float | None = None) -> np.ndarray:
         """The (n, dim) estimating-function rows at ``xi``."""

@@ -15,7 +15,9 @@ Group membership is smoothed through a normal CDF with a tiny scale so
 that threshold estimation can be stacked into standard M-estimation
 machinery; with the default scale of 1e-8 the smooth weights are
 numerically indistinguishable from the hard indicator away from the
-threshold.
+threshold, and 40 scales away they are exactly 0 or 1. One rule
+(``_saturation``) names those rows, so that only the others are smoothed,
+both for the membership weights and inside the threshold solve.
 """
 
 from __future__ import annotations
@@ -73,45 +75,29 @@ def _smooth_k(prod1, prod0, delta: float, epsilon: float):
     return ndtr((prod1 - delta) / epsilon) * ndtr((prod0 - delta) / epsilon)
 
 
-def _membership(prod1, prod0, delta: float, epsilon: float) -> np.ndarray:
-    """``_smooth_k(prod1, prod0, delta, epsilon)``, bit for bit, smoothing only
-    the rows whose weight is not exactly 0 or 1.
-
-    (p - delta) / epsilon is monotone in p, so u = (min product - delta) /
-    epsilon is the smaller of the two scaled products. A row with u >= 40
-    weighs exactly 1 and one with u <= -40 exactly 0 (see
-    _windowed_excess); the rest, NaN included, are smoothed.
-    """
-    u = (np.minimum(prod1, prod0) - delta) / epsilon
-    ones = u >= SATURATED
-    k = ones.astype(float)
-    window = np.flatnonzero(~(ones | (u <= -SATURATED)))
-    k[window] = _smooth_k(prod1[window], prod0[window], delta, epsilon)
-    return k
-
-
-def _windowed_excess(prod1, prod0, min_prods, lo: float, hi: float,
-                     epsilon: float, count: float):
-    """The smoothed count minus ``count`` as a function of delta in [lo, hi].
+def _saturation(min_prods, lo: float, hi: float, epsilon: float):
+    """The weights that are exactly 1 for every delta in [lo, hi], and the
+    indices of the rows that must be smoothed there.
 
     ndtr(u) is exactly 1.0 for u >= 40 and exactly 0.0 for u <= -40, and
-    (p - delta) / epsilon is monotone in delta. So a row with
-    (min product - hi) / epsilon >= 40 weighs exactly 1 everywhere on the
-    interval, and one with (min product - lo) / epsilon <= -40 exactly 0.
-    Only the rows between them are smoothed at each delta; they are written
-    into a buffer over all rows, whose sum then adds the same values in the
-    same order as the sum over all rows would.
+    (p - delta) / epsilon is monotone in p and in delta, so the smaller
+    product decides. A row with (min product - hi) / epsilon >= 40 weighs
+    exactly 1 on the whole interval and one with (min product - lo) /
+    epsilon <= -40 exactly 0; the rest, NaN included, are smoothed. The
+    caller writes them into the returned buffer, whose sum then adds the
+    same values in the same order as the sum over all rows would.
     """
     ones = (min_prods - hi) / epsilon >= SATURATED
-    window = np.flatnonzero(~ones & ((min_prods - lo) / epsilon > -SATURATED))
-    weights = ones.astype(float)
-    p1, p0 = prod1[window], prod0[window]
+    window = np.flatnonzero(~(ones | ((min_prods - lo) / epsilon <= -SATURATED)))
+    return ones.astype(float), window
 
-    def excess(delta: float) -> float:
-        weights[window] = _smooth_k(p1, p0, delta, epsilon)
-        return float(np.sum(weights)) - count
 
-    return excess
+def _membership(prod1, prod0, delta: float, epsilon: float) -> np.ndarray:
+    """``_smooth_k(prod1, prod0, delta, epsilon)``, bit for bit, smoothing only
+    the rows that ``_saturation`` leaves unsaturated at delta."""
+    k, window = _saturation(np.minimum(prod1, prod0), delta, delta, epsilon)
+    k[window] = _smooth_k(prod1[window], prod0[window], delta, epsilon)
+    return k
 
 
 def solve_threshold(
@@ -131,9 +117,9 @@ def solve_threshold(
     delta*. A whole p3*·m leaves the sum flat just above q, and any point
     there solves it. delta* is 0 at the attainable mass.
 
-    Each evaluation smooths only the rows whose weight is not exactly 0 or
-    1 on the bracket (``_windowed_excess``); delta* is bit-identical to
-    smoothing every row.
+    Each evaluation smooths only the rows that ``_saturation`` leaves
+    unsaturated on the bracket; delta* is bit-identical to smoothing every
+    row.
     """
     hs, e1, e0 = (np.asarray(v, dtype=float) for v in target_scores)
     m = hs.shape[0]
@@ -164,7 +150,7 @@ def solve_threshold(
     if abs(count - round(count)) <= 4.0 * np.spacing(count):
         count = float(round(count))
 
-    f0 = _windowed_excess(prod1, prod0, min_prods, 0.0, 0.0, epsilon, count)(0.0) / m
+    f0 = (float(np.sum(_membership(prod1, prod0, 0.0, epsilon))) - count) / m
     if f0 < -MEAN_TOL:
         raise UnattainableProportionError(
             f"attainable mass {f0 + p3_star:.8f} below requested p3*={p3_star} "
@@ -177,9 +163,15 @@ def solve_threshold(
     at = min_prods.size - j - 1
     q = float(np.partition(min_prods, at)[at])
     lo, hi = q - 10.0 * epsilon, q + 10.0 * epsilon
+    weights, window = _saturation(min_prods, lo, hi, epsilon)
+    p1, p0 = prod1[window], prod0[window]
+
+    def excess(delta: float) -> float:
+        weights[window] = _smooth_k(p1, p0, delta, epsilon)
+        return float(np.sum(weights)) - count
+
     # regula falsi keeps every iterate in [lo, hi] up to a rounding of
     # hi - lo, far inside the margin by which ndtr saturates before +-40
-    excess = _windowed_excess(prod1, prod0, min_prods, lo, hi, epsilon, count)
     f_lo = excess(lo)
     delta = hi
     f_hi = f = excess(hi)

@@ -24,9 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, EmptyGroupError
+from .estimators import Z95
 from .glm import GlmFit, predict_mean
-
-Z95 = 1.96
 
 
 @dataclass(frozen=True)

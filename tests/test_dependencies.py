@@ -1,4 +1,5 @@
-"""The package imports only the standard library, numpy and scipy."""
+"""The package imports only the standard library, numpy and scipy, and
+catches no exception more broadly than by its class."""
 
 import ast
 import sys
@@ -30,3 +31,40 @@ def test_imports_are_stdlib_numpy_scipy_or_relative(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     foreign = sorted(set(_imported_packages(tree)) - ALLOWED)
     assert not foreign, f"{path.name} imports {foreign}"
+
+
+BROAD = {"Exception", "BaseException"}
+
+
+def _broad_handlers(tree: ast.AST) -> list[int]:
+    """The lines of every bare ``except:`` and every handler naming
+    ``Exception`` or ``BaseException``, alone or in a tuple."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        if node.type is None or any(
+            (isinstance(t, ast.Name) and t.id in BROAD)
+            or (isinstance(t, ast.Attribute) and t.attr in BROAD)
+            for t in caught
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_bare_or_broad_except(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    broad = _broad_handlers(tree)
+    assert not broad, f"{path.name} catches too broadly at lines {broad}"
+
+
+def test_broad_handlers_are_found():
+    tree = ast.parse(
+        "try:\n    pass\nexcept:\n    pass\n"
+        "try:\n    pass\nexcept (ValueError, Exception):\n    pass\n"
+        "try:\n    pass\nexcept builtins.BaseException:\n    pass\n"
+        "try:\n    pass\nexcept ValueError:\n    pass\n"
+    )
+    assert _broad_handlers(tree) == [3, 7, 11]

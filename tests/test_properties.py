@@ -1,9 +1,12 @@
 """Invariance and equivariance of the four estimators and their sandwich
-SEs, over generated cohorts: row order, and for the Gaussian family the
-outcome's location and scale. Each property re-runs the whole pipeline,
-fits and threshold included, on the transformed data."""
+SEs, over generated cohorts: row order, each arm's weight scale, and for
+the Gaussian family the outcome's location and scale. Each property
+re-runs the whole pipeline, fits and threshold included, on the
+transformed data; the weight-scale property keeps the sampling and
+outcome fits, which the known treatment probability does not enter."""
 
 import dataclasses
+import functools
 
 import numpy as np
 from hypothesis import given, settings
@@ -82,3 +85,27 @@ def test_outcome_scale_scales_estimate_and_se(seed, scale):
     np.testing.assert_allclose(scaled[:, 0], scale * base[:, 0], rtol=1e-10)
     np.testing.assert_allclose(scaled[:, 1], abs(scale) * base[:, 1], rtol=1e-10)
 
+
+@functools.cache
+def _fits_for_known_propensity():
+    data, _ = _cohort(0)
+    return data, fit_sampling_score(data), fit_outcome_models(data, GAUSS)
+
+
+def _untrimmed_at(known_probability):
+    """(estimate, se) of ipw and aipw with a known treatment probability."""
+    data, sampling, outcome = _fits_for_known_propensity()
+    propensity = fit_propensity_score(data, known_probability=known_probability)
+    reports = (
+        hajek_ipw(data, sampling, propensity),
+        augmented_ipw(data, sampling, propensity, outcome),
+    )
+    return np.array([(r.estimate, r.se) for r in reports])
+
+
+@PROPERTY
+@given(p=st.floats(min_value=0.05, max_value=0.95))
+def test_arm_weight_scale_leaves_untrimmed_estimate_and_se(p):
+    # a known probability p weighs the treated arm by 1/p and the control
+    # arm by 1/(1 - p), so moving p scales each arm's weights by a constant
+    np.testing.assert_allclose(_untrimmed_at(p), _untrimmed_at(0.5), rtol=1e-12, atol=0.0)
