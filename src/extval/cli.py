@@ -8,13 +8,17 @@ randomness flows from explicit seeds in the configuration; a missing
 seed where one is needed is a configuration error, never a silent
 clock seed.
 
-``load_dataset`` returns the dataset and the CSV's columns by name.
-Exclusion rules (``exclusion_rules``) and the extrapolation filters
+``load_dataset`` reads the CSV a block of rows at a time and parses
+each role cell once, into the dataset's float arrays; it returns the
+dataset and the CSV's columns by name (``CsvColumns``), the role columns
+as those arrays and the others as text. Exclusion rules
+(``exclusion_rules``) and the extrapolation filters
 (``sensitivity.extrapolation.r{1,2}_trial_filter``) are clause lists
 over those named columns, evaluated column-wise by
-``evaluate_raw_rules``; the partition receives the resulting target-row
-mask. Each method name maps to its estimator in one table, which serves
-both the full-sample estimate and every bootstrap replicate.
+``evaluate_raw_rules``, which parses a text column the first time a rule
+reads it; the partition receives the resulting target-row mask. Each
+method name maps to its estimator in one table, which serves both the
+full-sample estimate and every bootstrap replicate.
 
 Exit codes: 0 success, 2 configuration error, 3 data error,
 4 numerical error.
@@ -26,8 +30,10 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import gc
 import json
 import sys
+from itertools import chain, islice
 
 import numpy as np
 
@@ -79,10 +85,29 @@ _METHODS = {
 # ---------------------------------------------------------------------------
 
 class CsvColumns(dict):
-    """A CSV's columns by name, each a tuple of its cells (one per data
-    row), and ``lines``: the file line of each data row, for errors."""
+    """A CSV's columns by name, one entry per data row, and ``lines``: the
+    file line of each data row, for errors.
 
-    lines: np.ndarray
+    A role column holds its float array (a covariate's is a column of the
+    design matrix); every other column holds a tuple of its text, which
+    ``numbers`` parses the first time a rule or filter reads it.
+    """
+
+    def __init__(self, columns, lines: np.ndarray):
+        super().__init__(columns)
+        self.lines, self._parsed = lines, {}
+
+    def numbers(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """Column ``name`` as ``_numbers`` reads it, parsed once."""
+        if name not in self._parsed:
+            cells = self[name]
+            numeric = isinstance(cells, np.ndarray)
+            self._parsed[name] = (cells, np.zeros(cells.size, dtype=bool)) if numeric else _numbers(cells)
+        return self._parsed[name]
+
+
+# data rows read at a time; the text of their role columns lives that long
+BLOCK_ROWS = 4096
 
 
 def load_dataset(path: str, roles: dict) -> tuple[Dataset, CsvColumns]:
@@ -92,45 +117,80 @@ def load_dataset(path: str, roles: dict) -> tuple[Dataset, CsvColumns]:
     "covariates": [columns...]}. Role cells are read as numbers, an empty
     cell as NaN, and the Dataset checks them: treatment and outcome must
     be empty exactly on target rows. Returns the dataset and every CSV
-    column by name so that exclusion rules may reference non-model
-    columns. Blank lines are skipped; every other row must have as many
-    fields as the header. An error in a row names its line in the file.
+    column by name (``CsvColumns``) so that exclusion rules may reference
+    non-model columns. Blank lines are skipped; every other row must have
+    as many fields as the header. Rows are read ``BLOCK_ROWS`` at a time,
+    and each role cell is parsed once, its text dropped with its block.
+    An error in a row names its line in the file: of several faulty rows
+    the first, and in that row a wrong field count before a non-numeric
+    role cell, whose columns are checked in header order.
     """
     for key in ("s", "a", "y", "covariates"):
         if key not in roles:
             raise ConfigError(f"column roles must include {key!r}")
+    needed = [roles["s"], roles["a"], roles["y"], *roles["covariates"]]
+    # the rows hold no reference cycles, so a collection while they are
+    # read finds nothing, yet walks every object the process tracks
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            rows, lines = [], []
-            for row in reader:
-                if row:
-                    rows.append(row)
-                    lines.append(reader.line_num)
+            if header is None:
+                raise DataError(f"{path}: missing header row")
+            missing = [c for c in needed if c not in header]
+            if missing:
+                raise DataError(f"{path}: missing columns {missing}")
+            # name -> (field index, blocks); a repeated name keeps its last
+            # field, as a dict of the header would
+            parts = {name: (j, []) for j, name in enumerate(header)}
+            lines = []
+            numbered = ((reader.line_num, row) for row in reader if row)
+            # each block's rows are dropped before the next is read
+            while block := list(islice(numbered, BLOCK_ROWS)):
+                at, rows = zip(*block)
+                del block
+                lines.append(np.array(at))
+                with _naming_lines(path, lines[-1]):
+                    _parse_block(rows, len(header), parts, needed)
+                del rows
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if header is None:
-        raise DataError(f"{path}: missing header row")
-    needed = [roles["s"], roles["a"], roles["y"], *roles["covariates"]]
-    missing = [c for c in needed if c not in header]
-    if missing:
-        raise DataError(f"{path}: missing columns {missing}")
-    if not rows:
+    finally:
+        if collecting:
+            gc.enable()
+    if not lines:
         raise DataError(f"{path}: no data rows")
-    lines = np.array(lines)
-    with _naming_lines(path, lines):
-        for i, row in enumerate(rows):
-            if len(row) != len(header):
-                raise DataError(f"the header has {len(header)} fields", row=i)
-        columns = CsvColumns(zip(header, zip(*rows)))
-        columns.lines = lines
-        del rows
-        x = np.ones((lines.size, len(roles["covariates"]) + 1))
-        for j, col in enumerate(roles["covariates"]):
-            x[:, j + 1] = _floats(columns[col], col)
-        s, a, y = (_floats(columns[roles[k]], roles[k]) for k in ("s", "a", "y"))
-        return Dataset(s=s, a=a, y=y, x=x), columns
+    for name, (_, blocks) in parts.items():
+        parts[name] = np.concatenate(blocks) if name in needed else tuple(chain.from_iterable(blocks))
+    columns = CsvColumns(parts, np.concatenate(lines))
+    x = np.column_stack([np.ones(columns.lines.size), *(columns[c] for c in roles["covariates"])])
+    columns.update(zip(roles["covariates"], x[:, 1:].T))
+    with _naming_lines(path, columns.lines):
+        return Dataset(*(columns[roles[k]] for k in ("s", "a", "y")), x), columns
+
+
+def _parse_block(rows, width: int, parts: dict, numeric: list):
+    """Append one block of rows to ``parts``: the columns in ``numeric`` as
+    float arrays, the others as tuples of text. The first faulty row is a
+    DataError naming its index in the block."""
+    ragged = np.flatnonzero(np.fromiter(map(len, rows), int, len(rows)) != width)
+    end = int(ragged[0]) if ragged.size else len(rows)
+    faults = [(end, f"the header has {width} fields")] if ragged.size else []
+    # a block whose first row is ragged has no cells to parse
+    cells = list(zip(*rows[:end])) or [()] * width
+    for name, (j, blocks) in parts.items():
+        column = cells[j]
+        if name in numeric:
+            column, bad = _numbers(column)
+            if bad.any():
+                i = int(np.argmax(bad))
+                faults.append((i, f"non-numeric value {cells[j][i].strip()!r} in column {name!r}"))
+        blocks.append(column)
+    if faults:
+        row, message = min(faults, key=lambda fault: fault[0])
+        raise DataError(message, row=row)
 
 
 @contextlib.contextmanager
@@ -145,21 +205,21 @@ def _naming_lines(where: str, lines: np.ndarray):
         raise DataError(f"{where} line {lines[exc.row]}: {exc}") from None
 
 
-def _floats(cells, col: str) -> np.ndarray:
-    """CSV cells as floats, empty cells as NaN; a non-numeric cell is a
-    DataError naming its row."""
-    out = []
-    for i, cell in enumerate(cells):
-        cell = cell.strip()
-        try:
-            value = float(cell) if cell else np.nan
-        except ValueError:
-            value = None
-        # NaN is how an empty cell reads, so a NaN spelled out is not a number
-        if value is None or (cell and value != value):
-            raise DataError(f"non-numeric value {cell!r} in column {col!r}", row=i)
-        out.append(value)
-    return np.array(out)
+def _numbers(cells) -> tuple[np.ndarray, np.ndarray]:
+    """Text cells as (values, nonnumeric_mask). A blank cell reads as NaN;
+    one that is not a number reads as NaN and is marked in the mask, and
+    so is a spelled-out NaN, since NaN is how a blank cell reads."""
+    filled = np.fromiter(map(bool, cells), bool, len(cells))
+    values = np.full(len(cells), np.nan)
+    try:
+        values[filled] = np.fromiter(map(float, filter(None, cells)), float, int(filled.sum()))
+    except ValueError:
+        # a cell of spaces alone, or one that is not a number: cell by cell
+        for i, cell in enumerate(map(str.strip, cells)):
+            filled[i] = bool(cell)
+            with contextlib.suppress(ValueError):
+                values[i] = float(cell) if cell else np.nan
+    return values, filled & np.isnan(values)
 
 
 # ---------------------------------------------------------------------------
@@ -180,21 +240,23 @@ _COMPARATORS = {
 def evaluate_raw_rules(rules: list, columns: dict, mask_rows) -> np.ndarray:
     """Evaluate clause lists on the rows ``mask_rows`` selects.
 
-    ``columns`` maps CSV column names to their cells, as ``load_dataset``
-    returns them; errors name the file line from its ``lines``, or count
-    data rows from line 2 when it has none. Each clause is a list of
+    ``columns`` maps CSV column names to their cells: a ``CsvColumns`` as
+    ``load_dataset`` returns it, whose parsed numbers are shared by every
+    call, or a plain dict of text cells, whose errors count data rows from
+    line 2. Each clause is a list of
     {"var": column name, "op": comparator, "value": number, or a list of
     numbers for "in"}; a row matches when every predicate of at least one
     clause holds. Cells compare numerically and an empty cell reads as
     NaN, which satisfies only "!=". A rule set or clause that is not a
     list, an unknown column or comparator, or a value of the wrong type,
     is a ConfigError; a non-numeric cell in a selected row of a rule
-    column is a DataError.
+    column is a DataError naming its file line.
     """
     if not isinstance(rules, list):
         raise ConfigError(f"exclusion rules {rules!r} are not a list of clauses")
+    if not isinstance(columns, CsvColumns):
+        columns = CsvColumns(columns, np.arange(len(mask_rows)) + 2)
     rows = np.flatnonzero(mask_rows)
-    lines = getattr(columns, "lines", np.arange(len(mask_rows)) + 2)[rows]
     values: dict[str, np.ndarray] = {}
     out = np.zeros(rows.size, dtype=bool)
     for clause in rules:
@@ -211,8 +273,13 @@ def evaluate_raw_rules(rules: list, columns: dict, mask_rows) -> np.ndarray:
                 raise ConfigError(f"exclusion rule references unknown column {var!r}")
             constant = _rule_constant(var, op, value)
             if var not in values:
-                with _naming_lines("CSV", lines):
-                    values[var] = _floats([columns[var][i] for i in rows], var)
+                numbers, bad = columns.numbers(var)
+                bad = rows[bad[rows]]
+                with _naming_lines("CSV", columns.lines):
+                    if bad.size:
+                        cell = columns[var][bad[0]].strip()
+                        raise DataError(f"non-numeric value {cell!r} in column {var!r}", row=bad[0])
+                values[var] = numbers[rows]
             match &= _COMPARATORS[op](values[var], constant)
         out |= match
     return out

@@ -1,8 +1,12 @@
 import csv
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extval import (
     DataError,
@@ -184,6 +188,151 @@ def test_rule_error_names_file_line_past_blank_line(tmp_path):
     with pytest.raises(DataError) as exc:
         evaluate_raw_rules([[{"var": "flag", "op": "==", "value": 1}]], columns, data.target_mask)
     assert "line 5:" in str(exc.value)
+
+
+def test_rule_reads_spelled_out_nan_only_in_selected_rows(tmp_path):
+    # NaN is how a blank cell reads, so a spelled-out nan is no number: it is
+    # rejected, with its line, in a row the rule selects, and never read in
+    # a row it does not select
+    path = tmp_path / "nan.csv"
+    path.write_text("s,a,y,x1,flag\n1,1,2.0,0.1,nan\n0,,,0.2,1\n\n0,,,0.3,NaN\n")
+    data, columns = load_dataset(str(path), {"s": "s", "a": "a", "y": "y", "covariates": ["x1"]})
+    rule = [[{"var": "flag", "op": "==", "value": 1}]]
+    assert evaluate_raw_rules(rule, columns, np.array([False, True, False])).tolist() == [True]
+    for rows, line, cell in ((data.target_mask, 5, "NaN"), (data.trial_mask, 2, "nan")):
+        with pytest.raises(DataError) as exc:
+            evaluate_raw_rules(rule, columns, rows)
+        assert str(exc.value) == f"CSV line {line}: non-numeric value {cell!r} in column 'flag'"
+
+
+# -- block-wise ingest --------------------------------------------------------
+
+BLOCK_SIZES = [1, 3, cli.BLOCK_ROWS]
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**12, 10**12).map(str),
+    st.builds("{}{}{}".format, st.integers(-999, 999), st.sampled_from("eE"), st.integers(-330, 305)),
+)
+# a number as an export may spell it: a "+" sign, padding spaces or tabs
+_CELL = st.builds(
+    lambda pad, plus, number, tail: pad + ("" if number[0] == "-" else plus) + number + tail,
+    st.sampled_from(["", " ", "\t"]), st.sampled_from(["", "+"]), _NUMBER, st.sampled_from(["", " "]),
+)
+# a blank line before, a trial row, spaces in its blank cells, y, x1, note
+_ROW = st.tuples(st.booleans(), st.booleans(), st.sampled_from(["", " "]), _CELL, _CELL, _CELL)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(rows=st.lists(_ROW, min_size=1, max_size=10))
+def test_load_dataset_parses_like_float_bit_for_bit(tmp_path_factory, block, rows):
+    path = tmp_path_factory.mktemp("blocks") / "cells.csv"
+    text, lines, line = ["s,a,y,x1,note"], [], 1
+    for blank, trial, space, y, x1, note in rows:
+        if blank:
+            text.append("")
+            line += 1
+        text.append(f"1,1,{y},{x1},{note}" if trial else f"0,{space},{space},{x1},{note}")
+        line += 1
+        lines.append(line)
+    path.write_text("\n".join(text) + "\n")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "BLOCK_ROWS", block)
+        data, columns = load_dataset(str(path), {"s": "s", "a": "a", "y": "y", "covariates": ["x1"]})
+    trial = [r[1] for r in rows]
+    assert columns.lines.tolist() == lines
+    assert _bits(data.s) == _bits([float(t) for t in trial])
+    assert _bits(data.y) == _bits([float(r[3]) if t else np.nan for r, t in zip(rows, trial)])
+    assert _bits(data.x[:, 1]) == _bits([float(r[4]) for r in rows])
+    # a column no role names stays text until a rule reads it
+    assert columns["note"] == tuple(r[5] for r in rows)
+    values, bad = columns.numbers("note")
+    assert _bits(values) == _bits([float(r[5]) for r in rows]) and not bad.any()
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("fault, message", [
+    ("0,,,0.5", "the header has 5 fields"),
+    ("0,,,0.5,0.6,0.7", "the header has 5 fields"),
+    ("0,,,0.5,abc", "non-numeric value 'abc' in column 'x2'"),
+    ("0,,, nan ,0.6", "non-numeric value 'nan' in column 'x1'"),
+])
+def test_load_dataset_fault_past_first_block_names_its_line(tmp_path, monkeypatch, block, fault, message):
+    # one block and one row of good rows, a blank line, a good row, then
+    # the fault: the blank line and the fault both lie past the first block
+    path = tmp_path / "late.csv"
+    good = "0,,,0.3,0.4\n"
+    path.write_text("s,a,y,x1,x2\n1,1,2.0,0.1,0.2\n" + good * block + "\n" + good + fault + "\n" + good)
+    line = block + 5
+    monkeypatch.setattr(cli, "BLOCK_ROWS", block)
+    with pytest.raises(DataError) as exc:
+        load_dataset(str(path), {"s": "s", "a": "a", "y": "y", "covariates": ["x1", "x2"]})
+    assert str(exc.value) == f"{path} line {line}: {message}"
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("faults, line, message", [
+    # the first faulty row in file order, whatever its kind
+    (["0,,,0.5,abc", "0,,,0.5"], 5, "non-numeric value 'abc' in column 'x2'"),
+    (["0,,,0.5", "0,,,0.5,abc"], 5, "the header has 5 fields"),
+    (["x,,,0.5,0.6", "0,,,abc,0.6"], 5, "non-numeric value 'x' in column 's'"),
+    # within a row, a field count first, then columns in header order
+    (["0,,,abc", "0,,,0.5"], 5, "the header has 5 fields"),
+    (["0,,,abc,def", "0,,,0.5"], 5, "non-numeric value 'abc' in column 'x1'"),
+    (["0,,,0.5,0.6", "0,,,abc,def"], 6, "non-numeric value 'abc' in column 'x1'"),
+])
+def test_load_dataset_reports_first_fault(tmp_path, monkeypatch, block, faults, line, message):
+    path = tmp_path / "faults.csv"
+    path.write_text("s,a,y,x1,x2\n1,1,2.0,0.1,0.2\n0,,,0.3,0.4\n\n" + "\n".join(faults) + "\n")
+    monkeypatch.setattr(cli, "BLOCK_ROWS", block)
+    with pytest.raises(DataError) as exc:
+        load_dataset(str(path), {"s": "s", "a": "a", "y": "y", "covariates": ["x1", "x2"]})
+    assert str(exc.value) == f"{path} line {line}: {message}"
+
+
+def test_load_dataset_leaves_the_collector_as_it_found_it(tmp_path, fixture_csv):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("selected,treat,outcome,x1,x2\n0,,,abc,0.1\n")
+    roles = {"s": "selected", "a": "treat", "y": "outcome", "covariates": ["x1", "x2"]}
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            load_dataset(str(fixture_csv), roles)
+            assert gc.isenabled() == enabled
+            with pytest.raises(DataError):
+                load_dataset(str(bad), roles)
+            assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+
+
+def test_load_dataset_memory_is_a_few_times_its_arrays(tmp_path):
+    # a registry-style export of about 20k rows, every value at full
+    # precision; parsing must not hold the file's text
+    rng = np.random.default_rng(23)
+    n = 20_000
+    trial = rng.random(n) < 0.1
+    x = rng.standard_normal((n, 4))
+    flag = (rng.random(n) < 0.01).astype(int)
+    lines = ["s,a,y,x1,x2,x3,x4,ineligible"]
+    for i in range(n):
+        ay = f"{int(rng.random() < 0.5)},{rng.standard_normal()!r}" if trial[i] else ","
+        lines.append(f"{int(trial[i])},{ay},{','.join(map(repr, x[i].tolist()))},{flag[i]}")
+    path = tmp_path / "registry.csv"
+    path.write_text("\n".join(lines) + "\n")
+    roles = {"s": "s", "a": "a", "y": "y", "covariates": ["x1", "x2", "x3", "x4"]}
+    tracemalloc.start()
+    try:
+        data, _ = load_dataset(str(path), roles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(getattr(data, name).nbytes for name in ("s", "a", "y", "x"))
+    assert peak <= 4 * arrays, f"peak {peak} bytes against {arrays} bytes of arrays"
 
 
 def test_analyze_report_contents(fixture_csv):

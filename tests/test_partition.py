@@ -16,8 +16,8 @@ from extval import (
     solve_threshold,
 )
 from extval import partition
-from extval.cli import evaluate_raw_rules
-from extval.partition import MEAN_TOL, _membership, _smooth_k
+from extval.cli import evaluate_raw_rules, load_dataset
+from extval.partition import MEAN_TOL, _membership, _saturation, _smooth_k
 
 # the generating process's exclusion over named columns: the flag or x4 at its cut
 RULE_E_OR_X4 = [
@@ -52,6 +52,28 @@ def test_exclusion_rule_matches_direct_mask():
     sampling, propensity = _fits_for(6)
     part = partition_population(data, sampling, propensity, mask, 0.5)
     assert np.array_equal(part.r1_mask, mask)
+
+
+def test_rule_engine_reads_loaded_and_text_columns_alike(tmp_path):
+    # the same cohort as load_dataset's parsed columns and as plain text cells
+    rng = np.random.default_rng(22)
+    n1, n2 = 60, 540
+    x = np.column_stack([np.ones(n1 + n2), 1.5 * rng.standard_normal((n1 + n2, 4)),
+                         (rng.random(n1 + n2) < 0.05).astype(float)])
+    s = np.r_[np.ones(n1), np.zeros(n2)]
+    lines = ["s,a,y,x1,x2,x3,x4,flag"]
+    for i in range(n1 + n2):
+        ay = f"{i % 2},{rng.standard_normal()!r}" if s[i] else ","
+        lines.append(f"{int(s[i])},{ay}," + ",".join(repr(float(v)) for v in x[i, 1:5]) + f",{int(x[i, 5])}")
+    path = tmp_path / "cohort.csv"
+    path.write_text("\n".join(lines) + "\n")
+    data, loaded = load_dataset(str(path), {"s": "s", "a": "a", "y": "y", "covariates": ["x1", "x2", "x3", "x4"]})
+    text = _columns(x, ["one", "x1", "x2", "x3", "x4", "flag"])
+    for rows in (data.target_mask, data.trial_mask):
+        mask = evaluate_raw_rules(RULE_E_OR_X4, loaded, rows)
+        assert np.array_equal(mask, evaluate_raw_rules(RULE_E_OR_X4, text, rows))
+        assert np.array_equal(mask, ((x[:, 5] == 1.0) | (x[:, 4] >= 3.0))[rows])
+    assert evaluate_raw_rules(RULE_E_OR_X4, loaded, data.target_mask).any()
 
 
 def test_empty_rule_excludes_nothing():
@@ -119,6 +141,28 @@ def test_membership_is_smooth_k_bit_for_bit():
     for scale in (eps, 5e-5):
         got = _membership(prod1, prod0, delta, scale)
         assert got.tobytes() == _smooth_k(prod1, prod0, delta, scale).tobytes()
+
+
+def test_saturation_window_smooths_rows_short_of_saturation():
+    # min products 5 to 8 scales outside either end of a bracket, where ndtr
+    # is not yet exactly 0 or 1 at that end: _saturation must leave them to
+    # be smoothed, so that its weights equal _smooth_k over all rows
+    rng = np.random.default_rng(10)
+    q, eps = 0.3, 1e-8
+    lo, hi = q - 10.0 * eps, q + 10.0 * eps
+    near = rng.uniform(5.0, 8.0, 200) * eps
+    min_prods = np.concatenate([
+        hi + near, lo - near, rng.uniform(lo, hi, 50), [hi + 40.0 * eps, lo - 40.0 * eps],
+    ])
+    other = min_prods + rng.uniform(0.0, 3.0, min_prods.size) * eps
+    swap = rng.random(min_prods.size) < 0.5
+    prod1, prod0 = np.where(swap, other, min_prods), np.where(swap, min_prods, other)
+    for delta in (lo, hi, q, *rng.uniform(lo, hi, 5)):
+        weights, window = _saturation(np.minimum(prod1, prod0), lo, hi, eps)
+        weights[window] = _smooth_k(prod1[window], prod0[window], delta, eps)
+        full = _smooth_k(prod1, prod0, delta, eps)
+        assert weights.tobytes() == full.tobytes()
+        assert np.sum(weights) == np.sum(full)
 
 
 def test_solve_threshold_matches_sort_quantile_oracle():
