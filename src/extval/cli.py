@@ -85,17 +85,17 @@ _METHODS = {
 # ---------------------------------------------------------------------------
 
 class CsvColumns(dict):
-    """A CSV's columns by name, one entry per data row, and ``lines``: the
-    file line of each data row, for errors.
+    """A CSV's columns by name, one entry per data row; ``lines``, the file
+    line of each data row, and ``path``, the file's name, for errors.
 
     A role column holds its float array (a covariate's is a column of the
     design matrix); every other column holds a tuple of its text, which
     ``numbers`` parses the first time a rule or filter reads it.
     """
 
-    def __init__(self, columns, lines: np.ndarray):
+    def __init__(self, columns, lines: np.ndarray, path: str = "CSV"):
         super().__init__(columns)
-        self.lines, self._parsed = lines, {}
+        self.lines, self.path, self._parsed = lines, path, {}
 
     def numbers(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """Column ``name`` as ``_numbers`` reads it, parsed once."""
@@ -118,9 +118,10 @@ def load_dataset(path: str, roles: dict) -> tuple[Dataset, CsvColumns]:
     cell as NaN, and the Dataset checks them: treatment and outcome must
     be empty exactly on target rows. Returns the dataset and every CSV
     column by name (``CsvColumns``) so that exclusion rules may reference
-    non-model columns. Blank lines are skipped; every other row must have
-    as many fields as the header. Rows are read ``BLOCK_ROWS`` at a time,
-    and each role cell is parsed once, its text dropped with its block.
+    non-model columns, so a header that repeats a name is a DataError.
+    Blank lines are skipped; every other row must have as many fields as
+    the header. Rows are read ``BLOCK_ROWS`` at a time, and each role cell
+    is parsed once, its text dropped with its block.
     An error in a row names its line in the file: of several faulty rows
     the first, and in that row a wrong field count before a non-numeric
     role cell, whose columns are checked in header order.
@@ -142,8 +143,10 @@ def load_dataset(path: str, roles: dict) -> tuple[Dataset, CsvColumns]:
             missing = [c for c in needed if c not in header]
             if missing:
                 raise DataError(f"{path}: missing columns {missing}")
-            # name -> (field index, blocks); a repeated name keeps its last
-            # field, as a dict of the header would
+            repeated = sorted({c for c in header if header.count(c) > 1})
+            if repeated:
+                raise DataError(f"{path}: repeated column names {repeated}")
+            # name -> (field index, blocks)
             parts = {name: (j, []) for j, name in enumerate(header)}
             lines = []
             numbered = ((reader.line_num, row) for row in reader if row)
@@ -164,7 +167,7 @@ def load_dataset(path: str, roles: dict) -> tuple[Dataset, CsvColumns]:
         raise DataError(f"{path}: no data rows")
     for name, (_, blocks) in parts.items():
         parts[name] = np.concatenate(blocks) if name in needed else tuple(chain.from_iterable(blocks))
-    columns = CsvColumns(parts, np.concatenate(lines))
+    columns = CsvColumns(parts, np.concatenate(lines), path)
     x = np.column_stack([np.ones(columns.lines.size), *(columns[c] for c in roles["covariates"])])
     columns.update(zip(roles["covariates"], x[:, 1:].T))
     with _naming_lines(path, columns.lines):
@@ -242,14 +245,14 @@ def evaluate_raw_rules(rules: list, columns: dict, mask_rows) -> np.ndarray:
 
     ``columns`` maps CSV column names to their cells: a ``CsvColumns`` as
     ``load_dataset`` returns it, whose parsed numbers are shared by every
-    call, or a plain dict of text cells, whose errors count data rows from
-    line 2. Each clause is a list of
-    {"var": column name, "op": comparator, "value": number, or a list of
-    numbers for "in"}; a row matches when every predicate of at least one
-    clause holds. Cells compare numerically and an empty cell reads as
-    NaN, which satisfies only "!=". A rule set or clause that is not a
-    list, an unknown column or comparator, or a value of the wrong type,
-    is a ConfigError; a non-numeric cell in a selected row of a rule
+    call and whose errors name its file, or a plain dict of text cells,
+    whose errors name ``CSV`` and count data rows from line 2. Each clause
+    is a list of {"var": column name, "op": comparator, "value": number, or
+    a list of numbers for "in"}; a row matches when every predicate of at
+    least one clause holds. Cells compare numerically and an empty cell
+    reads as NaN, which satisfies only "!=". A rule set or clause that is
+    not a list, an unknown column or comparator, or a value of the wrong
+    type, is a ConfigError; a non-numeric cell in a selected row of a rule
     column is a DataError naming its file line.
     """
     if not isinstance(rules, list):
@@ -275,7 +278,7 @@ def evaluate_raw_rules(rules: list, columns: dict, mask_rows) -> np.ndarray:
             if var not in values:
                 numbers, bad = columns.numbers(var)
                 bad = rows[bad[rows]]
-                with _naming_lines("CSV", columns.lines):
+                with _naming_lines(columns.path, columns.lines):
                     if bad.size:
                         cell = columns[var][bad[0]].strip()
                         raise DataError(f"non-numeric value {cell!r} in column {var!r}", row=bad[0])

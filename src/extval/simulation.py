@@ -12,7 +12,12 @@ excluded rows.
 The study harness replays the full fit / partition / estimate /
 sensitivity pipeline over many replications, scores bias, MSE, SD and
 coverage against a Monte Carlo truth, and is deterministic for a given
-master seed no matter how many workers execute it.
+master seed no matter how many workers execute it. The truth and the
+efficiency bound draw covariates in chunks of at most 1M rows, the nominal
+trial size in one chunk; each chunk is evaluated ``MC_BLOCK`` rows at a
+time, so the temporaries stay in cache. Each row's arithmetic and each sum
+are those of the whole chunk, so the results are bit-identical to
+evaluating the chunk at once.
 """
 
 from __future__ import annotations
@@ -137,7 +142,9 @@ def true_tau_oracle(config: DgpConfig, mc_draws: int = 4_000_000, seed: int = 1_
     Draws covariates and averages the conditional effect with weight
     equal to each draw's nonparticipation probability, which targets
     the same expectation as averaging realized potential-outcome
-    differences among nonparticipant draws with less noise.
+    differences among nonparticipant draws with less noise. Rows are
+    evaluated ``MC_BLOCK`` at a time (``_blocks``) into one array per
+    1M-draw chunk, so one chunk's draws, about 56 MB, are held at once.
     """
     if mc_draws < 1:
         raise ConfigError("mc_draws must be positive")
@@ -145,10 +152,11 @@ def true_tau_oracle(config: DgpConfig, mc_draws: int = 4_000_000, seed: int = 1_
     total = 0.0
     weight = 0.0
     for chunk in _chunks(mc_draws, 1_000_000):
-        x, e, excl = _covariates(config, rng, chunk)
-        p_s = expit(x @ np.asarray(config.beta)) * ~excl
-        w = 1.0 - p_s
-        total += float(np.sum(_cate(config, x, e) * w))
+        w, cw = np.empty(chunk), np.empty(chunk)
+        for rows, x, e, excl in _blocks(config, rng, chunk):
+            w[rows] = 1.0 - expit(x @ np.asarray(config.beta)) * ~excl
+            cw[rows] = _cate(config, x, e) * w[rows]
+        total += float(np.sum(cw))
         weight += float(np.sum(w))
     return total / weight
 
@@ -157,6 +165,27 @@ def _chunks(total: int, size: int):
     while total > 0:
         yield min(total, size)
         total -= size
+
+
+# rows of a Monte Carlo block; a multiple of 16, so that BLAS groups the rows
+# of a block's gemv as it would the whole chunk's (sweep in CHANGES.md)
+MC_BLOCK = 8192
+
+
+def _blocks(config: DgpConfig, rng: np.random.Generator, m: int):
+    """``m`` draws of the covariate law, taken from ``rng`` as
+    ``_covariates`` takes them, as blocks of ``MC_BLOCK`` rows: (row slice,
+    x, e, excl), with x a view of one buffer that the next block reuses."""
+    z = rng.standard_normal((m, config.q - 1))
+    u = rng.random(m)
+    buffer = np.ones((MC_BLOCK, config.q))
+    for start in range(0, m, MC_BLOCK):
+        rows = slice(start, min(start + MC_BLOCK, m))
+        x = buffer[: rows.stop - start]
+        x[:, 1:] = z[rows]
+        e = u[rows] < config.e_prob
+        excl = e | (x[:, -1] >= config.x4_cut) if config.exclusions else np.zeros(e.size, dtype=bool)
+        yield rows, x, e, excl
 
 
 def calibrate_intercept(
@@ -408,8 +437,9 @@ def run_study(config: StudyConfig, n_jobs: int = 1) -> StudyReport:
 
 def _nominal_trial_size(config: DgpConfig, draws: int = 400_000, seed: int = 777_001) -> int:
     rng = np.random.default_rng(seed)
-    x, _, excl = _covariates(config, rng, draws)
-    p = expit(x @ np.asarray(config.beta)) * ~excl
+    p = np.empty(draws)
+    for rows, x, _, excl in _blocks(config, rng, draws):
+        p[rows] = expit(x @ np.asarray(config.beta)) * ~excl
     return int(round(config.n_total * float(np.mean(p))))
 
 
@@ -425,6 +455,9 @@ def efficiency_bound_mc(config: DgpConfig, mc_draws: int = 2_000_000, seed: int 
     divergence warning when any sampled score product falls below 1e-6,
     since the bound blows up as score products approach zero. Scaled for
     the pooled observed sample: Var(estimator) ~ bound / (n1 + n2).
+    Rows are evaluated ``MC_BLOCK`` at a time; of each 1M-draw chunk only
+    h, the selection probability, the effect and the variance term are
+    kept for the second pass, 32 MB per chunk.
     """
     if config.exclusions:
         raise ConfigError("efficiency bound requires a configuration without exclusions")
@@ -437,26 +470,29 @@ def efficiency_bound_mc(config: DgpConfig, mc_draws: int = 2_000_000, seed: int 
     tau_den = 0.0
     draws = []
     for chunk in _chunks(mc_draws, 1_000_000):
-        x, e, _ = _covariates(config, rng, chunk)
-        p = expit(x @ np.asarray(config.beta))
-        sel = p + config.subsample_rate * (1.0 - p)   # P(selected | X)
-        h = p / sel
-        cate = _cate(config, x, e)
-        draws.append((h, sel, cate, x, e))
-        tau_num += float(np.sum(cate * (1.0 - p)))
-        tau_den += float(np.sum(1.0 - p))
+        h, sel, cate, var, w, cw = (np.empty(chunk) for _ in range(6))
+        for rows, x, e, _ in _blocks(config, rng, chunk):
+            p = expit(x @ np.asarray(config.beta))
+            w[rows] = 1.0 - p
+            sel[rows] = p + config.subsample_rate * w[rows]   # P(selected | X)
+            h[rows] = p / sel[rows]
+            cate[rows] = _cate(config, x, e)
+            if config.outcome_family is GlmFamily.BERNOULLI_LOGIT:
+                mu1, mu0 = _outcome_means(config, x, e)
+                s1 = expit(mu1) * (1.0 - expit(mu1))
+                s0 = expit(mu0) * (1.0 - expit(mu0))
+            else:
+                s1 = s0 = 1.0
+            var[rows] = ((1.0 - h[rows]) ** 2 / h[rows]) * (s1 / e1 + s0 / e0)
+            cw[rows] = cate[rows] * w[rows]
+        draws.append((h, sel, cate, var))
+        tau_num += float(np.sum(cw))
+        tau_den += float(np.sum(w))
     tau = tau_num / tau_den
     min_prod = np.inf
-    for h, sel, cate, x, e in draws:
+    for h, sel, cate, var in draws:
         min_prod = min(min_prod, float(np.min(h)) * min(e1, e0))
-        if config.outcome_family is GlmFamily.BERNOULLI_LOGIT:
-            mu1, mu0 = _outcome_means(config, x, e)
-            s1 = expit(mu1) * (1.0 - expit(mu1))
-            s0 = expit(mu0) * (1.0 - expit(mu0))
-        else:
-            s1 = 1.0
-            s0 = 1.0
-        integrand = ((1.0 - h) ** 2 / h) * (s1 / e1 + s0 / e0) + (1.0 - h) * (cate - tau) ** 2
+        integrand = var + (1.0 - h) * (cate - tau) ** 2
         num += float(np.sum(integrand * sel))
         den += float(np.sum(sel))
     if min_prod < 1e-6:

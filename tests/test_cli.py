@@ -110,6 +110,15 @@ def test_load_dataset_missing_column(tmp_path):
     assert "missing columns" in str(exc.value)
 
 
+def test_load_dataset_rejects_repeated_column_name(tmp_path):
+    # with two fields named x1, either could be the covariate the config means
+    path = tmp_path / "twice.csv"
+    path.write_text("s,a,y,x1,x1\n1,1,2.0,0.5,5.0\n0,,,0.25,6.0\n")
+    with pytest.raises(DataError) as exc:
+        load_dataset(str(path), {"s": "s", "a": "a", "y": "y", "covariates": ["x1"]})
+    assert str(exc.value) == f"{path}: repeated column names ['x1']"
+
+
 def test_load_dataset_wide_indicator_file(tmp_path):
     # registry-style export: many pre-encoded 0/1 indicator columns
     rng = np.random.default_rng(3)
@@ -202,7 +211,13 @@ def test_rule_reads_spelled_out_nan_only_in_selected_rows(tmp_path):
     for rows, line, cell in ((data.target_mask, 5, "NaN"), (data.trial_mask, 2, "nan")):
         with pytest.raises(DataError) as exc:
             evaluate_raw_rules(rule, columns, rows)
-        assert str(exc.value) == f"CSV line {line}: non-numeric value {cell!r} in column 'flag'"
+        assert str(exc.value) == f"{path} line {line}: non-numeric value {cell!r} in column 'flag'"
+
+
+def test_rule_error_on_plain_dict_names_csv_and_counts_from_line_2():
+    with pytest.raises(DataError) as exc:
+        evaluate_raw_rules([[{"var": "flag", "op": "==", "value": 1}]], {"flag": ("1", "x")}, [True, True])
+    assert str(exc.value) == "CSV line 3: non-numeric value 'x' in column 'flag'"
 
 
 # -- block-wise ingest --------------------------------------------------------

@@ -1,7 +1,11 @@
-"""The package imports only the standard library, numpy and scipy, and
-catches no exception more broadly than by its class."""
+"""The package imports only the standard library, numpy and scipy, never
+loads scipy.optimize, and catches no exception more broadly than by its
+class."""
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -68,3 +72,23 @@ def test_broad_handlers_are_found():
         "try:\n    pass\nexcept ValueError:\n    pass\n"
     )
     assert _broad_handlers(tree) == [3, 7, 11]
+
+
+def test_simulate_never_loads_scipy_optimize(tmp_path):
+    # scipy.optimize adds tens of MB of peak RSS and a quarter second to
+    # every process that imports it; the package must not pull it in
+    config = tmp_path / "simulate.json"
+    config.write_text(json.dumps({
+        "schema_version": 1, "seed": 3, "sizes": [20_000], "replications": 1,
+        "p3_star": [0.8], "methods": ["ipw"], "assumptions": ["epd"], "oracle_draws": 1_000,
+    }))
+    script = (
+        "import json, sys\n"
+        "import extval, extval.cli\n"
+        f"extval.cli.cmd_simulate(json.load(open({str(config)!r})))\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

@@ -1,5 +1,10 @@
+import functools
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from extval import (
     ConfigError,
@@ -14,6 +19,7 @@ from extval import (
     run_study,
     true_tau_oracle,
 )
+from extval import simulation
 
 GAUSS = GlmFamily.GAUSSIAN_IDENTITY
 BERN = GlmFamily.BERNOULLI_LOGIT
@@ -230,3 +236,140 @@ def test_replication_block_counts_only_numerical_failures(monkeypatch, error, pr
     else:
         result = simulation._replication(cfg, 0)
         assert isinstance(result, error)
+
+
+# -- the Monte Carlo truth, evaluated in blocks -------------------------------
+# References: the oracle, the nominal trial size and the efficiency bound as
+# they were before their rows were blocked, each evaluating whole chunks.
+
+@functools.lru_cache(maxsize=None)
+def _reference_oracle(config, mc_draws, seed=1_234_567):
+    rng = np.random.default_rng(seed)
+    total = 0.0
+    weight = 0.0
+    for chunk in simulation._chunks(mc_draws, 1_000_000):
+        x, e, excl = simulation._covariates(config, rng, chunk)
+        p_s = expit(x @ np.asarray(config.beta)) * ~excl
+        w = 1.0 - p_s
+        total += float(np.sum(simulation._cate(config, x, e) * w))
+        weight += float(np.sum(w))
+    return total / weight
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_nominal_trial_size(config, draws, seed=777_001):
+    rng = np.random.default_rng(seed)
+    x, _, excl = simulation._covariates(config, rng, draws)
+    p = expit(x @ np.asarray(config.beta)) * ~excl
+    return int(round(config.n_total * float(np.mean(p))))
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_efficiency_bound(config, mc_draws, seed=9_090):
+    rng = np.random.default_rng(seed)
+    e1 = config.treatment_prob
+    e0 = 1.0 - e1
+    num = 0.0
+    den = 0.0
+    tau_num = 0.0
+    tau_den = 0.0
+    draws = []
+    for chunk in simulation._chunks(mc_draws, 1_000_000):
+        x, e, _ = simulation._covariates(config, rng, chunk)
+        p = expit(x @ np.asarray(config.beta))
+        sel = p + config.subsample_rate * (1.0 - p)
+        h = p / sel
+        cate = simulation._cate(config, x, e)
+        draws.append((h, sel, cate, x, e))
+        tau_num += float(np.sum(cate * (1.0 - p)))
+        tau_den += float(np.sum(1.0 - p))
+    tau = tau_num / tau_den
+    for h, sel, cate, x, e in draws:
+        if config.outcome_family is GlmFamily.BERNOULLI_LOGIT:
+            mu1, mu0 = simulation._outcome_means(config, x, e)
+            s1 = expit(mu1) * (1.0 - expit(mu1))
+            s0 = expit(mu0) * (1.0 - expit(mu0))
+        else:
+            s1 = 1.0
+            s0 = 1.0
+        integrand = ((1.0 - h) ** 2 / h) * (s1 / e1 + s0 / e0) + (1.0 - h) * (cate - tau) ** 2
+        num += float(np.sum(integrand * sel))
+        den += float(np.sum(sel))
+    q0 = 1.0 - float(np.sum([np.sum(h * sel) for h, sel, *_ in draws])) / den
+    return (num / den) / q0 ** 2
+
+
+# n_total 2**80 scales the mean participation exactly to an integer, so the
+# nominal trial size carries every bit of it
+_MC_CONFIGS = [
+    DgpConfig(n_total=2**80, outcome_family=family, exclusions=exclusions)
+    for family in (GAUSS, BERN)
+    for exclusions in (True, False)
+]
+_MC_DRAWS = [1, 15, 17, "block-1", "block+1", 1_000_003, 2_000_001]
+
+
+def _draw_count(draws):
+    offsets = {"block-1": -1, "block+1": 1}
+    return simulation.MC_BLOCK + offsets[draws] if draws in offsets else draws
+
+
+@pytest.mark.parametrize("block", [16, None], ids=["block16", "default"])
+@pytest.mark.parametrize("draws", _MC_DRAWS, ids=str)
+@pytest.mark.parametrize(
+    "config", _MC_CONFIGS,
+    ids=lambda c: f"{c.outcome_family.name}-{'excl' if c.exclusions else 'noexcl'}",
+)
+def test_blocked_truth_is_bit_identical_to_whole_chunks(monkeypatch, config, draws, block):
+    if block is not None:
+        monkeypatch.setattr(simulation, "MC_BLOCK", block)
+    draws = _draw_count(draws)
+    assert true_tau_oracle(config, draws).hex() == _reference_oracle(config, draws).hex()
+    nominal = simulation._nominal_trial_size(config, draws)
+    assert nominal == _reference_nominal_trial_size(config, draws)
+
+
+@pytest.mark.parametrize("block", [16, None], ids=["block16", "default"])
+@pytest.mark.parametrize("draws", [1, 17, "block+1", 2_000_001], ids=str)
+@pytest.mark.parametrize("family", [GAUSS, BERN], ids=lambda f: f.name)
+def test_blocked_efficiency_bound_is_bit_identical(monkeypatch, family, draws, block):
+    if block is not None:
+        monkeypatch.setattr(simulation, "MC_BLOCK", block)
+    draws = _draw_count(draws)
+    config = DgpConfig(outcome_family=family, exclusions=False)
+    with warnings.catch_warnings():
+        # the default participation model samples score products below 1e-6
+        warnings.simplefilter("ignore", RuntimeWarning)
+        blocked = efficiency_bound_mc(config, draws)
+        reference = _reference_efficiency_bound(config, draws)
+    assert blocked.hex() == reference.hex()
+
+
+def test_mc_block_is_a_multiple_of_16():
+    assert simulation.MC_BLOCK > 0 and simulation.MC_BLOCK % 16 == 0
+
+
+def _peak_mb(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_oracle_holds_one_chunk_of_draws():
+    # one 1M-draw chunk: 32 MB of normals, 8 MB of uniforms and two
+    # chunk-length arrays; whole-chunk arithmetic peaked at 131.6 MB
+    peak = _peak_mb(true_tau_oracle, DgpConfig(outcome_family=BERN), 4_000_000)
+    assert peak <= 64, f"peak {peak:.1f} MB"
+
+
+def test_efficiency_bound_keeps_only_what_its_second_pass_reads():
+    # kept: h, sel, cate and the variance term, 32 MB per 1M-draw chunk;
+    # keeping each chunk's design matrix too peaked at 193.6 MB
+    config = DgpConfig(outcome_family=BERN, exclusions=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        peak = _peak_mb(efficiency_bound_mc, config, 2_000_000)
+    assert peak <= 120, f"peak {peak:.1f} MB"
