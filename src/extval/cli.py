@@ -474,10 +474,10 @@ def _extrapolations(config, data, columns, family, outcome, partition):
     filters = sens.get("extrapolation", {}) if isinstance(sens, dict) else {}
     if not isinstance(filters, dict):
         raise ConfigError(f"sensitivity.extrapolation {filters!r} is not an object of trial filters")
-    x_target = data.x[data.target_mask]
+    x_target = data.x.compress(data.target_mask, axis=0)
     zeta = {}
     for group, label in ((1, "zeta1"), (2, "zeta2")):
-        rows = x_target[partition.labels == group]
+        rows = x_target.compress(partition.labels == group, axis=0)
         if rows.shape[0] == 0:
             return None
         fits = outcome
@@ -552,6 +552,8 @@ def cmd_simulate(config: dict, threads: int = 1) -> str:
     family = _family(config.get("outcome_family", "gaussian"))
     sizes = config.get("sizes", [100_000])
     chunks = []
+    # the truth does not read n_total, so the first size's serves them all
+    true_tau = None
     for n_total in sizes:
         dgp = DgpConfig(n_total=int(n_total), outcome_family=family)
         study = StudyConfig(
@@ -563,7 +565,8 @@ def cmd_simulate(config: dict, threads: int = 1) -> str:
             master_seed=int(config["seed"]),
             oracle_draws=int(config.get("oracle_draws", 4_000_000)),
         )
-        report = run_study(study, n_jobs=max(1, threads))
+        report = run_study(study, n_jobs=max(1, threads), true_tau=true_tau)
+        true_tau = report.true_tau
         print(
             f"simulate n_total={study.dgp.n_total}: "
             f"{report.failures}/{report.replications} replications failed",

@@ -9,6 +9,7 @@ index works across both samples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,21 +69,23 @@ class Dataset:
     def q(self) -> int:
         return self.x.shape[1]
 
-    @property
+    # the masks and counts are computed once per dataset; the masks are
+    # read-only, since every caller shares them
+    @cached_property
     def trial_mask(self) -> np.ndarray:
-        return self.s == 1
+        return _read_only(self.s == 1)
 
-    @property
+    @cached_property
     def target_mask(self) -> np.ndarray:
-        return self.s == 0
+        return _read_only(self.s == 0)
 
-    @property
+    @cached_property
     def n1(self) -> int:
-        return int(np.sum(self.s == 1))
+        return int(np.count_nonzero(self.trial_mask))
 
-    @property
+    @cached_property
     def n2(self) -> int:
-        return int(np.sum(self.s == 0))
+        return int(np.count_nonzero(self.target_mask))
 
     def require_both_samples(self):
         """Estimation entry points need at least one row of each sample."""
@@ -92,14 +95,25 @@ class Dataset:
     def subset(self, idx: np.ndarray) -> "Dataset":
         """Row-indexed subset (used by the stratified bootstrap).
 
-        ``idx`` is a 1-d index array or boolean mask. Every row it selects
-        passed ``__post_init__`` in this dataset, so the subset is built
-        without running those checks again.
+        ``idx`` is a 1-d array of row indices, repeats allowed, or a boolean
+        mask over the rows, which selects the rows where it is true. Every
+        row it selects passed ``__post_init__`` in this dataset, so the
+        subset is built without running those checks again.
         """
+        idx = np.asarray(idx)
+        if idx.dtype == bool:
+            if idx.shape != (self.n,):
+                raise DimensionError(f"mask of shape {idx.shape} does not match {self.n} rows")
+            idx = np.flatnonzero(idx)
         sub = object.__new__(Dataset)
         for name in ("s", "a", "y", "x"):
-            object.__setattr__(sub, name, getattr(self, name)[idx])
+            object.__setattr__(sub, name, getattr(self, name).take(idx, axis=0))
         return sub
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def make_dataset(

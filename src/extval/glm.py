@@ -6,8 +6,12 @@ outcome regressions.
 
 Only the two links the pipeline needs are implemented: logit for
 Bernoulli responses and identity for Gaussian responses. The Bernoulli
-solver is Newton's method with step-halving on the log-likelihood
-(iteratively reweighted least squares); the Gaussian fit is the exact
+solver is Newton's method (iteratively reweighted least squares) with
+step-halving. The log-likelihood is concave, so where its slope along a
+step is still nonnegative at the trial point it did not fall anywhere on
+the step: that point is accepted on its score alone. Only otherwise are
+log-likelihoods computed and compared, and a trial point where the
+log-likelihood fell is halved. The Gaussian fit is the exact
 normal-equation solution.
 
 A Bernoulli fit starts at zero unless it is given a ``start``. The
@@ -94,7 +98,10 @@ def fit_glm(
     ``start`` is the coefficient vector Newton's method starts from (zero
     when None); the exact Gaussian solution needs none and ignores it.
     Convergence means the score (log-likelihood gradient) has max-norm
-    at most 1e-8. Bernoulli fits whose coefficients leave [-30, 30]
+    at most 1e-8. A Newton step is halved until the score at its end has
+    a nonnegative inner product with it or, failing that, the
+    log-likelihood did not fall by more than 1e-12; the reported
+    log-likelihood is computed once, at the final point. Bernoulli fits whose coefficients leave [-30, 30]
     raise SeparationError whether or not the gradient test passes:
     separation can satisfy it once probabilities saturate, and the
     downstream inverse-probability weights would overflow either way.
@@ -121,16 +128,16 @@ def fit_glm(
         ll = -0.5 * n * (np.log(2.0 * np.pi * sigma2) + 1.0)
         return GlmFit(coef, family, True, 1, ll)
 
-    # coef, its linear predictor eta and the log-likelihood ll always
-    # describe the same point
+    # coef, its linear predictor eta, mean p and score g always describe the
+    # same point; its log-likelihood ll is computed only once a step needs it
     coef = np.zeros(q) if start is None else start
     eta = x @ coef
-    ll = _bernoulli_loglik(eta, y)
+    p = expit(eta)
+    g = x.T @ (y - p)
+    ll = None
     converged = False
     steps = 0
     while True:
-        p = expit(eta)
-        g = x.T @ (y - p)
         if np.max(np.abs(g)) <= SCORE_TOL:
             converged = True
             break
@@ -144,17 +151,26 @@ def fit_glm(
             raise SingularInformationError("singular information matrix in logistic fit")
         if not np.all(np.isfinite(step)):
             raise SingularInformationError("non-finite Newton step in logistic fit")
-        # step-halving: never accept a likelihood decrease; when 40
-        # halvings all decrease it, the fit stops where it is, unconverged
+        # step-halving: accept a trial point where the slope along the step is
+        # nonnegative (by concavity the log-likelihood did not fall on the
+        # step), or else where the log-likelihood did not fall; when 40
+        # halvings all fail both, the fit stops where it is, unconverged
         for t in 0.5 ** np.arange(40):
             new_coef = coef + t * step
             new_eta = x @ new_coef
+            new_p = expit(new_eta)
+            new_g = x.T @ (y - new_p)
+            new_ll = None
+            if new_g @ step >= 0.0:
+                break
+            if ll is None:
+                ll = _bernoulli_loglik(eta, y)
             new_ll = _bernoulli_loglik(new_eta, y)
             if new_ll >= ll - 1e-12:
                 break
         else:
             break
-        coef, eta, ll = new_coef, new_eta, new_ll
+        coef, eta, p, g, ll = new_coef, new_eta, new_p, new_g, new_ll
         steps += 1
     # separation pushes coefficients to +-inf; the gradient may still reach
     # the tolerance once probabilities saturate, so guard on magnitude alone
@@ -162,7 +178,7 @@ def fit_glm(
         raise SeparationError(
             "logistic fit diverged (|coefficient| > 30); classes appear separated"
         )
-    return GlmFit(coef, family, converged, steps, ll)
+    return GlmFit(coef, family, converged, steps, _bernoulli_loglik(eta, y) if ll is None else ll)
 
 
 def predict_mean(fit: GlmFit, x: np.ndarray):
@@ -209,7 +225,7 @@ def fit_propensity_score(
     a = data.a[trial]
     if a.min() == a.max():
         raise DataError("both treatment arms must be present among trial rows")
-    return fit_glm(data.x[trial], a, GlmFamily.BERNOULLI_LOGIT, start)
+    return fit_glm(data.x.compress(trial, axis=0), a, GlmFamily.BERNOULLI_LOGIT, start)
 
 
 def fit_outcome_models(data: Dataset, family: GlmFamily) -> tuple[GlmFit, GlmFit]:
@@ -219,6 +235,6 @@ def fit_outcome_models(data: Dataset, family: GlmFamily) -> tuple[GlmFit, GlmFit
     control = trial & (data.a == 0)
     if not treated.any() or not control.any():
         raise EmptyGroupError("each treatment arm needs at least one trial row")
-    fit1 = fit_glm(data.x[treated], data.y[treated], family)
-    fit0 = fit_glm(data.x[control], data.y[control], family)
+    fit1 = fit_glm(data.x.compress(treated, axis=0), data.y[treated], family)
+    fit0 = fit_glm(data.x.compress(control, axis=0), data.y[control], family)
     return fit1, fit0

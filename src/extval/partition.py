@@ -213,7 +213,7 @@ def partition_population(
     for fit in (sampling_fit, propensity_fit):
         if not fit.converged:
             raise NotConvergedError("partition requires converged score fits")
-    x_t = data.x[data.target_mask]
+    x_t = data.x.compress(data.target_mask, axis=0)
     hs = predict_mean(sampling_fit, x_t)
     e1 = predict_mean(propensity_fit, x_t)
     e0 = 1.0 - e1

@@ -387,7 +387,7 @@ def _replication(config: StudyConfig, rep: int):
         return exc
 
 
-def run_study(config: StudyConfig, n_jobs: int = 1) -> StudyReport:
+def run_study(config: StudyConfig, n_jobs: int = 1, true_tau: float | None = None) -> StudyReport:
     """Replicate the pipeline and score it against the Monte Carlo truth.
 
     Deterministic for a fixed master seed: replication r always draws
@@ -395,8 +395,11 @@ def run_study(config: StudyConfig, n_jobs: int = 1) -> StudyReport:
     so the worker count cannot change the report. Replications run on
     ``n_jobs`` processes, this one and forked workers; without a safe fork
     (Windows, macOS) the workers are spawned (``parallel.ordered_map``).
+    ``true_tau`` is the truth ``true_tau_oracle(config.dgp,
+    config.oracle_draws)`` when the caller already has it, computed when None.
     """
-    true_tau = true_tau_oracle(config.dgp, config.oracle_draws)
+    if true_tau is None:
+        true_tau = true_tau_oracle(config.dgp, config.oracle_draws)
     results = ordered_map(partial(_replication, config), range(config.replications), n_jobs)
 
     failures = sum(1 for r in results if isinstance(r, Exception))

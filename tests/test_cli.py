@@ -539,7 +539,7 @@ def test_main_simulate_smoke_and_determinism(tmp_path, capsys):
 def test_main_simulate_reports_failures_per_size(tmp_path, capsys, monkeypatch):
     # a stand-in study that lost some replications; the CSV carries only
     # the cells, so the count reaches the user through stderr alone
-    def study_with_failures(study, n_jobs=1):
+    def study_with_failures(study, n_jobs=1, true_tau=None):
         failures = study.dgp.n_total // 10_000
         return StudyReport(cells=(), true_tau=0.0, replications=study.replications,
                            failures=failures, sd_defined=True)
@@ -556,6 +556,31 @@ def test_main_simulate_reports_failures_per_size(tmp_path, capsys, monkeypatch):
         "simulate n_total=50000: 5/100 replications failed",
     ]
     assert out.read_text().splitlines() == [",".join(StudyReport.CSV_HEADER)]
+
+
+def test_simulate_computes_the_truth_once_for_all_sizes(monkeypatch):
+    # the Monte Carlo truth does not read n_total: one oracle call serves
+    # every size, and the CSV equals that of one call per size
+    from extval import simulation
+
+    oracle = simulation.true_tau_oracle
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return oracle(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "true_tau_oracle", counted)
+    cfg = {
+        "schema_version": 1, "replications": 2, "p3_star": [0.8], "methods": ["aipw"],
+        "assumptions": ["epd"], "seed": 77, "oracle_draws": 100_000,
+    }
+    sizes = [20000, 30000, 40000]
+    text = cli.cmd_simulate(dict(cfg, sizes=sizes))
+    assert len(calls) == 1
+    per_size = [cli.cmd_simulate(dict(cfg, sizes=[n])).splitlines(True) for n in sizes]
+    assert len(calls) == 4
+    assert text == "".join(per_size[0] + [line for lines in per_size[1:] for line in lines[1:]])
 
 
 def test_main_simulate_requires_seed(tmp_path):

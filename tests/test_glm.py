@@ -137,24 +137,149 @@ def test_score_contributions_sum_to_zero_at_mle():
 
 
 def test_refused_newton_step_keeps_a_consistent_point(monkeypatch):
-    # when every halving of a Newton step lowers the likelihood, the fit
-    # stops unconverged at its current point, with that point's likelihood
+    # when no halving of a Newton step passes either acceptance test (a
+    # nonnegative slope at the trial point, or a log-likelihood that did
+    # not fall), the fit stops unconverged at its current point, with that
+    # point's likelihood. A NaN mean at every trial point leaves the slope
+    # undecided, and every trial point's likelihood is made lower.
     rng = np.random.default_rng(5)
     x = np.column_stack([np.ones(20), rng.standard_normal((20, 2))])
     y = (rng.random(20) < expit(x @ np.array([0.5, -1.0, 0.3]))).astype(float)
     loglik = glm._bernoulli_loglik
-    calls = []
+    means, calls = [], []
+
+    def undecided_slope_at_trial_points(eta):
+        means.append(eta)
+        return expit(eta) if len(means) == 1 else np.full_like(eta, np.nan)
 
     def every_trial_point_worse(eta, y):
         calls.append(eta)
         return loglik(eta, y) - (len(calls) > 1)
 
+    monkeypatch.setattr(glm, "expit", undecided_slope_at_trial_points)
     monkeypatch.setattr(glm, "_bernoulli_loglik", every_trial_point_worse)
     fit = fit_glm(x, y, BERN)
     assert not fit.converged and fit.iterations == 0
     assert np.all(fit.coefficients == 0.0)
     assert fit.log_likelihood == loglik(np.zeros(20), y)
-    assert len(calls) == 41
+    # the start's likelihood once, when the first trial point's slope fails,
+    # then one per trial point
+    assert len(means) == 41 and len(calls) == 41
+
+
+def _parent_newton(x, y, start=None):
+    """Reference: the Newton loop that evaluates the log-likelihood at the
+    start and at every trial point, and accepts a trial point only where it
+    did not fall. Returns (coefficients, converged, iterations,
+    log-likelihood, halvings)."""
+    q = x.shape[1]
+    coef = np.zeros(q) if start is None else np.array(start, dtype=float)
+    eta = x @ coef
+    ll = glm._bernoulli_loglik(eta, y)
+    converged = False
+    steps = halvings = 0
+    while True:
+        p = expit(eta)
+        g = x.T @ (y - p)
+        if np.max(np.abs(g)) <= glm.SCORE_TOL:
+            converged = True
+            break
+        if steps >= glm.MAX_ITER:
+            break
+        w = p * (1.0 - p)
+        h = (x * w[:, None]).T @ x
+        step = np.linalg.solve(h, g)
+        for t in 0.5 ** np.arange(40):
+            new_coef = coef + t * step
+            new_eta = x @ new_coef
+            new_ll = glm._bernoulli_loglik(new_eta, y)
+            if new_ll >= ll - 1e-12:
+                break
+            halvings += 1
+        else:
+            break
+        coef, eta, ll = new_coef, new_eta, new_ll
+        steps += 1
+    if np.max(np.abs(coef)) > glm.COEF_BOUND:
+        raise SeparationError("reference fit diverged")
+    return coef, converged, steps, ll, halvings
+
+
+def _assert_same_fit(x, y, start=None) -> int:
+    """fit_glm equals the reference loop bit for bit; returns the halvings."""
+    coef, converged, steps, ll, halvings = _parent_newton(x, y, start)
+    fit = fit_glm(x, y, BERN, start)
+    assert fit.coefficients.tobytes() == coef.tobytes()
+    assert (fit.converged, fit.iterations) == (converged, steps)
+    assert fit.log_likelihood.hex() == ll.hex()
+    return halvings
+
+
+def _logistic_designs():
+    """Sampling and propensity designs of small cohorts, and random designs
+    with 2 to 6 columns."""
+    for seed in range(4):
+        data, _ = generate_cohort(DgpConfig(n_total=20_000), [41, seed])
+        yield data.x, data.s
+        trial = data.trial_mask
+        yield data.x[trial], data.a[trial]
+    rng = np.random.default_rng(42)
+    for n, q in ((30, 2), (200, 3), (1_000, 5), (5_000, 6)):
+        x = np.column_stack([np.ones(n), rng.standard_normal((n, q - 1))])
+        beta = rng.uniform(-1.5, 1.5, q)
+        yield x, (rng.random(n) < expit(x @ beta)).astype(float)
+
+
+def test_newton_loop_matches_reference_from_cold_starts():
+    for x, y in _logistic_designs():
+        _assert_same_fit(x, y)
+
+
+def test_newton_loop_matches_reference_from_warm_starts():
+    for x, y in _logistic_designs():
+        full = fit_glm(x, y, BERN).coefficients
+        for r in range(5):
+            rows = np.random.default_rng([7, r]).integers(0, y.size, y.size)
+            _assert_same_fit(x[rows], y[rows], full)
+
+
+def test_newton_loop_matches_reference_from_far_off_starts():
+    halvings = 0
+    for i, (x, y) in enumerate(_logistic_designs()):
+        offset = np.random.default_rng([8, i]).choice([-6.0, 6.0], x.shape[1])
+        halvings += _assert_same_fit(x, y, fit_glm(x, y, BERN).coefficients + offset)
+    assert halvings > 0
+
+
+def test_newton_loop_matches_reference_on_a_separated_design():
+    x = np.column_stack([np.ones(10), np.arange(10.0)])
+    y = (np.arange(10) >= 5).astype(float)
+    for start in (None, np.array([-4.5, 1.0])):
+        with pytest.raises(SeparationError):
+            _parent_newton(x, y, start)
+        with pytest.raises(SeparationError):
+            fit_glm(x, y, BERN, start)
+
+
+def test_fit_without_halving_evaluates_the_log_likelihood_once(monkeypatch):
+    # every step is accepted on its slope, so only the reported
+    # log-likelihood at the end is computed
+    rng = np.random.default_rng(3)
+    x = np.column_stack([np.ones(500), rng.standard_normal((500, 3))])
+    y = (rng.random(500) < expit(x @ np.array([-0.5, 1.0, -0.8, 0.3]))).astype(float)
+    *_, steps, _, halvings = _parent_newton(x, y)
+    assert steps > 1 and halvings == 0
+    loglik = glm._bernoulli_loglik
+    calls = []
+
+    def counted(eta, y):
+        calls.append(eta)
+        return loglik(eta, y)
+
+    monkeypatch.setattr(glm, "_bernoulli_loglik", counted)
+    fit = fit_glm(x, y, BERN)
+    assert fit.iterations == steps
+    assert len(calls) == 1
 
 
 def _two_sample(rng, n1, n2, q=3, beta=None):
@@ -289,7 +414,7 @@ def test_warm_start_of_wrong_length_raises():
         fit_sampling_score(data, start=np.zeros(1))
 
 
-@pytest.mark.parametrize("rows", ["trial", "target", "mixed"])
+@pytest.mark.parametrize("rows", ["trial", "target", "mixed", "mask"])
 def test_subset_equals_dataset_of_the_same_rows(rows):
     rng = np.random.default_rng(12)
     data = _two_sample(rng, 30, 40)
@@ -297,6 +422,7 @@ def test_subset_equals_dataset_of_the_same_rows(rows):
         "trial": np.flatnonzero(data.trial_mask)[[3, 3, 0, 29]],
         "target": np.flatnonzero(data.target_mask)[[5, 39, 5]],
         "mixed": rng.integers(0, data.n, 50),
+        "mask": rng.random(data.n) < 0.5,
     }[rows]
     sub = data.subset(idx)
     built = Dataset(data.s[idx], data.a[idx], data.y[idx], data.x[idx])
@@ -304,3 +430,18 @@ def test_subset_equals_dataset_of_the_same_rows(rows):
         got, want = getattr(sub, name), getattr(built, name)
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
+
+
+def test_subset_rejects_a_mask_of_the_wrong_length():
+    data = _two_sample(np.random.default_rng(12), 30, 40)
+    with pytest.raises(DimensionError):
+        data.subset(np.ones(data.n - 1, dtype=bool))
+
+
+def test_cached_masks_are_read_only():
+    data = _two_sample(np.random.default_rng(13), 30, 40)
+    for mask in (data.trial_mask, data.target_mask):
+        with pytest.raises(ValueError):
+            mask[0] = not mask[0]
+    assert data.trial_mask is data.trial_mask
+    assert (data.n1, data.n2) == (30, 40)
