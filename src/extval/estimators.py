@@ -17,9 +17,11 @@ component fits; its weighted means are the plug-in solution of the
 stacked system, whose estimating functions read the same core at other
 parameter vectors. The weighting estimators are the augmented ones
 with outcome models fixed at zero, so every system has one layout.
-The sandwich evaluates the stacked rows once, at the plug-in solution;
-it checks there that their mean is zero and raises StationarityError
-when it is not (component fits that do not belong together).
+The sandwich reads the per-row quantities that the plug-in solution was
+computed from, so the stacked rows are evaluated once, and it works
+block by block without building the (n, dim) matrix of rows. It checks
+that their mean is zero and raises StationarityError when it is not
+(component fits that do not belong together).
 
 A is built in closed form from the same per-row quantities (Stefanski &
 Boos 2002, "The calculus of M-estimation"): -X'diag(c)X/n for each GLM
@@ -62,7 +64,7 @@ from .errors import (
 )
 from .glm import GlmFamily, GlmFit, predict_mean
 from .parallel import ordered_map
-from .partition import PartitionResult, _membership
+from .partition import PartitionResult, _membership, _saturation
 
 Z95 = 1.96
 HALL_SHEATHER_ALPHA = 0.05
@@ -115,7 +117,10 @@ class StackedSystem:
     (label ``"threshold"``) also carries ``bandwidth``, the smoothing
     scale of the threshold membership at which ``jacobian`` is taken,
     and ``jacobian_psi``, the same estimating functions smoothed at that
-    bandwidth; without them ``jacobian`` is that of ``psi``.
+    bandwidth; without them ``jacobian`` is that of ``psi``. A system from
+    ``build_stacked_system`` keeps its rows at ``xi``, which
+    ``sandwich_variance`` reads in place of ``psi`` (a replaced ``psi``
+    is not called; a replaced ``xi`` is read through ``psi``).
     """
 
     xi: np.ndarray
@@ -125,6 +130,8 @@ class StackedSystem:
     labels: tuple[str, ...] = field(default=())
     jacobian_psi: Callable[[np.ndarray], np.ndarray] | None = None
     bandwidth: float | None = None
+    # the pipeline, its rows at xi and that xi, from build_stacked_system
+    _fitted: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -275,21 +282,30 @@ class _Pipeline:
             raise ZeroWeightError("non-finite transport weight")
         return [_hajek(v, w, name) for (w, v), name in zip(fitted.means, self.tail)]
 
+    def estimating_functions(self, xi: np.ndarray, r: _Rows) -> list:
+        """The estimating functions at ``xi`` from its per-row quantities
+        ``r``, as (slice, multiplier, design) per block in layout order:
+        rows multiplier[:, None] * design, where design is x for the GLM
+        blocks and a column of ones for the threshold and the means."""
+        s, a, y, x, sl = self.data.s, self.a, self.y, self.data.x, self.slices
+        ones = np.ones((self.data.n, 1))
+        terms = [(sl["sampling"], s - r.hs, x)]
+        if self.fixed_e1 is None:
+            terms.append((sl["propensity"], s * (a - r.e1), x))
+        if self.fixed_m is None:
+            terms.append((sl["outcome1"], s * a * (y - r.m1), x))
+            terms.append((sl["outcome0"], s * (1.0 - a) * (y - r.m0), x))
+        if self.estimate_delta:
+            terms.append((sl["threshold"], (1.0 - s) * (r.k - self.partition.p3_star), ones))
+        for name, (w, v) in zip(self.tail, r.means):
+            terms.append((sl[name], w * (v - xi[sl[name]][0]), ones))
+        return terms
+
     def psi(self, xi: np.ndarray, scale: float | None = None) -> np.ndarray:
         """The (n, dim) estimating-function rows at ``xi``."""
-        r = self.rows(xi, scale)
-        x, s, a, y = self.data.x, self.data.s, self.a, self.y
-        out = np.empty((x.shape[0], self.dim))
-        out[:, self.slices["sampling"]] = (s - r.hs)[:, None] * x
-        if self.fixed_e1 is None:
-            out[:, self.slices["propensity"]] = (s * (a - r.e1))[:, None] * x
-        if self.fixed_m is None:
-            out[:, self.slices["outcome1"]] = (s * a * (y - r.m1))[:, None] * x
-            out[:, self.slices["outcome0"]] = (s * (1.0 - a) * (y - r.m0))[:, None] * x
-        if self.estimate_delta:
-            out[:, self.slices["threshold"]] = ((1.0 - s) * (r.k - self.partition.p3_star))[:, None]
-        for name, (w, v) in zip(self.tail, r.means):
-            out[:, self.slices[name]] = (w * (v - xi[self.slices[name]][0]))[:, None]
+        out = np.empty((self.data.n, self.dim))
+        for sl, m, design in self.estimating_functions(xi, self.rows(xi, scale)):
+            out[:, sl] = m[:, None] * design
         return out
 
     def membership_slopes(self, r: _Rows, xi: np.ndarray, scale: float | None = None):
@@ -299,19 +315,23 @@ class _Pipeline:
 
         With k = Phi(u1) Phi(u0), u1 = (hs e1 - delta)/h and
         u0 = (hs e0 - delta)/h, write g1 = phi(u1) Phi(u0)/h and
-        g0 = Phi(u1) phi(u0)/h, both 0 on excluded rows.
+        g0 = Phi(u1) phi(u0)/h, both 0 on excluded rows. Only the rows that
+        ``_saturation`` leaves unsaturated are smoothed; on the others k is
+        exactly 0 or 1 and g1 and g0 are exactly 0.
         """
         part = self.partition
         delta = xi[self.slices["threshold"]][0] if self.estimate_delta else part.delta_star
         h = scale or part.epsilon
         hs, e1 = r.hs, r.e1
         e0 = 1.0 - e1
-        u1, u0 = (hs * e1 - delta) / h, (hs * e0 - delta) / h
+        prod1, prod0 = hs * e1, hs * e0
+        k, window = _saturation(np.minimum(prod1, prod0), delta, delta, h)
+        g1, g0 = np.zeros_like(k), np.zeros_like(k)
+        u1, u0 = (prod1[window] - delta) / h, (prod0[window] - delta) / h
         c1, c0 = ndtr(u1), ndtr(u0)
-        k, g1, g0 = (
-            np.where(self.r1, 0.0, v)
-            for v in (c1 * c0, _normal_pdf(u1) * c0 / h, c1 * _normal_pdf(u0) / h)
-        )
+        k[window], g1[window] = c1 * c0, _normal_pdf(u1) * c0 / h
+        g0[window] = c1 * _normal_pdf(u0) / h
+        k, g1, g0 = (np.where(self.r1, 0.0, v) for v in (k, g1, g0))
         return k, {
             "sampling": (g1 * e1 + g0 * e0) * hs * (1.0 - hs),
             "propensity": (g1 - g0) * hs * e1 * e0,
@@ -475,11 +495,11 @@ def build_stacked_system(
     models are fixed at zero, so it has no outcome rows and v3 is 0. The
     plug-in solution is assembled from the component fits; that it zeros
     the mean estimating function is checked by ``sandwich_variance``, on
-    the rows it evaluates anyway, so components that do not belong
-    together raise StationarityError there. The Jacobian is taken in
-    closed form at the plug-in solution, with the threshold membership
-    smoothed at ``bandwidth`` (see threshold_bandwidth) when the threshold
-    is estimated.
+    the per-row quantities the system keeps from here, so components
+    that do not belong together raise StationarityError there. The
+    Jacobian is taken in closed form at the plug-in solution, with the
+    threshold membership smoothed at ``bandwidth`` (see
+    threshold_bandwidth) when the threshold is estimated.
     """
     pipeline = _Pipeline(data, sampling_fit, propensity_fit, outcome_fits, partition)
     # the per-row quantities read only the nuisance block, so these are
@@ -501,6 +521,7 @@ def build_stacked_system(
         xi=xi_hat, eta=eta, psi=pipeline.psi,
         jacobian=pipeline.jacobian(xi_hat, fitted, bandwidth),
         labels=tuple(pipeline.labels), jacobian_psi=jacobian_psi, bandwidth=bandwidth,
+        _fitted=(pipeline, fitted, xi_hat),
     )
 
 
@@ -534,38 +555,42 @@ def threshold_bandwidth(
 def sandwich_variance(system: StackedSystem) -> float:
     """Variance of the system's contrast, eta' A^-1 B A^-T eta / n.
 
-    A is the system's ``jacobian`` and B the empirical second moment of
-    the rows of ``psi``, evaluated once at ``xi``. The same rows must
-    have a mean of at most 1e-5 per coordinate, or ``xi`` does not solve
-    the system (its component fits are inconsistent) and
-    StationarityError is raised. With u solving A'u = eta, the variance
-    is the mean square of the contrast's influence values -psi_i'u over
-    n, which needs no inverse of A and is never negative.
+    A is the system's ``jacobian`` and B the second moment of the
+    estimating functions at ``xi``. Their mean must be at most 1e-5 per
+    coordinate, or ``xi`` does not solve the system (its fits do not
+    belong together) and StationarityError is raised. With u solving
+    A'u = eta, the variance is the mean square over n of the influence
+    values -psi_i'u, whose mean is eta'(xi_hat - xi) to first order: no
+    inverse of A, never negative. A system from ``build_stacked_system``
+    sums them block by block from the rows it keeps, as multiplier times
+    design @ u_block: no (n, dim) matrix, no second evaluation. Other
+    systems, and one whose ``xi`` was replaced, call ``psi`` once.
     """
-    rows = system.psi(system.xi)
-    worst = float(np.max(np.abs(rows.mean(axis=0))))
+    pipeline, fitted, xi = system._fitted or (None, None, None)
+    if xi is system.xi:
+        terms = pipeline.estimating_functions(xi, fitted)
+    else:
+        rows = system.psi(system.xi)
+        terms = [(slice(None), np.ones(rows.shape[0]), rows)]
+    n = terms[0][1].shape[0]
+    mean = np.concatenate([design.T @ m for _, m, design in terms]) / n
+    worst = float(np.max(np.abs(mean)))
     if worst > STATIONARITY_TOL:
         raise StationarityError(
             f"plug-in estimates do not solve the stacked equations "
             f"(max |mean psi| = {worst:.2e})"
         )
-    values = _influence_values(system, rows)
-    var = float(values @ values) / rows.shape[0] ** 2
-    if not np.isfinite(var):
-        raise NumericalError("sandwich variance is non-finite")
-    return var
-
-
-def _influence_values(system: StackedSystem, rows: np.ndarray) -> np.ndarray:
-    """Per-row influence values of the contrast: eta'(xi_hat - xi) is
-    their mean to first order, since xi_hat - xi = -A^-1 mean(psi)."""
     try:
         u = np.linalg.solve(system.jacobian.T, system.eta)
     except np.linalg.LinAlgError:
         raise SingularSystemError("Jacobian of the stacked system is singular")
     if not np.all(np.isfinite(u)):
         raise SingularSystemError("Jacobian solve is non-finite")
-    return -(rows @ u)
+    values = sum(m * (design @ u[sl]) for sl, m, design in terms)  # influence values, sign dropped
+    var = float(values @ values) / n ** 2
+    if not np.isfinite(var):
+        raise NumericalError("sandwich variance is non-finite")
+    return var
 
 
 # ---------------------------------------------------------------------------

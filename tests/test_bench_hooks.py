@@ -9,8 +9,25 @@ import inspect
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from extval import Dataset, GlmFamily, GlmFit, StackedSystem, bootstrap_ci, fit_glm
+from extval import (
+    Dataset,
+    DgpConfig,
+    GlmFamily,
+    GlmFit,
+    StackedSystem,
+    StationarityError,
+    bootstrap_ci,
+    build_stacked_system,
+    fit_glm,
+    fit_outcome_models,
+    fit_propensity_score,
+    fit_sampling_score,
+    generate_cohort,
+    partition_population,
+    sandwich_variance,
+)
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -45,3 +62,37 @@ def test_fit_glm_returns_a_fit_with_iterations():
     fit = fit_glm(np.ones((4, 1)), np.array([1.0, 1.0, 0.0, 1.0]), GlmFamily.BERNOULLI_LOGIT)
     assert isinstance(fit, GlmFit)
     assert isinstance(fit.iterations, int) and fit.iterations > 0
+
+
+def test_sandwich_survives_the_counting_wrappers_and_rereads_a_replaced_xi():
+    # the tracer replaces psi and jacobian_psi with counting wrappers
+    # through dataclasses.replace; the sandwich must keep its value
+    data, truth = generate_cohort(DgpConfig(n_total=20_000), 12)
+    sampling = fit_sampling_score(data)
+    propensity = fit_propensity_score(data)
+    outcome = fit_outcome_models(data, GlmFamily.GAUSSIAN_IDENTITY)
+    part = partition_population(data, sampling, propensity, truth.excluded[data.target_mask], 0.8)
+    system = build_stacked_system(data, sampling, propensity, outcome, part)
+    calls = []
+
+    def counted(psi):
+        def evaluate(xi, *rest, **kw):
+            calls.append(psi)
+            return psi(xi, *rest, **kw)
+        return evaluate
+
+    wrapped = dataclasses.replace(
+        system, psi=counted(system.psi), jacobian_psi=counted(system.jacobian_psi)
+    )
+    assert sandwich_variance(wrapped) == sandwich_variance(system)
+    # the sandwich reads the rows kept at the build, not a second
+    # evaluation, so the wrappers do not see it
+    assert calls == []
+    # a replaced xi is not the one those rows were kept at: psi is read
+    copied = dataclasses.replace(wrapped, xi=system.xi.copy())
+    assert np.isclose(sandwich_variance(copied), sandwich_variance(system), rtol=1e-12, atol=0)
+    assert len(calls) == 1
+    moved = system.xi.copy()
+    moved[0] += 0.1  # the sampling intercept
+    with pytest.raises(StationarityError):
+        sandwich_variance(dataclasses.replace(system, xi=moved))

@@ -1,6 +1,7 @@
 import dataclasses
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -321,6 +322,79 @@ def test_sandwich_does_not_depend_on_difference_step():
     for step in (1e-4, 1e-5, 1e-6):
         differenced = dataclasses.replace(system, jacobian=_difference_jacobian(system, step))
         assert np.sqrt(sandwich_variance(differenced)) == pytest.approx(se, rel=1e-3)
+
+
+def _matrix_sandwich(system):
+    """The sandwich from the (n, dim) matrix of rows, the reference for the
+    block-by-block sums of ``sandwich_variance``."""
+    rows = system.psi(system.xi)
+    if np.max(np.abs(rows.mean(axis=0))) > estimators.STATIONARITY_TOL:
+        raise StationarityError("reference: not stationary")
+    values = -(rows @ np.linalg.solve(system.jacobian.T, system.eta))
+    return float(values @ values) / rows.shape[0] ** 2
+
+
+@pytest.mark.parametrize("family", [GAUSS, BERN])
+@pytest.mark.parametrize("augmented", [False, True])
+@pytest.mark.parametrize("setup", ["untrimmed", "trimmed", "fixed_propensity", "boundary"])
+def test_sandwich_matches_the_matrix_of_rows(family, augmented, setup):
+    data, sampling, propensity, outcome = _moderate_pipeline(seed=23, q=4, family=family)
+    if setup == "fixed_propensity":
+        propensity = fit_propensity_score(data, known_probability=0.5)
+    part = None
+    if setup != "untrimmed":
+        part = partition_population(data, sampling, propensity, None, 1.0 if setup == "boundary" else 0.8)
+    system = build_stacked_system(data, sampling, propensity, outcome if augmented else None, part)
+    assert ("threshold" in system.labels) == (setup in ("trimmed", "fixed_propensity"))
+    assert sandwich_variance(system) == pytest.approx(_matrix_sandwich(system), rel=1e-12, abs=0.0)
+
+
+def test_sandwich_memory_stays_below_the_matrix_of_rows():
+    data, truth = generate_cohort(DgpConfig(n_total=1_000_000), [1, 0])
+    sampling = fit_sampling_score(data)
+    propensity = fit_propensity_score(data)
+    outcome = fit_outcome_models(data, GAUSS)
+    part = partition_population(data, sampling, propensity, truth.excluded[data.target_mask], 0.8)
+    system = build_stacked_system(data, sampling, propensity, outcome, part)
+    assert system.dim == 24
+    tracemalloc.start()
+    try:
+        sandwich_variance(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the rows as one (n, dim) matrix would take this much on their own
+    assert peak < data.n * system.dim * 8
+
+
+def _smooth_every_row(min_prods, lo, hi, epsilon):
+    return np.zeros(min_prods.size), np.arange(min_prods.size)
+
+
+def test_membership_slopes_smooth_only_unsaturated_rows(monkeypatch):
+    data, sampling, propensity, _ = _moderate_pipeline(seed=24, n1=300, n2=600, q=3)
+    rng = np.random.default_rng(24)
+    excluded = rng.random(data.n2) < 0.1
+    part = partition_population(data, sampling, propensity, excluded, 0.8)
+    system = build_stacked_system(data, sampling, propensity, partition=part)
+    pipeline, fitted, _ = system._fitted
+    hs = fitted.hs.copy()
+    target = np.flatnonzero(data.target_mask)
+    nan_kept, nan_excluded = target[~excluded][:5], target[excluded][:2]
+    hs[nan_kept] = hs[nan_excluded] = np.nan
+    rows = fitted._replace(hs=hs)
+    for scale in (None, system.bandwidth):
+        k, slopes = pipeline.membership_slopes(rows, system.xi, scale)
+        with monkeypatch.context() as mp:
+            mp.setattr(estimators, "_saturation", _smooth_every_row)
+            k_ref, slopes_ref = pipeline.membership_slopes(rows, system.xi, scale)
+        assert np.array_equal(k, k_ref, equal_nan=True)
+        assert slopes.keys() == slopes_ref.keys()
+        for block in slopes:
+            assert np.array_equal(slopes[block], slopes_ref[block], equal_nan=True)
+        assert np.all(k[pipeline.r1] == 0.0) and np.isnan(k[nan_kept]).all()
+    # at the bandwidth, some rows are smoothed and some saturated
+    assert 0.0 < np.mean((k > 0.0) & (k < 1.0)) < 1.0
 
 
 def test_threshold_bandwidth_is_half_the_order_statistic_gap():
