@@ -8,17 +8,16 @@ randomness flows from explicit seeds in the configuration; a missing
 seed where one is needed is a configuration error, never a silent
 clock seed.
 
-``load_dataset`` reads the CSV a block of rows at a time and parses
-each role cell once, into the dataset's float arrays; it returns the
-dataset and the CSV's columns by name (``CsvColumns``), the role columns
-as those arrays and the others as text. Exclusion rules
-(``exclusion_rules``) and the extrapolation filters
-(``sensitivity.extrapolation.r{1,2}_trial_filter``) are clause lists
-over those named columns, evaluated column-wise by
-``evaluate_raw_rules``, which parses a text column the first time a rule
-reads it; the partition receives the resulting target-row mask. Each
-method name maps to its estimator in one table, which serves both the
-full-sample estimate and every bootstrap replicate.
+``load_dataset`` parses the CSV's role columns and the columns that the
+config's rules name, and no others, into float arrays, with numpy's C
+reader where it reads the file as the block parser would and with the
+block parser otherwise; it returns the dataset and those columns by name
+(``CsvColumns``). Exclusion rules (``exclusion_rules``) and the
+extrapolation filters (``sensitivity.extrapolation.r{1,2}_trial_filter``)
+are clause lists over those named columns, evaluated column-wise by
+``evaluate_raw_rules``; the partition receives the resulting target-row
+mask. Each method name maps to its estimator in one table, which serves
+both the full-sample estimate and every bootstrap replicate.
 
 Exit codes: 0 success, 2 configuration error, 3 data error,
 4 numerical error.
@@ -33,6 +32,7 @@ import dataclasses
 import gc
 import json
 import sys
+from functools import partial
 from itertools import chain, islice
 
 import numpy as np
@@ -85,46 +85,45 @@ _METHODS = {
 # ---------------------------------------------------------------------------
 
 class CsvColumns(dict):
-    """A CSV's columns by name, one entry per data row; ``lines``, the file
-    line of each data row, and ``path``, the file's name, for errors.
-
-    A role column holds its float array (a covariate's is a column of the
-    design matrix); every other column holds a tuple of its text, which
-    ``numbers`` parses the first time a rule or filter reads it.
+    """A CSV's columns by name, each a float array with one entry per data
+    row (a covariate's is a column of the design matrix); ``lines``, the
+    file line of each data row; ``path``, the file's name; and ``text``,
+    by column and then row, the text of each cell that is not a number,
+    for errors. Such a cell, or a spelled-out NaN, reads as NaN, as does a
+    blank one.
     """
 
-    def __init__(self, columns, lines: np.ndarray, path: str = "CSV"):
+    def __init__(self, columns, lines: np.ndarray, text=None, path: str = "CSV"):
         super().__init__(columns)
-        self.lines, self.path, self._parsed = lines, path, {}
-
-    def numbers(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        """Column ``name`` as ``_numbers`` reads it, parsed once."""
-        if name not in self._parsed:
-            cells = self[name]
-            numeric = isinstance(cells, np.ndarray)
-            self._parsed[name] = (cells, np.zeros(cells.size, dtype=bool)) if numeric else _numbers(cells)
-        return self._parsed[name]
+        self.lines, self.path, self.text = lines, path, text or {}
 
 
-# data rows read at a time; the text of their role columns lives that long
+# data rows read at a time by the block parser; their text lives that long
 BLOCK_ROWS = 4096
 
 
-def load_dataset(path: str, roles: dict) -> tuple[Dataset, CsvColumns]:
+def load_dataset(path: str, roles: dict, keep=None, optional=()) -> tuple[Dataset, CsvColumns]:
     """Parse a CSV into a Dataset, prepending the constant-1 column.
 
     ``roles`` maps {"s": column, "a": column, "y": column,
-    "covariates": [columns...]}. Role cells are read as numbers, an empty
-    cell as NaN, and the Dataset checks them: treatment and outcome must
-    be empty exactly on target rows. Returns the dataset and every CSV
-    column by name (``CsvColumns``) so that exclusion rules may reference
-    non-model columns, so a header that repeats a name is a DataError.
-    Blank lines are skipped; every other row must have as many fields as
-    the header. Rows are read ``BLOCK_ROWS`` at a time, and each role cell
-    is parsed once, its text dropped with its block.
-    An error in a row names its line in the file: of several faulty rows
-    the first, and in that row a wrong field count before a non-numeric
-    role cell, whose columns are checked in header order.
+    "covariates": [columns...]}. The file is read as UTF-8, after an
+    optional byte-order mark. Cells are read as numbers, an empty cell as
+    NaN, and the Dataset checks the role columns: treatment and outcome
+    must be empty exactly on target rows. Returns the dataset and the
+    columns by name (``CsvColumns``) so that exclusion rules may reference
+    non-model columns: the role columns, the columns named in ``keep``
+    (every column when it is None), which the header must hold, else a
+    ConfigError is raised before any row is read, and those named in
+    ``optional`` that the header holds. A header that repeats a name is a
+    DataError. Blank lines are skipped; every other row must have as many
+    fields as the header.
+
+    numpy's C reader parses the file when it can (``_read_fast``), and
+    otherwise the block parser, ``BLOCK_ROWS`` rows at a time
+    (``_read_blocks``); both give the same numbers, bit for bit. An error
+    in a row names its line in the file: of several faulty rows the first,
+    and in that row a wrong field count before a non-numeric role cell,
+    whose columns are checked in header order.
     """
     for key in ("s", "a", "y", "covariates"):
         if key not in roles:
@@ -135,7 +134,7 @@ def load_dataset(path: str, roles: dict) -> tuple[Dataset, CsvColumns]:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -146,50 +145,132 @@ def load_dataset(path: str, roles: dict) -> tuple[Dataset, CsvColumns]:
             repeated = sorted({c for c in header if header.count(c) > 1})
             if repeated:
                 raise DataError(f"{path}: repeated column names {repeated}")
-            # name -> (field index, blocks)
-            parts = {name: (j, []) for j, name in enumerate(header)}
-            lines = []
-            numbered = ((reader.line_num, row) for row in reader if row)
-            # each block's rows are dropped before the next is read
-            while block := list(islice(numbered, BLOCK_ROWS)):
-                at, rows = zip(*block)
-                del block
-                lines.append(np.array(at))
-                with _naming_lines(path, lines[-1]):
-                    _parse_block(rows, len(header), parts, needed)
-                del rows
+            for name in keep or ():
+                if name not in header:
+                    raise ConfigError(f"exclusion rule references unknown column {name!r}")
+            wanted = set(header if keep is None else (*needed, *keep, *optional))
+            names = [c for c in header if c in wanted]
+            loaded = _read_fast(fh, reader.line_num + 1, header, names, (roles["a"], roles["y"]))
+        if loaded is None:
+            with open(path, newline="", encoding="utf-8-sig") as fh:
+                reader = csv.reader(fh)
+                next(reader)
+                loaded = _read_blocks(reader, path, header, names, needed)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     finally:
         if collecting:
             gc.enable()
-    if not lines:
-        raise DataError(f"{path}: no data rows")
-    for name, (_, blocks) in parts.items():
-        parts[name] = np.concatenate(blocks) if name in needed else tuple(chain.from_iterable(blocks))
-    columns = CsvColumns(parts, np.concatenate(lines), path)
+    columns = CsvColumns(*loaded, path)
     x = np.column_stack([np.ones(columns.lines.size), *(columns[c] for c in roles["covariates"])])
     columns.update(zip(roles["covariates"], x[:, 1:].T))
     with _naming_lines(path, columns.lines):
         return Dataset(*(columns[roles[k]] for k in ("s", "a", "y")), x), columns
 
 
-def _parse_block(rows, width: int, parts: dict, numeric: list):
-    """Append one block of rows to ``parts``: the columns in ``numeric`` as
-    float arrays, the others as tuples of text. The first faulty row is a
-    DataError naming its index in the block."""
+def _read_fast(fh, first_line: int, header: list, names: list, blank_ok: tuple):
+    """The rest of ``fh`` as numpy's C reader parses it: the columns
+    ``names`` as float arrays, the file line of each data row and no cell
+    text; or None where the block parser must read the file instead, since
+    numpy may read it otherwise or cannot name the faulty row.
+
+    That is so when a line holds a quote character or a wrong field count,
+    when the reader refuses a cell (a blank one outside the ``blank_ok``
+    columns, ``1_000`` or non-ASCII digits among them), when a cell spells
+    out NaN, and when there is no data row. ``first_line`` is the file
+    line that ``fh`` is at.
+    """
+    last = len(header) - 1
+    # numpy refuses a row without the last field, and each batch of lines
+    # holds as many commas as its rows need, so every row has all fields
+    usecols = sorted({header.index(name) for name in names} | {last})
+    converters = {header.index(c): _blank_or_number for c in blank_ok}
+    if header[last] not in names:
+        converters[last] = len
+    blank: list[int] = []
+    rows = chain.from_iterable(_checked_batches(fh, first_line, last, blank))
+    try:
+        first = next(rows, None)
+        if first is None:
+            return None
+        table = np.loadtxt(
+            chain([first], rows), delimiter=",", comments=None, quotechar=None, ndmin=2,
+            usecols=usecols, converters=converters,
+        )
+    except ValueError:
+        return None
+    # contiguous copies, which let the table go
+    parts = {header[j]: table[:, k].copy() for k, j in enumerate(usecols) if header[j] in names}
+    if any(np.isnan(parts[name]).any() for name in names if name not in blank_ok):
+        return None
+    lines = np.arange(first_line, first_line + len(parts[names[0]]) + len(blank))
+    return parts, np.delete(lines, np.array(blank, int) - first_line), {}
+
+
+def _checked_batches(fh, number: int, commas: int, blank: list):
+    """The lines of ``fh`` in batches, the first line being file line
+    ``number``; each blank line's number goes to ``blank``. A batch with a
+    quote character, or with other than ``commas`` commas for each line
+    that is not blank, is a ValueError."""
+    for batch in iter(partial(fh.readlines, 1 << 16), []):
+        text = "".join(batch)
+        empty = batch.count("\n") + batch.count("\r\n") + batch.count("\r")
+        if '"' in text or text.count(",") != commas * (len(batch) - empty):
+            raise ValueError(f"the lines from line {number} on need the block parser")
+        if empty:
+            blank.extend(number + i for i, line in enumerate(batch) if line[0] in "\r\n")
+        number += len(batch)
+        yield batch
+
+
+def _blank_or_number(cell: str) -> float:
+    """A treatment or outcome cell as ``_numbers`` reads it; a cell it marks
+    as no number is a ValueError."""
+    value = float(cell) if cell.strip() else np.nan
+    if value != value and cell.strip():
+        raise ValueError(f"{cell!r} spells out NaN")
+    return value
+
+
+def _read_blocks(reader, path: str, header: list, names: list, roles: list):
+    """The rows of ``reader`` parsed ``BLOCK_ROWS`` at a time: the columns
+    ``names`` as float arrays, the file line of each data row, and the text
+    of the cells outside the ``roles`` columns that are no number."""
+    parts = {name: (header.index(name), []) for name in names}
+    text: dict[str, dict[int, str]] = {}
+    lines = []
+    numbered = ((reader.line_num, row) for row in reader if row)
+    # each block's rows are dropped before the next is read
+    while block := list(islice(numbered, BLOCK_ROWS)):
+        at, rows = zip(*block)
+        del block
+        lines.append(np.array(at))
+        with _naming_lines(path, lines[-1]):
+            _parse_block(rows, len(header), parts, roles, text, sum(map(len, lines[:-1])))
+        del rows
+    if not lines:
+        raise DataError(f"{path}: no data rows")
+    return {name: np.concatenate(blocks) for name, (_, blocks) in parts.items()}, np.concatenate(lines), text
+
+
+def _parse_block(rows, width: int, parts: dict, roles: list, text: dict, start: int):
+    """Append one block of rows, from row ``start`` on, to ``parts`` as
+    float arrays, and to ``text`` the cells outside the ``roles`` columns
+    that are no number. The first faulty row is a DataError naming its
+    index in the block."""
     ragged = np.flatnonzero(np.fromiter(map(len, rows), int, len(rows)) != width)
     end = int(ragged[0]) if ragged.size else len(rows)
     faults = [(end, f"the header has {width} fields")] if ragged.size else []
     # a block whose first row is ragged has no cells to parse
     cells = list(zip(*rows[:end])) or [()] * width
     for name, (j, blocks) in parts.items():
-        column = cells[j]
-        if name in numeric:
-            column, bad = _numbers(column)
-            if bad.any():
-                i = int(np.argmax(bad))
-                faults.append((i, f"non-numeric value {cells[j][i].strip()!r} in column {name!r}"))
+        column, bad = _numbers(cells[j])
+        if bad.any() and name in roles:
+            i = int(np.argmax(bad))
+            faults.append((i, f"non-numeric value {cells[j][i].strip()!r} in column {name!r}"))
+        elif bad.any():
+            rows_bad = np.flatnonzero(bad).tolist()
+            text.setdefault(name, {}).update((start + i, cells[j][i].strip()) for i in rows_bad)
         blocks.append(column)
     if faults:
         row, message = min(faults, key=lambda fault: fault[0])
@@ -244,22 +325,23 @@ def evaluate_raw_rules(rules: list, columns: dict, mask_rows) -> np.ndarray:
     """Evaluate clause lists on the rows ``mask_rows`` selects.
 
     ``columns`` maps CSV column names to their cells: a ``CsvColumns`` as
-    ``load_dataset`` returns it, whose parsed numbers are shared by every
-    call and whose errors name its file, or a plain dict of text cells,
-    whose errors name ``CSV`` and count data rows from line 2. Each clause
-    is a list of {"var": column name, "op": comparator, "value": number, or
-    a list of numbers for "in"}; a row matches when every predicate of at
-    least one clause holds. Cells compare numerically and an empty cell
-    reads as NaN, which satisfies only "!=". A rule set or clause that is
-    not a list, an unknown column or comparator, or a value of the wrong
-    type, is a ConfigError; a non-numeric cell in a selected row of a rule
-    column is a DataError naming its file line.
+    ``load_dataset`` returns it, whose errors name its file, or a plain
+    dict of text cells, whose errors name ``CSV`` and count data rows from
+    line 2. Each clause is a list of {"var": column name, "op": comparator,
+    "value": number, or a list of numbers for "in"}; a row matches when
+    every predicate of at least one clause holds. Cells compare
+    numerically and an empty cell reads as NaN, which satisfies only "!=".
+    A rule set or clause that is not a list, an unknown column or
+    comparator, or a value of the wrong type, is a ConfigError; a
+    non-numeric cell in a selected row of a rule column is a DataError
+    naming its file line.
     """
     if not isinstance(rules, list):
         raise ConfigError(f"exclusion rules {rules!r} are not a list of clauses")
+    selected = np.asarray(mask_rows, dtype=bool)
     if not isinstance(columns, CsvColumns):
-        columns = CsvColumns(columns, np.arange(len(mask_rows)) + 2)
-    rows = np.flatnonzero(mask_rows)
+        columns = _text_columns(columns, np.arange(selected.size) + 2)
+    rows = np.flatnonzero(selected)
     values: dict[str, np.ndarray] = {}
     out = np.zeros(rows.size, dtype=bool)
     for clause in rules:
@@ -276,16 +358,22 @@ def evaluate_raw_rules(rules: list, columns: dict, mask_rows) -> np.ndarray:
                 raise ConfigError(f"exclusion rule references unknown column {var!r}")
             constant = _rule_constant(var, op, value)
             if var not in values:
-                numbers, bad = columns.numbers(var)
-                bad = rows[bad[rows]]
+                bad = min((i for i in columns.text.get(var, ()) if selected[i]), default=None)
                 with _naming_lines(columns.path, columns.lines):
-                    if bad.size:
-                        cell = columns[var][bad[0]].strip()
-                        raise DataError(f"non-numeric value {cell!r} in column {var!r}", row=bad[0])
-                values[var] = numbers[rows]
+                    if bad is not None:
+                        cell = columns.text[var][bad]
+                        raise DataError(f"non-numeric value {cell!r} in column {var!r}", row=bad)
+                values[var] = columns[var][rows]
             match &= _COMPARATORS[op](values[var], constant)
         out |= match
     return out
+
+
+def _text_columns(cells: dict, lines: np.ndarray) -> CsvColumns:
+    """Columns of text cells parsed as the block parser parses them."""
+    parts, text = {name: (j, []) for j, name in enumerate(cells)}, {}
+    _parse_block(list(zip(*cells.values())), len(cells), parts, (), text, 0)
+    return CsvColumns({name: blocks[0] for name, (_, blocks) in parts.items()}, lines, text)
 
 
 def _rule_constant(var: str, op: str, value) -> np.ndarray:
@@ -347,7 +435,8 @@ def _stage(label: str):
 def cmd_analyze(config: dict) -> dict:
     """Run the fit / partition / estimate pipeline, returning the report."""
     _check_schema(config)
-    data, columns = load_dataset(_require(config, "input"), _require(config, "roles"))
+    names = _named_columns(config)
+    data, columns = load_dataset(_require(config, "input"), _require(config, "roles"), **names)
     family = _family(config.get("outcome_family", "gaussian"))
     methods = config.get("methods", ["trimmed_aipw"])
     for m in methods:
@@ -468,10 +557,37 @@ def _run_method(
     )
 
 
+def _named_columns(config: dict) -> dict:
+    """``load_dataset``'s ``keep`` and ``optional``: the columns that the
+    exclusion rules name, and those that the extrapolation filters name.
+    A filter runs only when its partition group has rows, so a column
+    that only a filter names and the header lacks is left for
+    ``evaluate_raw_rules`` to reject if the filter runs."""
+    filters = _filters(config)
+    named = [filters.get(f"r{g}_trial_filter") for g in (1, 2)] if isinstance(filters, dict) else []
+    return {"keep": _rule_columns(config.get("exclusion_rules")), "optional": _rule_columns(*named)}
+
+
+def _rule_columns(*rule_sets) -> list:
+    """The column names that the predicates of the rule sets name. Parts
+    that are not well formed name none; ``evaluate_raw_rules`` rejects
+    them when it reads them."""
+    return [
+        pred["var"] for rules in rule_sets if isinstance(rules, list)
+        for clause in rules if isinstance(clause, list)
+        for pred in clause if isinstance(pred, dict) and isinstance(pred.get("var"), str)
+    ]
+
+
+def _filters(config) -> dict:
+    """The ``sensitivity.extrapolation`` block of trial filters, if any."""
+    sens = config.get("sensitivity", {})
+    return sens.get("extrapolation", {}) if isinstance(sens, dict) else {}
+
+
 def _extrapolations(config, data, columns, family, outcome, partition):
     """Group extrapolations for EPD; surrogate-stratum refits optional."""
-    sens = config.get("sensitivity", {})
-    filters = sens.get("extrapolation", {}) if isinstance(sens, dict) else {}
+    filters = _filters(config)
     if not isinstance(filters, dict):
         raise ConfigError(f"sensitivity.extrapolation {filters!r} is not an object of trial filters")
     x_target = data.x.compress(data.target_mask, axis=0)
@@ -606,19 +722,25 @@ def cmd_calibrate(args) -> dict:
 def _read_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path} does not hold a JSON object")
+    return obj
 
 
 def _write_text(path: str | None, text: str):
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,10 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from extval import (
+    ConfigError,
     DataError,
     GlmFamily,
     StudyReport,
@@ -263,10 +264,9 @@ def test_load_dataset_parses_like_float_bit_for_bit(tmp_path_factory, block, row
     assert _bits(data.s) == _bits([float(t) for t in trial])
     assert _bits(data.y) == _bits([float(r[3]) if t else np.nan for r, t in zip(rows, trial)])
     assert _bits(data.x[:, 1]) == _bits([float(r[4]) for r in rows])
-    # a column no role names stays text until a rule reads it
-    assert columns["note"] == tuple(r[5] for r in rows)
-    values, bad = columns.numbers("note")
-    assert _bits(values) == _bits([float(r[5]) for r in rows]) and not bad.any()
+    # a column no role names is parsed the same way, and keeps no text
+    assert _bits(columns["note"]) == _bits([float(r[5]) for r in rows])
+    assert columns.text == {}
 
 
 @pytest.mark.parametrize("block", BLOCK_SIZES)
@@ -309,6 +309,139 @@ def test_load_dataset_reports_first_fault(tmp_path, monkeypatch, block, faults, 
     assert str(exc.value) == f"{path} line {line}: {message}"
 
 
+# cells that numpy's reader reads otherwise than the block parser, or that
+# only the block parser can name as faults
+_ODD_CELL = st.sampled_from(['"1.5"', '" 2"', '"1,5"', " NaN", "1_000", "\u0661\u0662", "#5", "", " ", "abc"])
+# in a row: an odd cell in field 1 to 4, a spelled-out nan as its treatment
+# or outcome, a quoted note that holds a line of its own, a field short or
+# long, one short and the next long, or a line of spaces before it
+_ODDITY = st.tuples(st.sampled_from(["cell", "nan", "lines", "short", "long", "both", "spaces"]),
+                    st.integers(0, 7), st.integers(1, 4), _ODD_CELL)
+_FIVE_COLUMNS = {"s": "s", "a": "a", "y": "y", "covariates": ["x1"]}
+
+
+@st.composite
+def _csv_file(draw):
+    """The bytes of a CSV of columns s, a, y, x1 and note, with up to two
+    oddities, and whether it is plain: no oddity and a data row."""
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        trial, space = draw(st.booleans()), draw(st.sampled_from(["", " "]))
+        y, x1, note = draw(_CELL), draw(_CELL), draw(_CELL)
+        rows.append(["1", "1", y, x1, note] if trial else ["0", space, space, x1, note])
+    oddities = draw(st.lists(_ODDITY, max_size=2)) if rows else []
+    before = [""] * len(rows)
+    for kind, i, field, cell in oddities:
+        row, after = rows[i % len(rows)], rows[(i + 1) % len(rows)]
+        if kind == "cell":
+            row[field] = cell
+        elif kind == "nan":
+            row[1 + field % 2] = "nan"
+        elif kind == "lines":
+            row[-1] = '"1\n0,,,0.5,2"'
+        elif kind == "spaces":
+            before[i % len(rows)] = " \n"
+        if kind in ("short", "both"):
+            del row[-1]
+        if kind in ("long", "both"):
+            (after if kind == "both" else row).append("9")
+    blank = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = ["s,a,y,x1,note"] + [
+        ("\n" if gap else "") + spaces + ",".join(row) for gap, spaces, row in zip(blank, before, rows)
+    ]
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    text = bom + "\n".join(lines) + "\n"
+    return text.replace("\n", newline).encode(), bool(rows) and not oddities
+
+
+real_read_fast = cli._read_fast
+
+
+def _loaded(path, keep, fast: bool):
+    """What ``load_dataset`` gives with numpy's reader allowed or not: the
+    arrays' bits, the cells' text and lines, or the error's text; and
+    whether numpy's reader gave the rows."""
+    read = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_read_fast", lambda *args: read.append(real_read_fast(*args) if fast else None) or read[-1])
+        try:
+            data, columns = load_dataset(str(path), _FIVE_COLUMNS, keep=keep)
+        except DataError as exc:
+            return str(exc), bool(read) and read[0] is not None
+    arrays = {name: _bits(values) for name, values in columns.items()}
+    return (arrays, _bits(data.x), columns.text, columns.lines.tolist()), read[0] is not None
+
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(file=_csv_file(), keep=st.sampled_from([None, [], ["note"]]), block=st.sampled_from(BLOCK_SIZES))
+# rows a field short and a field long, whose commas add up, past a column
+# that is not read
+@example(file=(b"s,a,y,x1,note\n0,,,0.5\n0,,,0.5,1,9\n", False), keep=[], block=1)
+def test_numpy_reader_agrees_with_block_parser(tmp_path_factory, file, keep, block):
+    # the block parser is the reference: on every file the load gives the
+    # same arrays, text and lines bit for bit, or the same error
+    content, plain = file
+    path = tmp_path_factory.mktemp("differential") / "cells.csv"
+    path.write_bytes(content)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "BLOCK_ROWS", block)
+        got, fast = _loaded(path, keep, fast=True)
+        reference, _ = _loaded(path, keep, fast=False)
+    assert got == reference
+    # a plain file is numpy's to read, whether or not it loads
+    assert fast or not plain
+
+
+def test_load_dataset_reads_only_the_named_columns(tmp_path):
+    # a text column that no rule names is never parsed, so numpy's reader
+    # still reads the file
+    path = tmp_path / "named.csv"
+    path.write_text("s,a,y,x1,comment,flag\n1,1,2.0,0.1,first visit,0\n0,,,0.2,n/a,1\n")
+    read = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_read_fast", lambda *args: read.append(real_read_fast(*args)) or read[-1])
+        data, columns = load_dataset(str(path), _FIVE_COLUMNS, keep=["flag"])
+    assert read[0] is not None
+    assert set(columns) == {"s", "a", "y", "x1", "flag"}
+    assert columns["flag"].tolist() == [0.0, 1.0]
+
+
+def test_load_dataset_rejects_unknown_named_column_before_reading_rows(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("s,a,y,x1\n1,1,2.0,abc\n")
+    with pytest.raises(ConfigError) as exc:
+        load_dataset(str(path), _FIVE_COLUMNS, keep=["nope"])
+    assert str(exc.value) == "exclusion rule references unknown column 'nope'"
+    # an optional name the header lacks is left out
+    path.write_text("s,a,y,x1\n1,1,2.0,0.5\n0,,,0.25\n")
+    _, columns = load_dataset(str(path), _FIVE_COLUMNS, optional=["nope"])
+    assert "nope" not in columns
+
+
+def test_filter_on_unknown_column_fails_only_when_it_runs(fixture_csv):
+    # with no exclusion rule, group 1 is empty and no filter runs
+    cfg = _config(fixture_csv, exclusion_rules=[])
+    cfg["sensitivity"]["extrapolation"] = {"r2_trial_filter": [[{"var": "nope", "op": "==", "value": 1}]]}
+    assert "zeta" not in cmd_analyze(cfg)
+    cfg["exclusion_rules"] = _config(fixture_csv)["exclusion_rules"]
+    with pytest.raises(ConfigError) as exc:
+        cmd_analyze(cfg)
+    assert str(exc.value) == "exclusion rule references unknown column 'nope'"
+
+
+@pytest.mark.parametrize("odd_line", ["", '0,,,"0.5"'])
+def test_load_dataset_reads_utf8_with_byte_order_mark(tmp_path, odd_line):
+    # Excel writes a byte-order mark; it is not part of the first name,
+    # whichever parser reads the rows
+    path = tmp_path / "excel.csv"
+    path.write_text("s,a,y,x1\n1,1,2.0,0.5\n" + odd_line + "\n0,,,0.25\n", encoding="utf-8-sig")
+    data, columns = load_dataset(str(path), _FIVE_COLUMNS)
+    assert data.s.tolist() == [1.0, 0.0, 0.0][: data.n] and "s" in columns
+    assert columns.lines.tolist() == ([2, 4] if odd_line == "" else [2, 3, 4])
+
+
 def test_load_dataset_leaves_the_collector_as_it_found_it(tmp_path, fixture_csv):
     bad = tmp_path / "bad.csv"
     bad.write_text("selected,treat,outcome,x1,x2\n0,,,abc,0.1\n")
@@ -325,28 +458,46 @@ def test_load_dataset_leaves_the_collector_as_it_found_it(tmp_path, fixture_csv)
         gc.enable()
 
 
-def test_load_dataset_memory_is_a_few_times_its_arrays(tmp_path):
-    # a registry-style export of about 20k rows, every value at full
-    # precision; parsing must not hold the file's text
+def _registry_csv(path, n, codes=0):
+    """A registry-style export of ``n`` rows, every value at full precision,
+    with ``codes`` trailing columns of integer codes from -9 to 29."""
     rng = np.random.default_rng(23)
-    n = 20_000
     trial = rng.random(n) < 0.1
     x = rng.standard_normal((n, 4))
     flag = (rng.random(n) < 0.01).astype(int)
-    lines = ["s,a,y,x1,x2,x3,x4,ineligible"]
+    extra = rng.integers(-9, 30, (n, codes)).astype(str)
+    lines = [",".join(["s,a,y,x1,x2,x3,x4,ineligible", *(f"code{j}" for j in range(codes))])]
     for i in range(n):
         ay = f"{int(rng.random() < 0.5)},{rng.standard_normal()!r}" if trial[i] else ","
-        lines.append(f"{int(trial[i])},{ay},{','.join(map(repr, x[i].tolist()))},{flag[i]}")
-    path = tmp_path / "registry.csv"
+        lines.append(",".join([f"{int(trial[i])},{ay}", *map(repr, x[i].tolist()), str(flag[i]), *extra[i]]))
     path.write_text("\n".join(lines) + "\n")
-    roles = {"s": "s", "a": "a", "y": "y", "covariates": ["x1", "x2", "x3", "x4"]}
+    return path
+
+
+REGISTRY_ROLES = {"s": "s", "a": "a", "y": "y", "covariates": ["x1", "x2", "x3", "x4"]}
+
+
+def _load_peak(path, **names):
     tracemalloc.start()
     try:
-        data, _ = load_dataset(str(path), roles)
+        data, _ = load_dataset(str(path), REGISTRY_ROLES, **names)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    arrays = sum(getattr(data, name).nbytes for name in ("s", "a", "y", "x"))
+    return peak, sum(getattr(data, name).nbytes for name in ("s", "a", "y", "x"))
+
+
+def test_load_dataset_memory_is_a_few_times_its_arrays(tmp_path):
+    # about 20k rows; parsing must not hold the file's text
+    peak, arrays = _load_peak(_registry_csv(tmp_path / "registry.csv", 20_000))
+    assert peak <= 4 * arrays, f"peak {peak} bytes against {arrays} bytes of arrays"
+
+
+def test_load_dataset_memory_ignores_columns_no_rule_names(tmp_path):
+    # 40 columns of codes that no rule names cost the load nothing to keep
+    path = _registry_csv(tmp_path / "wide.csv", 20_000, codes=40)
+    config = _config(path, exclusion_rules=[[{"var": "ineligible", "op": "==", "value": 1}]])
+    peak, arrays = _load_peak(path, **cli._named_columns(config))
     assert peak <= 4 * arrays, f"peak {peak} bytes against {arrays} bytes of arrays"
 
 
@@ -462,6 +613,26 @@ def test_main_exit_codes(tmp_path, fixture_csv):
     del cfg["seed"]
     missing_seed.write_text(json.dumps(cfg))
     assert _run_main(["analyze", "--config", missing_seed]) == 2
+
+
+@pytest.mark.parametrize("command", ["analyze", "sensitivity"])
+def test_main_rejects_json_that_is_not_an_object(tmp_path, fixture_csv, capsys, command):
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_config(fixture_csv)))
+    args = ["analyze", "--config", listed] if command == "analyze" else \
+        ["sensitivity", "--config", cfg_path, "--report", listed]
+    assert _run_main(args) == 2
+    assert capsys.readouterr().err == f"error: {listed} does not hold a JSON object\n"
+
+
+def test_main_rejects_output_path_it_cannot_write(tmp_path, fixture_csv, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_config(fixture_csv)))
+    out = tmp_path / "missing" / "out.json"
+    assert _run_main(["analyze", "--config", cfg_path, "--output", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
 
 
 @pytest.mark.parametrize("predicate", [
