@@ -51,7 +51,7 @@ print(f"extrapolated group effects: zeta1 = {zeta1:+.3f}, zeta2 = {zeta2:+.3f}")
 
 inp = SensitivityInput(
     tau3=tau3.estimate,
-    tau3_variance=tau3.variance,
+    tau3_ci=(tau3.ci_low, tau3.ci_high),
     p1=partition.p_hat[0],
     p2=partition.p_hat[1],
     p3_star=partition.p_hat[2],

@@ -392,8 +392,36 @@ def _rule_constant(var: str, op: str, value) -> np.ndarray:
 
 def _require(config: dict, key: str):
     if key not in config:
-        raise ConfigError(f"config is missing {key!r}")
+        raise ConfigError(f"missing key {key!r}")
     return config[key]
+
+
+def _value(config: dict, key: str, convert, *default):
+    """``convert(config[key])``, or ``convert(default[0])`` when the key is
+    absent and a default is given; a missing key without one, or a value
+    that ``convert`` refuses with a TypeError or ValueError, is a
+    ConfigError that names the key."""
+    value = config.get(key, *default) if default else _require(config, key)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key!r} has a malformed value {value!r}") from None
+
+
+def _number(value):
+    """``value`` itself if it is an int or a float (a bool is an int), else
+    a TypeError."""
+    if isinstance(value, (int, float)):
+        return value
+    raise TypeError(f"{value!r} is not a number")
+
+
+def _number_list(values, count=None) -> list:
+    """``values`` as a list of numbers, ``count`` of them unless None."""
+    numbers = [_number(v) for v in values]
+    if count not in (None, len(numbers)):
+        raise ValueError(f"{values!r} does not hold {count} numbers")
+    return numbers
 
 
 def _check_schema(config: dict):
@@ -436,22 +464,24 @@ def cmd_analyze(config: dict) -> dict:
     """Run the fit / partition / estimate pipeline, returning the report."""
     _check_schema(config)
     names = _named_columns(config)
-    data, columns = load_dataset(_require(config, "input"), _require(config, "roles"), **names)
+    data, columns = load_dataset(_require(config, "input"), _value(config, "roles", dict), **names)
     family = _family(config.get("outcome_family", "gaussian"))
-    methods = config.get("methods", ["trimmed_aipw"])
+    methods = _value(config, "methods", list, ["trimmed_aipw"])
     for m in methods:
-        if m not in _METHODS:
+        if not isinstance(m, str) or m not in _METHODS:
             raise ConfigError(f"unknown method {m!r}; choose from {tuple(_METHODS)}")
     variance_method = config.get("variance", "sandwich")
     if variance_method not in ("sandwich", "bootstrap"):
         raise ConfigError("variance must be 'sandwich' or 'bootstrap'")
     p3_star = config.get("p3_star")
-    epsilon = float(config.get("epsilon", DEFAULT_EPSILON))
+    epsilon = _value(config, "epsilon", float, DEFAULT_EPSILON)
+    if not 0.0 < epsilon < np.inf:
+        raise ConfigError(f"epsilon must be positive and finite, got {epsilon!r}")
     needs_partition = any(m.startswith("trimmed") for m in methods)
     if needs_partition and p3_star is None:
         raise ConfigError("trimmed methods require p3_star")
-    if p3_star is not None and not 0.0 < p3_star <= 1.0:
-        raise ConfigError("p3_star must lie in (0, 1]")
+    if p3_star is not None and not (isinstance(p3_star, (int, float)) and 0.0 < p3_star <= 1.0):
+        raise ConfigError(f"p3_star must be a number in (0, 1], got {p3_star!r}")
     seed = config.get("seed")
     if variance_method == "bootstrap" and seed is None:
         raise ConfigError("bootstrap variance requires an explicit seed")
@@ -508,7 +538,7 @@ def cmd_analyze(config: dict) -> dict:
 
 
 def _family(name: str) -> GlmFamily:
-    if name not in _FAMILIES:
+    if not isinstance(name, str) or name not in _FAMILIES:
         raise ConfigError(f"unknown outcome family {name!r}; choose gaussian or binary")
     return _FAMILIES[name]
 
@@ -521,7 +551,8 @@ def _fit_components(data, config, family, outcome: bool, r1_mask, threshold, sta
     with _stage("fit"):
         sampling = fit_sampling_score(data, start[0])
         propensity = fit_propensity_score(
-            data, known_probability=config.get("known_propensity"), start=start[1],
+            data, start=start[1],
+            known_probability=_value(config, "known_propensity", lambda p: p if p is None else float(p), None),
         )
         fits = fit_outcome_models(data, family) if outcome else None
     partition = None
@@ -550,8 +581,8 @@ def _run_method(
         refit = _fit_components(ds, config, family, "aipw" in method, mask, threshold, start)
         return run(ds, *refit, "none").estimate
 
-    reps = int(config.get("bootstrap_reps", 500))
-    var, lo, hi = bootstrap_ci(point, data, reps, int(config["seed"]), r1_mask=r1_mask)
+    reps = _value(config, "bootstrap_reps", int, 500)
+    var, lo, hi = bootstrap_ci(point, data, reps, _value(config, "seed", int), r1_mask=r1_mask)
     return dataclasses.replace(
         rep, variance=var, ci_low=lo, ci_high=hi, variance_method="bootstrap"
     )
@@ -613,13 +644,17 @@ def _extrapolations(config, data, columns, family, outcome, partition):
 # ---------------------------------------------------------------------------
 
 def cmd_sensitivity(config: dict, report: dict) -> str:
-    """Sweep (k1, k2) for the configured assumption; returns grid CSV."""
+    """Sweep (k1, k2) for the configured assumption; returns grid CSV.
+    The grid transforms the interval of the report's trimmed estimate of
+    the configured method: Wald under the sandwich, the percentile
+    interval under the bootstrap."""
     _check_schema(config)
-    sens = _require(config, "sensitivity")
+    sens = _value(config, "sensitivity", dict)
     assumption = _require(sens, "assumption")
     method = sens.get("method", "aipw")
     entry = next(
-        (e for e in report.get("estimates", []) if e["method"] == method and e["trimmed"]),
+        (e for e in _value(report, "estimates", list, [])
+         if isinstance(e, dict) and e.get("method") == method and e.get("trimmed")),
         None,
     )
     if entry is None:
@@ -627,21 +662,16 @@ def cmd_sensitivity(config: dict, report: dict) -> str:
             f"analysis report has no trimmed {method} estimate; rerun analyze "
             "with the matching method"
         )
-    part = report.get("partition")
-    if part is None:
-        raise ConfigError("analysis report carries no partition block")
-    zeta = report.get("zeta", {})
+    zeta = _value(report, "zeta", dict, {})
     inp = SensitivityInput(
-        tau3=entry["estimate"],
-        tau3_variance=entry["se"] ** 2,
-        p1=part["p_hat"][0],
-        p2=part["p_hat"][1],
-        p3_star=part["p_hat"][2],
+        _value(entry, "estimate", _number),
+        tuple(_value(entry, "ci", partial(_number_list, count=2))),
+        *_value(entry, "p_hat", partial(_number_list, count=3)),
         zeta1=zeta.get("zeta1"),
         zeta2=zeta.get("zeta2"),
     )
-    k1_grid = list(sens.get("k1_grid", [1.0]))
-    k2_grid = list(sens.get("k2_grid", [1.0]))
+    k1_grid = _value(sens, "k1_grid", _number_list, [1.0])
+    k2_grid = _value(sens, "k2_grid", _number_list, [1.0])
     if 1.0 not in k1_grid:
         k1_grid.append(1.0)
     if 1.0 not in k2_grid:
@@ -666,20 +696,21 @@ def cmd_simulate(config: dict, threads: int = 1) -> str:
     if "seed" not in config:
         raise ConfigError("simulate requires an explicit seed")
     family = _family(config.get("outcome_family", "gaussian"))
-    sizes = config.get("sizes", [100_000])
+    sizes = _value(config, "sizes", lambda v: [int(n) for n in v], [100_000])
+    if not sizes:
+        raise ConfigError("simulate needs at least one size")
     chunks = []
     # the truth does not read n_total, so the first size's serves them all
     true_tau = None
     for n_total in sizes:
-        dgp = DgpConfig(n_total=int(n_total), outcome_family=family)
         study = StudyConfig(
-            dgp=dgp,
-            replications=int(config.get("replications", 1000)),
-            p3_stars=tuple(config.get("p3_star", [0.8, 0.9])),
-            methods=tuple(config.get("methods", ["ipw", "aipw"])),
-            assumptions=tuple(config.get("assumptions", ["gpd", "epd"])),
-            master_seed=int(config["seed"]),
-            oracle_draws=int(config.get("oracle_draws", 4_000_000)),
+            dgp=DgpConfig(n_total=n_total, outcome_family=family),
+            replications=_value(config, "replications", int, 1000),
+            p3_stars=_value(config, "p3_star", tuple, [0.8, 0.9]),
+            methods=_value(config, "methods", tuple, ["ipw", "aipw"]),
+            assumptions=_value(config, "assumptions", tuple, ["gpd", "epd"]),
+            master_seed=_value(config, "seed", int),
+            oracle_draws=_value(config, "oracle_draws", int, 4_000_000),
         )
         report = run_study(study, n_jobs=max(1, threads), true_tau=true_tau)
         true_tau = report.true_tau
@@ -694,7 +725,7 @@ def cmd_simulate(config: dict, threads: int = 1) -> str:
 
 
 def cmd_calibrate(args) -> dict:
-    slopes = [float(v) for v in args.slopes.split(",")]
+    slopes = _value(vars(args), "slopes", lambda v: [float(s) for s in v.split(",")])
     config = DgpConfig(
         beta=(0.0, *slopes),
         theta0=(0.0,) * (len(slopes) + 1),

@@ -8,10 +8,11 @@ underrepresented groups are handled by one of two assumptions:
 * extrapolation proportional difference (EPD): each group's ATE is k_j
   times a model-based extrapolation zeta_j.
 
-Confidence intervals propagate only the well-represented estimate's
-variance; group shares and extrapolations are treated as fixed, which
-is exactly the uncertainty the sensitivity parameters are meant to
-absorb.
+Each assumption is affine in the well-represented estimate, so its
+confidence interval transforms that estimate's own interval (Wald or
+bootstrap percentile); group shares and extrapolations are treated as
+fixed, which is exactly the uncertainty the sensitivity parameters are
+meant to absorb.
 """
 
 from __future__ import annotations
@@ -24,16 +25,16 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, EmptyGroupError
-from .estimators import Z95
 from .glm import GlmFit, predict_mean
 
 
 @dataclass(frozen=True)
 class SensitivityInput:
-    """Well-represented estimate plus the group shares it leaves out."""
+    """Well-represented estimate and its (low, high) interval, plus the
+    group shares it leaves out."""
 
     tau3: float
-    tau3_variance: float
+    tau3_ci: tuple[float, float]
     p1: float
     p2: float
     p3_star: float
@@ -45,13 +46,8 @@ class SensitivityInput:
             raise ConfigError("group shares must be nonnegative")
         if abs(self.p1 + self.p2 + self.p3_star - 1.0) > 1e-9:
             raise ConfigError("group shares and p3* must sum to 1")
-        if self.tau3_variance < 0:
-            raise ConfigError("tau3 variance must be nonnegative")
-
-    @property
-    def tau3_ci(self) -> tuple[float, float]:
-        half = Z95 * float(np.sqrt(self.tau3_variance))
-        return self.tau3 - half, self.tau3 + half
+        if self.tau3_ci[0] > self.tau3_ci[1]:
+            raise ConfigError(f"tau3 interval {self.tau3_ci} is reversed")
 
 
 @dataclass(frozen=True)
@@ -85,8 +81,8 @@ class SensitivityGrid:
 def gpd_estimate(inp: SensitivityInput, k1: float = 1.0, k2: float = 1.0) -> SensitivityEstimate:
     """Full-population ATE assuming group effects are k_j times tau3.
 
-    tau_hat = (k1*p1 + k2*p2 + p3*) * tau3; the CI scales tau3's CI by
-    the same factor (endpoints swap when the factor is negative).
+    tau_hat = (k1*p1 + k2*p2 + p3*) * tau3; the CI scales tau3's interval
+    by the same factor (endpoints swap when the factor is negative).
     """
     factor = k1 * inp.p1 + k2 * inp.p2 + inp.p3_star
     lo3, hi3 = inp.tau3_ci
@@ -99,7 +95,7 @@ def epd_estimate(inp: SensitivityInput, k1: float = 1.0, k2: float = 1.0) -> Sen
     model-based extrapolations zeta_j.
 
     tau_hat = p1*k1*zeta1 + p2*k2*zeta2 + p3*tau3; the CI is p3* times
-    tau3's CI shifted by the fixed extrapolation term.
+    tau3's interval shifted by the fixed extrapolation term.
     """
     if inp.zeta1 is None or inp.zeta2 is None:
         raise ConfigError("EPD requires extrapolated group effects zeta1 and zeta2")

@@ -206,6 +206,8 @@ def calibrate_intercept(
     slopes = np.asarray(slopes, dtype=float)
     if not 0.0 < target_prob < 1.0:
         raise ConfigError("target_prob must lie strictly in (0, 1)")
+    if mc_draws < 1:
+        raise ConfigError("mc_draws must be positive")
     rng = np.random.default_rng(seed)
     bases = []
     masks = []
@@ -359,7 +361,7 @@ def _one_replication(config: StudyConfig, rep: int) -> dict:
                 rep_est = trimmed_aipw(data, sampling, propensity, outcome, part)
             inp = SensitivityInput(
                 tau3=rep_est.estimate,
-                tau3_variance=rep_est.variance,
+                tau3_ci=(rep_est.ci_low, rep_est.ci_high),
                 p1=part.p_hat[0],
                 p2=part.p_hat[1],
                 p3_star=part.p_hat[2],

@@ -249,7 +249,7 @@ def test_6_reduction_identities():
     chain = trimmed_aipw(data, sampling, propensity, zero, no_rule_part, variance="none").estimate
 
     rep = trimmed_aipw(data, sampling, propensity, fit_outcome_models(data, GAUSS), part08)
-    inp = SensitivityInput(rep.estimate, rep.variance, *part08.p_hat)
+    inp = SensitivityInput(rep.estimate, (rep.ci_low, rep.ci_high), *part08.p_hat)
     gpd_unit = gpd_estimate(inp, 1.0, 1.0).estimate
 
     clauses = {
@@ -393,7 +393,7 @@ def test_9_efficiency_bound():
 
 def test_10_sensitivity_arithmetic():
     inp = SensitivityInput(
-        tau3=0.249, tau3_variance=0.0326**2,
+        tau3=0.249, tau3_ci=(0.249 - 1.96 * 0.0326, 0.249 + 1.96 * 0.0326),
         p1=0.02, p2=0.08, p3_star=0.90,
         zeta1=0.387, zeta2=0.225,
     )

@@ -580,6 +580,84 @@ def test_sensitivity_missing_method_errors(fixture_csv):
     assert "no trimmed aipw" in str(exc.value)
 
 
+@pytest.mark.parametrize("variance", ["sandwich", "bootstrap"])
+def test_sensitivity_grid_transforms_the_report_interval(fixture_csv, variance):
+    # GPD and EPD are affine in tau3 at fixed shares and extrapolations, so
+    # each row's interval is the report's own (Wald or percentile) interval
+    # carried through that map
+    cfg = _config(fixture_csv, methods=["trimmed_aipw"], variance=variance, bootstrap_reps=100)
+    report = cmd_analyze(cfg)
+    entry = report["estimates"][0]
+    assert entry["variance_method"] == variance
+    gpd = cmd_sensitivity(cfg, report)
+    baseline = next(line for line in gpd.splitlines() if line.startswith("1.0,1.0,"))
+    assert [float(v) for v in baseline.split(",")[4:]] == entry["ci"]
+    cfg["sensitivity"]["assumption"] = "epd"
+    p1, p2, p3 = entry["p_hat"]
+    zeta = report["zeta"]
+    for row in csv.DictReader(cmd_sensitivity(cfg, report).splitlines()):
+        shift = p1 * float(row["k1"]) * zeta["zeta1"] + p2 * float(row["k2"]) * zeta["zeta2"]
+        assert [float(row["ci_low"]), float(row["ci_high"])] == [shift + p3 * end for end in entry["ci"]]
+
+
+def _without(report, key):
+    return dict(report, estimates=[{k: v for k, v in e.items() if k != key} for e in report["estimates"]])
+
+
+MALFORMED = {
+    "analyze p3_star text": ("analyze", {"p3_star": "0.8"}),
+    "analyze epsilon text": ("analyze", {"epsilon": "abc"}),
+    "analyze epsilon zero": ("analyze", {"epsilon": 0}),
+    "analyze epsilon negative": ("analyze", {"epsilon": -1e-8}),
+    "analyze epsilon infinite": ("analyze", {"epsilon": float("inf")}),
+    "analyze bootstrap_reps text": ("analyze", {"variance": "bootstrap", "bootstrap_reps": "x"}),
+    "analyze seed text": ("analyze", {"variance": "bootstrap", "seed": "x"}),
+    "analyze known_propensity text": ("analyze", {"known_propensity": "x"}),
+    "analyze outcome_family list": ("analyze", {"outcome_family": ["gaussian"]}),
+    "sensitivity k1_grid text": ("sensitivity", {"k1_grid": "abc"}),
+    "sensitivity k1_grid number": ("sensitivity", {"k1_grid": 5}),
+    "sensitivity k1_grid of text": ("sensitivity", {"k1_grid": ["1"]}),
+    "sensitivity block number": ("sensitivity", 5),
+    "report record empty": ("report", lambda report: {"estimates": [{}]}),
+    "report record without estimate": ("report", lambda report: _without(report, "estimate")),
+    "report estimates number": ("report", lambda report: {"estimates": 5}),
+    "report p_hat of two": ("report", lambda report: dict(report, estimates=[
+        dict(e, p_hat=e["p_hat"][:2]) for e in report["estimates"]])),
+    "simulate sizes of text": ("simulate", {"sizes": ["abc"]}),
+    "simulate sizes empty": ("simulate", {"sizes": []}),
+    "simulate seed text": ("simulate", {"seed": "x"}),
+    "simulate p3_star number": ("simulate", {"p3_star": 0.8}),
+    "calibrate no draws": ("calibrate", ["--slopes", "0,0", "--draws", "0"]),
+    "calibrate slopes text": ("calibrate", ["--slopes=a,b"]),
+}
+
+
+@pytest.mark.parametrize("kind, change", MALFORMED.values(), ids=MALFORMED.keys())
+def test_main_rejects_malformed_value(tmp_path, fixture_csv, capsys, kind, change):
+    cfg = _config(fixture_csv)
+    cfg_path, report_path = tmp_path / "cfg.json", tmp_path / "report.json"
+    if kind == "analyze":
+        args = ["analyze", "--config", cfg_path]
+        cfg.update(change)
+    elif kind == "simulate":
+        args = ["simulate", "--config", cfg_path]
+        cfg = {"schema_version": 1, "sizes": [20000], "replications": 2, "seed": 5, **change}
+    elif kind == "calibrate":
+        args = ["calibrate", "--target", "0.5", "--seed", "3", *change]
+    else:
+        args = ["sensitivity", "--config", cfg_path, "--report", report_path]
+        report = cmd_analyze(cfg)
+        if kind == "report":
+            report = change(report)
+        else:
+            cfg["sensitivity"] = change if not isinstance(change, dict) else {**cfg["sensitivity"], **change}
+        report_path.write_text(json.dumps(report))
+    cfg_path.write_text(json.dumps(cfg))
+    assert _run_main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def _run_main(args):
     return main([str(a) for a in args])
 

@@ -15,7 +15,7 @@ from extval import (
 
 APPLICATION_INPUT = SensitivityInput(
     tau3=0.249,
-    tau3_variance=0.0326**2,
+    tau3_ci=(0.249 - 1.96 * 0.0326, 0.249 + 1.96 * 0.0326),
     p1=0.02,
     p2=0.08,
     p3_star=0.90,
@@ -36,13 +36,13 @@ def test_gpd_negative_parameters_keep_effect_positive():
 
 
 def test_gpd_zero_tau3_is_flat():
-    inp = SensitivityInput(0.0, 0.0, 0.02, 0.08, 0.90)
+    inp = SensitivityInput(0.0, (0.0, 0.0), 0.02, 0.08, 0.90)
     for k1 in (-4.0, 0.0, 3.0):
         assert gpd_estimate(inp, k1, 2.0).estimate == 0.0
 
 
 def test_gpd_ci_endpoints_swap_under_negative_factor():
-    inp = SensitivityInput(1.0, 0.04, 0.3, 0.3, 0.4)
+    inp = SensitivityInput(1.0, (0.6, 1.4), 0.3, 0.3, 0.4)
     est = gpd_estimate(inp, -4.0, -4.0)   # factor = -2.0
     assert est.ci_low < est.ci_high
     lo3, hi3 = inp.tau3_ci
@@ -58,13 +58,13 @@ def test_epd_application_arithmetic():
 
 
 def test_epd_without_leftover_groups():
-    inp = SensitivityInput(0.5, 0.01, 0.0, 0.0, 1.0, zeta1=9.0, zeta2=-9.0)
+    inp = SensitivityInput(0.5, (0.3, 0.7), 0.0, 0.0, 1.0, zeta1=9.0, zeta2=-9.0)
     for k in (-4.0, 0.0, 4.0):
         assert epd_estimate(inp, k, k).estimate == pytest.approx(0.5)
 
 
 def test_epd_requires_zeta():
-    inp = SensitivityInput(0.5, 0.01, 0.1, 0.1, 0.8)
+    inp = SensitivityInput(0.5, (0.3, 0.7), 0.1, 0.1, 0.8)
     with pytest.raises(ConfigError):
         epd_estimate(inp, 1.0, 1.0)
 
@@ -73,8 +73,8 @@ def test_gpd_epd_coincide_when_zeta_equals_tau3():
     rng = np.random.default_rng(77)
     for _ in range(25):
         p1, p2 = rng.random(2) * 0.3
-        tau3 = rng.standard_normal()
-        inp = SensitivityInput(tau3, rng.random(), p1, p2, 1.0 - p1 - p2,
+        tau3, half = rng.standard_normal(), rng.random()
+        inp = SensitivityInput(tau3, (tau3 - half, tau3 + half), p1, p2, 1.0 - p1 - p2,
                                zeta1=tau3, zeta2=tau3)
         k1, k2 = rng.standard_normal(2) * 3
         assert gpd_estimate(inp, k1, k2).estimate == pytest.approx(
@@ -163,6 +163,17 @@ def test_extrapolate_group_cases():
 
 def test_input_share_validation():
     with pytest.raises(ConfigError):
-        SensitivityInput(0.1, 0.01, 0.3, 0.2, 0.6)   # shares exceed 1
+        SensitivityInput(0.1, (0.0, 0.2), 0.3, 0.2, 0.6)   # shares exceed 1
     with pytest.raises(ConfigError):
-        SensitivityInput(0.1, 0.01, -0.1, 0.2, 0.9)
+        SensitivityInput(0.1, (0.0, 0.2), -0.1, 0.2, 0.9)
+
+
+def test_input_interval_validation():
+    with pytest.raises(ConfigError, match="reversed"):
+        SensitivityInput(0.1, (0.2, 0.0), 0.1, 0.1, 0.8)
+    # no variance, no interval: NaN ends pass through to every row
+    inp = SensitivityInput(0.1, (np.nan, np.nan), 0.1, 0.1, 0.8, zeta1=0.0, zeta2=0.0)
+    for fn in (gpd_estimate, epd_estimate):
+        est = fn(inp, 2.0, -1.0)
+        assert np.isfinite(est.estimate) and np.isnan(est.ci_low) and np.isnan(est.ci_high)
+
