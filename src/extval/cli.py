@@ -106,10 +106,11 @@ def load_dataset(path: str, roles: dict, keep=None, optional=()) -> tuple[Datase
     """Parse a CSV into a Dataset, prepending the constant-1 column.
 
     ``roles`` maps {"s": column, "a": column, "y": column,
-    "covariates": [columns...]}. The file is read as UTF-8, after an
-    optional byte-order mark. Cells are read as numbers, an empty cell as
-    NaN, and the Dataset checks the role columns: treatment and outcome
-    must be empty exactly on target rows. Returns the dataset and the
+    "covariates": [columns...]}: column names as strings, the covariates
+    distinct, else a ConfigError names the role. The file is read as
+    UTF-8, after an optional byte-order mark. Cells are read as numbers,
+    an empty cell as NaN, and the Dataset checks the role columns:
+    treatment and outcome must be empty exactly on target rows. Returns the dataset and the
     columns by name (``CsvColumns``) so that exclusion rules may reference
     non-model columns: the role columns, the columns named in ``keep``
     (every column when it is None), which the header must hold, else a
@@ -128,6 +129,11 @@ def load_dataset(path: str, roles: dict, keep=None, optional=()) -> tuple[Datase
     for key in ("s", "a", "y", "covariates"):
         if key not in roles:
             raise ConfigError(f"column roles must include {key!r}")
+        names = roles[key] if key == "covariates" else [roles[key]]
+        if not (isinstance(names, list) and all(isinstance(c, str) for c in names)
+                and len(set(names)) == len(names)):
+            raise ConfigError(f"column role {key!r} must name a column, or for "
+                              f"'covariates' a list of distinct columns; got {roles[key]!r}")
     needed = [roles["s"], roles["a"], roles["y"], *roles["covariates"]]
     # the rows hold no reference cycles, so a collection while they are
     # read finds nothing, yet walks every object the process tracks
@@ -667,8 +673,8 @@ def cmd_sensitivity(config: dict, report: dict) -> str:
         _value(entry, "estimate", _number),
         tuple(_value(entry, "ci", partial(_number_list, count=2))),
         *_value(entry, "p_hat", partial(_number_list, count=3)),
-        zeta1=zeta.get("zeta1"),
-        zeta2=zeta.get("zeta2"),
+        # a missing extrapolation is left to EPD, which requires both
+        **{key: _value(zeta, key, _number) for key in ("zeta1", "zeta2") if key in zeta},
     )
     k1_grid = _value(sens, "k1_grid", _number_list, [1.0])
     k2_grid = _value(sens, "k2_grid", _number_list, [1.0])

@@ -19,16 +19,22 @@ parameter vectors. The weighting estimators are the augmented ones
 with outcome models fixed at zero, so every system has one layout.
 The sandwich reads the per-row quantities that the plug-in solution was
 computed from, so the stacked rows are evaluated once, and it works
-block by block without building the (n, dim) matrix of rows. It checks
-that their mean is zero and raises StationarityError when it is not
-(component fits that do not belong together).
+block by block without building the (n, dim) matrix of rows. Each block
+is summed over the rows where it can be non-zero: the propensity,
+outcome, v1 and v2 blocks over the trial rows, the sampling, threshold
+and v3 blocks over all rows. It checks that their mean is zero and
+raises StationarityError when it is not (component fits that do not
+belong together).
 
 A is built in closed form from the same per-row quantities (Stefanski &
 Boos 2002, "The calculus of M-estimation"): -X'diag(c)X/n for each GLM
 block, and for the threshold and weighted-mean rows the chained
 derivatives of the membership, the transport weights and the outcome
-means. The variance is then the mean square of the contrast's per-row
-influence values, -psi_i' A^-T eta, over n. The derivative of the
+means. Its terms in the membership's derivatives, and the threshold
+row, are summed over the window of rows whose membership is smoothed
+(not exactly 0 or 1), the other terms over the rows of their block. The
+variance is then the mean square of the contrast's per-row influence
+values, -psi_i' A^-T eta, over n. The derivative of the
 membership at its own smoothing scale (1e-8 by default) would count the
 one or two target rows next to the threshold rather than estimate the
 density of score products there. In A alone, the membership is
@@ -120,7 +126,10 @@ class StackedSystem:
     bandwidth; without them ``jacobian`` is that of ``psi``. A system from
     ``build_stacked_system`` keeps its rows at ``xi``, which
     ``sandwich_variance`` reads in place of ``psi`` (a replaced ``psi``
-    is not called; a replaced ``xi`` is read through ``psi``).
+    is not called; a replaced ``xi`` is read through ``psi``), each
+    block on the rows it lives on: the trial rows for the propensity,
+    outcome, v1 and v2 blocks, all rows for the others. ``psi`` writes
+    those blocks' target rows as 0.
     """
 
     xi: np.ndarray
@@ -203,6 +212,9 @@ class _Pipeline:
         self.data, self.partition = data, partition
         self.a = np.where(data.trial_mask, data.a, 0.0)
         self.y = np.where(data.trial_mask, data.y, 0.0)
+        # the rows the trial-only blocks live on, and their design rows
+        self.trial = np.flatnonzero(data.trial_mask)
+        self.x_trial = data.x.take(self.trial, axis=0)
         self.treated = data.trial_mask & (self.a == 1)
         self.control = data.trial_mask & (self.a == 0)
         # exclusions force k to 0 on target rows only; trial rows are
@@ -284,55 +296,62 @@ class _Pipeline:
 
     def estimating_functions(self, xi: np.ndarray, r: _Rows) -> list:
         """The estimating functions at ``xi`` from its per-row quantities
-        ``r``, as (slice, multiplier, design) per block in layout order:
-        rows multiplier[:, None] * design, where design is x for the GLM
-        blocks and a column of ones for the threshold and the means."""
-        s, a, y, x, sl = self.data.s, self.a, self.y, self.data.x, self.slices
-        ones = np.ones((self.data.n, 1))
-        terms = [(sl["sampling"], s - r.hs, x)]
+        ``r``, as (slice, rows, multiplier, design) per block in layout
+        order: on ``rows`` (the trial rows, or slice(None) for all), the
+        block's rows are multiplier[:, None] * design, and elsewhere 0.
+        design is x on those rows for the GLM blocks and a column of ones
+        for the threshold and the means. The propensity, outcome, v1 and
+        v2 blocks are 0 on every target row, so they live on the trial
+        rows; the sampling, threshold and v3 blocks on all rows."""
+        t, every, sl = self.trial, slice(None), self.slices
+        s, a, y = self.data.s, self.a[t], self.y[t]
+        xt, ones = self.x_trial, np.ones((self.data.n, 1))
+        terms = [(sl["sampling"], every, s - r.hs, self.data.x)]
         if self.fixed_e1 is None:
-            terms.append((sl["propensity"], s * (a - r.e1), x))
+            terms.append((sl["propensity"], t, a - r.e1[t], xt))
         if self.fixed_m is None:
-            terms.append((sl["outcome1"], s * a * (y - r.m1), x))
-            terms.append((sl["outcome0"], s * (1.0 - a) * (y - r.m0), x))
+            terms.append((sl["outcome1"], t, a * (y - r.m1[t]), xt))
+            terms.append((sl["outcome0"], t, (1.0 - a) * (y - r.m0[t]), xt))
         if self.estimate_delta:
-            terms.append((sl["threshold"], (1.0 - s) * (r.k - self.partition.p3_star), ones))
-        for name, (w, v) in zip(self.tail, r.means):
-            terms.append((sl[name], w * (v - xi[sl[name]][0]), ones))
+            terms.append((sl["threshold"], every, (1.0 - s) * (r.k - self.partition.p3_star), ones))
+        for rows, name, (w, v) in zip((t, t, every), self.tail, r.means):
+            terms.append((sl[name], rows, w[rows] * (v[rows] - xi[sl[name]][0]), ones[rows]))
         return terms
 
     def psi(self, xi: np.ndarray, scale: float | None = None) -> np.ndarray:
         """The (n, dim) estimating-function rows at ``xi``."""
-        out = np.empty((self.data.n, self.dim))
-        for sl, m, design in self.estimating_functions(xi, self.rows(xi, scale)):
-            out[:, sl] = m[:, None] * design
+        out = np.zeros((self.data.n, self.dim))
+        for sl, rows, m, design in self.estimating_functions(xi, self.rows(xi, scale)):
+            out[rows, sl] = m[:, None] * design
         return out
 
     def membership_slopes(self, r: _Rows, xi: np.ndarray, scale: float | None = None):
-        """The threshold membership k at ``xi`` smoothed at ``scale`` and its
-        derivatives, as {block: per-row multiplier of x} for the score
-        coefficients and per-row values for the threshold.
+        """The threshold membership k at ``xi`` smoothed at ``scale``, at
+        full length, and its derivatives on the window: the indices of the
+        rows that ``_saturation`` leaves unsaturated, and on those rows
+        {block: per-row multiplier of x} for the score coefficients and
+        per-row values for the threshold.
 
         With k = Phi(u1) Phi(u0), u1 = (hs e1 - delta)/h and
         u0 = (hs e0 - delta)/h, write g1 = phi(u1) Phi(u0)/h and
-        g0 = Phi(u1) phi(u0)/h, both 0 on excluded rows. Only the rows that
-        ``_saturation`` leaves unsaturated are smoothed; on the others k is
-        exactly 0 or 1 and g1 and g0 are exactly 0.
+        g0 = Phi(u1) phi(u0)/h, both 0 on excluded rows. Only the window is
+        smoothed; on the other rows k is exactly 0 or 1 and g1 and g0 are
+        exactly 0, so every derivative of k is 0 there.
         """
         part = self.partition
         delta = xi[self.slices["threshold"]][0] if self.estimate_delta else part.delta_star
         h = scale or part.epsilon
-        hs, e1 = r.hs, r.e1
+        # hs min(e1, e0) is min(hs e1, hs e0) bit for bit: rounding is monotone
+        k, window = _saturation(r.hs * np.minimum(r.e1, 1.0 - r.e1), delta, delta, h)
+        hs, e1 = r.hs[window], r.e1[window]
         e0 = 1.0 - e1
-        prod1, prod0 = hs * e1, hs * e0
-        k, window = _saturation(np.minimum(prod1, prod0), delta, delta, h)
-        g1, g0 = np.zeros_like(k), np.zeros_like(k)
-        u1, u0 = (prod1[window] - delta) / h, (prod0[window] - delta) / h
+        u1, u0 = (hs * e1 - delta) / h, (hs * e0 - delta) / h
         c1, c0 = ndtr(u1), ndtr(u0)
-        k[window], g1[window] = c1 * c0, _normal_pdf(u1) * c0 / h
-        g0[window] = c1 * _normal_pdf(u0) / h
-        k, g1, g0 = (np.where(self.r1, 0.0, v) for v in (k, g1, g0))
-        return k, {
+        k[window] = c1 * c0
+        excluded = self.r1[window]
+        g1 = np.where(excluded, 0.0, _normal_pdf(u1) * c0 / h)
+        g0 = np.where(excluded, 0.0, c1 * _normal_pdf(u0) / h)
+        return np.where(self.r1, 0.0, k), window, {
             "sampling": (g1 * e1 + g0 * e0) * hs * (1.0 - hs),
             "propensity": (g1 - g0) * hs * e1 * e0,
             "threshold": -(g1 + g0),
@@ -342,57 +361,73 @@ class _Pipeline:
         """The (dim, dim) Jacobian of the mean of ``psi(., scale)`` at ``xi``,
         in closed form from the per-row quantities ``r`` at ``xi``.
 
-        Each GLM block is -X'diag(c)X/n, with c = hs(1 - hs), s e1 e0,
-        s a m1' and s (1 - a) m0'. Each weighted-mean row w (v - v_j) with
-        w = k omega chains the derivatives of the membership k, of the
-        transport weight omega (d w1 = -w1 x and d w0 = -w0 x in the
-        sampling coefficients, d w1 = -w1 e0 x and d w0 = w0 e1 x in the
-        propensity coefficients) and of the value v in the outcome
-        coefficients; its diagonal entry is -mean(w).
+        Each GLM block is -X'diag(c)X/n, with c = hs(1 - hs) over all rows
+        and e1 e0, a m1' and (1 - a) m0' over the trial rows. Each
+        weighted-mean row w (v - v_j) with w = k omega chains the
+        derivatives of the membership k, of the transport weight omega
+        (d w1 = -w1 x and d w0 = -w0 x in the sampling coefficients,
+        d w1 = -w1 e0 x and d w0 = w0 e1 x in the propensity coefficients)
+        and of the value v in the outcome coefficients; its diagonal entry
+        is -mean(w). The terms in omega's and v's derivatives are summed
+        over the trial rows for v1 and v2 (omega is 0 elsewhere) and over
+        all rows for v3; the terms in k's derivatives, and the threshold
+        row, over the window of ``membership_slopes`` alone.
         """
-        x, s, a = self.data.x, self.data.s, self.a
+        x, xt, t, s = self.data.x, self.x_trial, self.trial, self.data.s
         n = x.shape[0]
         sl = self.slices
         jac = np.zeros((self.dim, self.dim))
 
-        def gram(block: str, c: np.ndarray):
-            jac[sl[block], sl[block]] = -(x.T @ (c[:, None] * x)) / n
+        def gram(block: str, c: np.ndarray, design: np.ndarray = xt):
+            jac[sl[block], sl[block]] = -(design.T @ (c[:, None] * design)) / n
 
-        e0 = 1.0 - r.e1
-        gram("sampling", r.hs * (1.0 - r.hs))
-        # per block, the derivatives of log omega and of v, as multipliers of x
-        log_slopes = {"sampling": (-1.0, -1.0, 0.0)}
+        gram("sampling", r.hs * (1.0 - r.hs), x)
+        e1 = r.e1[t]
+        e0 = 1.0 - e1
+        # per block, the derivatives of log omega on the trial rows (v1, v2)
+        # and of v, as multipliers of x
+        log_slopes = {"sampling": (-1.0, -1.0)}
         value_slopes = {}
         if self.fixed_e1 is None:
-            gram("propensity", s * r.e1 * e0)
-            log_slopes["propensity"] = (-e0, r.e1, 0.0)
+            gram("propensity", e1 * e0)
+            log_slopes["propensity"] = (-e0, e1)
+        k = np.broadcast_to(1.0, n)  # untrimmed: a length-n view of one 1.0
+        if self.partition is not None:
+            k, window, k_slopes = self.membership_slopes(r, xi, scale)
+            xw, omegas = x.take(window, axis=0), (r.w1[window], r.w0[window], 1.0 - s[window])
+            # each row's factor of d k: omega (v - v_j) for the means and
+            # 1 - s for the threshold
+            factors = {
+                name: omega * (v[window] - xi[sl[name]][0])
+                for name, omega, (_, v) in zip(self.tail, omegas, r.means)
+            }
+            if self.estimate_delta:
+                factors["threshold"] = omegas[2]
+            for name, factor in factors.items():
+                row = sl[name].start
+                for block in log_slopes:
+                    jac[row, sl[block]] = (factor * k_slopes[block]) @ xw / n
+                if self.estimate_delta:
+                    jac[row, sl["threshold"]] = factor @ k_slopes["threshold"] / n
+            del xw, omegas, factors, k_slopes  # before the full-length v3 terms
         if self.fixed_m is None:
             dm1, dm0 = self.link_slope(r.m1), self.link_slope(r.m0)
-            d1, d0 = s * a * dm1, s * (1.0 - a) * dm0
+            d1, d0 = self.a[t] * dm1[t], (1.0 - self.a[t]) * dm0[t]
             gram("outcome1", d1)
             gram("outcome0", d0)
             value_slopes = {"outcome1": (-d1, -d1, dm1), "outcome0": (-d0, -d0, -dm0)}
-        k, k_slopes = 1.0, {}
-        if self.partition is not None:
-            k, k_slopes = self.membership_slopes(r, xi, scale)
-        if self.estimate_delta:
-            row = sl["threshold"].start
-            for block in log_slopes:
-                jac[row, sl[block]] = ((1.0 - s) * k_slopes[block]) @ x / n
-            jac[row, row] = np.mean((1.0 - s) * k_slopes["threshold"])
 
-        omegas = (r.w1, r.w0, 1.0 - s)
-        for j, name in enumerate(self.tail):
+        blocks = zip(self.tail, (t, t, slice(None)), (r.w1[t], r.w0[t], 1.0 - s), (xt, xt, x))
+        for j, (name, rows, omega, design) in enumerate(blocks):
             row = sl[name].start
-            omega, centred = omegas[j], r.means[j][1] - xi[row]
-            for block, slopes in log_slopes.items():
-                c = (k_slopes.get(block, 0.0) + k * slopes[j]) * omega * centred
-                jac[row, sl[block]] = c @ x / n
+            weight = k[rows] * omega
+            if j < 2:  # v3's omega, 1 - s, has no derivative
+                centred = r.means[j][1][rows] - xi[row]
+                for block, slopes in log_slopes.items():
+                    jac[row, sl[block]] += (weight * slopes[j] * centred) @ design / n
             for block, slopes in value_slopes.items():
-                jac[row, sl[block]] = (k * omega * slopes[j]) @ x / n
-            if self.estimate_delta:
-                jac[row, sl["threshold"]] = np.mean(k_slopes["threshold"] * omega * centred)
-            jac[row, row] = -np.mean(k * omega)
+                jac[row, sl[block]] = (weight * slopes[j]) @ design / n
+            jac[row, row] = -np.sum(weight) / n
         return jac
 
 
@@ -563,17 +598,20 @@ def sandwich_variance(system: StackedSystem) -> float:
     values -psi_i'u, whose mean is eta'(xi_hat - xi) to first order: no
     inverse of A, never negative. A system from ``build_stacked_system``
     sums them block by block from the rows it keeps, as multiplier times
-    design @ u_block: no (n, dim) matrix, no second evaluation. Other
-    systems, and one whose ``xi`` was replaced, call ``psi`` once.
+    design @ u_block added into the block's rows (the trial rows for the
+    propensity, outcome, v1 and v2 blocks, all rows for the others), in
+    layout order: no (n, dim) matrix, no second evaluation. Other
+    systems, and one whose ``xi`` was replaced, call ``psi`` once and
+    are one block over all rows.
     """
     pipeline, fitted, xi = system._fitted or (None, None, None)
     if xi is system.xi:
         terms = pipeline.estimating_functions(xi, fitted)
     else:
         rows = system.psi(system.xi)
-        terms = [(slice(None), np.ones(rows.shape[0]), rows)]
-    n = terms[0][1].shape[0]
-    mean = np.concatenate([design.T @ m for _, m, design in terms]) / n
+        terms = [(slice(None), slice(None), np.ones(rows.shape[0]), rows)]
+    n = terms[0][2].shape[0]
+    mean = np.concatenate([design.T @ m for _, _, m, design in terms]) / n
     worst = float(np.max(np.abs(mean)))
     if worst > STATIONARITY_TOL:
         raise StationarityError(
@@ -586,7 +624,9 @@ def sandwich_variance(system: StackedSystem) -> float:
         raise SingularSystemError("Jacobian of the stacked system is singular")
     if not np.all(np.isfinite(u)):
         raise SingularSystemError("Jacobian solve is non-finite")
-    values = sum(m * (design @ u[sl]) for sl, m, design in terms)  # influence values, sign dropped
+    values = np.zeros(n)  # influence values, sign dropped
+    for sl, rows, m, design in terms:
+        values[rows] += m * (design @ u[sl])
     var = float(values @ values) / n ** 2
     if not np.isfinite(var):
         raise NumericalError("sandwich variance is non-finite")

@@ -604,7 +604,16 @@ def _without(report, key):
     return dict(report, estimates=[{k: v for k, v in e.items() if k != key} for e in report["estimates"]])
 
 
+def _roles(**change):
+    return {"roles": {**_config("")["roles"], **change}}
+
+
 MALFORMED = {
+    "analyze roles covariates number": ("analyze", _roles(covariates=5)),
+    "analyze roles covariates text": ("analyze", _roles(covariates="x1")),
+    "analyze roles s number": ("analyze", _roles(s=5)),
+    "analyze roles covariates with a number": ("analyze", _roles(covariates=["x1", 3])),
+    "analyze roles covariates repeated": ("analyze", _roles(covariates=["x1", "x1", "x2"])),
     "analyze p3_star text": ("analyze", {"p3_star": "0.8"}),
     "analyze epsilon text": ("analyze", {"epsilon": "abc"}),
     "analyze epsilon zero": ("analyze", {"epsilon": 0}),
@@ -623,6 +632,8 @@ MALFORMED = {
     "report estimates number": ("report", lambda report: {"estimates": 5}),
     "report p_hat of two": ("report", lambda report: dict(report, estimates=[
         dict(e, p_hat=e["p_hat"][:2]) for e in report["estimates"]])),
+    "report zeta1 text under epd": ("epd report", lambda report: dict(
+        report, zeta=dict(report["zeta"], zeta1="x"))),
     "simulate sizes of text": ("simulate", {"sizes": ["abc"]}),
     "simulate sizes empty": ("simulate", {"sizes": []}),
     "simulate seed text": ("simulate", {"seed": "x"}),
@@ -647,8 +658,10 @@ def test_main_rejects_malformed_value(tmp_path, fixture_csv, capsys, kind, chang
     else:
         args = ["sensitivity", "--config", cfg_path, "--report", report_path]
         report = cmd_analyze(cfg)
-        if kind == "report":
+        if kind.endswith("report"):
             report = change(report)
+            if kind == "epd report":
+                cfg["sensitivity"]["assumption"] = "epd"
         else:
             cfg["sensitivity"] = change if not isinstance(change, dict) else {**cfg["sensitivity"], **change}
         report_path.write_text(json.dumps(report))

@@ -324,6 +324,65 @@ def test_sandwich_does_not_depend_on_difference_step():
         assert np.sqrt(sandwich_variance(differenced)) == pytest.approx(se, rel=1e-3)
 
 
+def _dense_jacobian(pipeline, xi, r, scale=None):
+    """The closed-form Jacobian with every block summed over all n rows and
+    the membership's derivatives at full length: the reference for the
+    sums of ``_Pipeline.jacobian`` over the trial rows and the window."""
+    x, s, a = pipeline.data.x, pipeline.data.s, pipeline.a
+    n = x.shape[0]
+    sl = pipeline.slices
+    jac = np.zeros((pipeline.dim, pipeline.dim))
+
+    def gram(block, c):
+        jac[sl[block], sl[block]] = -(x.T @ (c[:, None] * x)) / n
+
+    e0 = 1.0 - r.e1
+    gram("sampling", r.hs * (1.0 - r.hs))
+    log_slopes = {"sampling": (-1.0, -1.0, 0.0)}
+    value_slopes = {}
+    if pipeline.fixed_e1 is None:
+        gram("propensity", s * r.e1 * e0)
+        log_slopes["propensity"] = (-e0, r.e1, 0.0)
+    if pipeline.fixed_m is None:
+        dm1, dm0 = pipeline.link_slope(r.m1), pipeline.link_slope(r.m0)
+        d1, d0 = s * a * dm1, s * (1.0 - a) * dm0
+        gram("outcome1", d1)
+        gram("outcome0", d0)
+        value_slopes = {"outcome1": (-d1, -d1, dm1), "outcome0": (-d0, -d0, -dm0)}
+    k, k_slopes = 1.0, {}
+    if pipeline.partition is not None:
+        k, window, slopes = pipeline.membership_slopes(r, xi, scale)
+        k_slopes = {block: np.zeros(n) for block in slopes}
+        for block, values in slopes.items():
+            k_slopes[block][window] = values
+    if pipeline.estimate_delta:
+        row = sl["threshold"].start
+        for block in log_slopes:
+            jac[row, sl[block]] = ((1.0 - s) * k_slopes[block]) @ x / n
+        jac[row, row] = np.mean((1.0 - s) * k_slopes["threshold"])
+    omegas = (r.w1, r.w0, 1.0 - s)
+    for j, name in enumerate(pipeline.tail):
+        row = sl[name].start
+        omega, centred = omegas[j], r.means[j][1] - xi[row]
+        for block, slopes in log_slopes.items():
+            c = (k_slopes.get(block, 0.0) + k * slopes[j]) * omega * centred
+            jac[row, sl[block]] = c @ x / n
+        for block, slopes in value_slopes.items():
+            jac[row, sl[block]] = (k * omega * slopes[j]) @ x / n
+        if pipeline.estimate_delta:
+            jac[row, sl["threshold"]] = np.mean(k_slopes["threshold"] * omega * centred)
+        jac[row, row] = -np.mean(k * omega)
+    return jac
+
+
+def _assert_matches_dense_jacobian(system):
+    pipeline, fitted, xi = system._fitted
+    dense = _dense_jacobian(pipeline, xi, fitted, system.bandwidth)
+    # relative to the largest entry of each estimating function's row
+    err = np.abs(system.jacobian - dense) / np.abs(dense).max(axis=1, keepdims=True)
+    assert err.max() <= 1e-13
+
+
 def _matrix_sandwich(system):
     """The sandwich from the (n, dim) matrix of rows, the reference for the
     block-by-block sums of ``sandwich_variance``."""
@@ -347,24 +406,62 @@ def test_sandwich_matches_the_matrix_of_rows(family, augmented, setup):
     system = build_stacked_system(data, sampling, propensity, outcome if augmented else None, part)
     assert ("threshold" in system.labels) == (setup in ("trimmed", "fixed_propensity"))
     assert sandwich_variance(system) == pytest.approx(_matrix_sandwich(system), rel=1e-12, abs=0.0)
+    _assert_matches_dense_jacobian(system)
 
 
-def test_sandwich_memory_stays_below_the_matrix_of_rows():
+@pytest.mark.parametrize("family", [GAUSS, BERN])
+def test_jacobian_matches_the_sums_over_all_rows_on_an_interleaved_cohort(family):
+    # generated cohorts interleave trial and target rows, and at the
+    # bandwidth some trial rows fall in the membership's window, so the
+    # v1 and v2 rows carry derivatives of k
+    data, truth = generate_cohort(DgpConfig(n_total=100_000, outcome_family=family), [19, 4])
+    sampling = fit_sampling_score(data)
+    propensity = fit_propensity_score(data)
+    outcome = fit_outcome_models(data, family)
+    part = partition_population(data, sampling, propensity, truth.excluded[data.target_mask], 0.8)
+    system = build_stacked_system(data, sampling, propensity, outcome, part)
+    pipeline, fitted, xi = system._fitted
+    _, window, _ = pipeline.membership_slopes(fitted, xi, system.bandwidth)
+    assert np.count_nonzero(np.diff(data.trial_mask)) > 100
+    assert np.any(data.trial_mask[window]) and np.any(data.target_mask[window])
+    _assert_matches_dense_jacobian(system)
+
+
+@pytest.fixture(scope="module")
+def registry_system():
+    """A trimmed-AIPW system on 109,145 rows (n_total 1e6), 9% of them trial
+    rows."""
     data, truth = generate_cohort(DgpConfig(n_total=1_000_000), [1, 0])
     sampling = fit_sampling_score(data)
     propensity = fit_propensity_score(data)
     outcome = fit_outcome_models(data, GAUSS)
     part = partition_population(data, sampling, propensity, truth.excluded[data.target_mask], 0.8)
-    system = build_stacked_system(data, sampling, propensity, outcome, part)
-    assert system.dim == 24
+    return build_stacked_system(data, sampling, propensity, outcome, part)
+
+
+def _traced_peak(call) -> int:
     tracemalloc.start()
     try:
-        sandwich_variance(system)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_sandwich_memory_stays_below_the_matrix_of_rows(registry_system):
+    system = registry_system
+    assert system.dim == 24
+    peak = _traced_peak(lambda: sandwich_variance(system))
     # the rows as one (n, dim) matrix would take this much on their own
-    assert peak < data.n * system.dim * 8
+    assert peak < system._fitted[0].data.n * system.dim * 8
+
+
+def test_jacobian_memory_sums_each_block_over_its_rows(registry_system):
+    pipeline, fitted, xi = registry_system._fitted
+    peak = _traced_peak(lambda: pipeline.jacobian(xi, fitted, registry_system.bandwidth))
+    # about 9 float arrays of length n; summing every block over all rows
+    # took about 22
+    assert peak < 16 * pipeline.data.n * 8
 
 
 def _smooth_every_row(min_prods, lo, hi, epsilon):
@@ -384,15 +481,24 @@ def test_membership_slopes_smooth_only_unsaturated_rows(monkeypatch):
     hs[nan_kept] = hs[nan_excluded] = np.nan
     rows = fitted._replace(hs=hs)
     for scale in (None, system.bandwidth):
-        k, slopes = pipeline.membership_slopes(rows, system.xi, scale)
+        k, window, slopes = pipeline.membership_slopes(rows, system.xi, scale)
         with monkeypatch.context() as mp:
             mp.setattr(estimators, "_saturation", _smooth_every_row)
-            k_ref, slopes_ref = pipeline.membership_slopes(rows, system.xi, scale)
+            k_ref, every_row, slopes_ref = pipeline.membership_slopes(rows, system.xi, scale)
+        assert np.array_equal(every_row, np.arange(data.n))
         assert np.array_equal(k, k_ref, equal_nan=True)
         assert slopes.keys() == slopes_ref.keys()
+        # the window's slopes, and exactly 0 on every other row
+        outside = np.ones(data.n, dtype=bool)
+        outside[window] = False
         for block in slopes:
-            assert np.array_equal(slopes[block], slopes_ref[block], equal_nan=True)
+            assert np.array_equal(slopes[block], slopes_ref[block][window], equal_nan=True)
+            assert np.all(slopes_ref[block][outside] == 0.0)
         assert np.all(k[pipeline.r1] == 0.0) and np.isnan(k[nan_kept]).all()
+        assert np.isin(nan_kept, window).all()
+        if scale is None:
+            # at the membership's own scale the window is a few rows
+            assert 0 < window.size < data.n
     # at the bandwidth, some rows are smoothed and some saturated
     assert 0.0 < np.mean((k > 0.0) & (k < 1.0)) < 1.0
 

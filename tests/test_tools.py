@@ -1,0 +1,56 @@
+"""``tools/src_lines.py``, which counts the package's lines by kind for the
+size rule every change reports against."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SRC_LINES = Path(__file__).resolve().parents[1] / "tools" / "src_lines.py"
+
+# code 6, docstring 5, comment 2, blank 3
+FIRST = '''"""Module docstring."""
+
+import os
+# a comment
+
+class Thing:
+    """Class docstring
+    over three
+    lines."""
+
+    def method(self):
+        """Function docstring."""
+        # an indented comment
+        "a bare string, no docstring"
+        return (1 +
+                2)
+'''
+# code 3, docstring 1, comment 0, blank 1
+SECOND = '''def f():
+    """One line."""
+
+    x = 1
+    return x
+'''
+
+
+def _run(package: Path) -> dict[str, list[int]]:
+    out = subprocess.run(
+        [sys.executable, str(SRC_LINES), str(package)],
+        capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    assert out[0].split() == ["module", "code", "docstring", "comment", "blank"]
+    return {line.split()[0]: [int(v.replace(",", "")) for v in line.split()[1:]] for line in out[1:]}
+
+
+def test_src_lines_counts_each_kind(tmp_path):
+    (tmp_path / "first.py").write_text(FIRST, encoding="utf-8")
+    (tmp_path / "second.py").write_text(SECOND, encoding="utf-8")
+    (tmp_path / "notes.txt").write_text("not a module\n", encoding="utf-8")
+    rows = _run(tmp_path)
+    assert list(rows) == ["first.py", "second.py", "total"]
+    # the bare string and both lines of the two-line statement are code
+    assert rows["first.py"] == [6, 5, 2, 3]
+    assert rows["second.py"] == [3, 1, 0, 1]
+    assert rows["total"] == [sum(col) for col in zip(rows["first.py"], rows["second.py"])]
+    assert sum(rows["first.py"]) == len(FIRST.splitlines())
