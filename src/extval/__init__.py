@@ -44,6 +44,7 @@ from .glm import (
     fit_outcome_models,
     fit_propensity_score,
     fit_sampling_score,
+    log_likelihood,
     predict_mean,
 )
 from .partition import (

@@ -53,6 +53,7 @@ from .glm import (
     fit_outcome_models,
     fit_propensity_score,
     fit_sampling_score,
+    log_likelihood,
     predict_mean,
 )
 from .partition import DEFAULT_EPSILON, partition_population
@@ -107,7 +108,8 @@ def load_dataset(path: str, roles: dict, keep=None, optional=()) -> tuple[Datase
 
     ``roles`` maps {"s": column, "a": column, "y": column,
     "covariates": [columns...]}: column names as strings, the covariates
-    distinct, else a ConfigError names the role. The file is read as
+    distinct and no column in two roles, else a ConfigError names the
+    role, or the column and its two roles. The file is read as
     UTF-8, after an optional byte-order mark. Cells are read as numbers,
     an empty cell as NaN, and the Dataset checks the role columns:
     treatment and outcome must be empty exactly on target rows. Returns the dataset and the
@@ -126,6 +128,7 @@ def load_dataset(path: str, roles: dict, keep=None, optional=()) -> tuple[Datase
     and in that row a wrong field count before a non-numeric role cell,
     whose columns are checked in header order.
     """
+    role_of: dict = {}
     for key in ("s", "a", "y", "covariates"):
         if key not in roles:
             raise ConfigError(f"column roles must include {key!r}")
@@ -134,6 +137,9 @@ def load_dataset(path: str, roles: dict, keep=None, optional=()) -> tuple[Datase
                 and len(set(names)) == len(names)):
             raise ConfigError(f"column role {key!r} must name a column, or for "
                               f"'covariates' a list of distinct columns; got {roles[key]!r}")
+        for column in names:
+            if role_of.setdefault(column, key) != key:
+                raise ConfigError(f"column {column!r} is given two roles, {role_of[column]!r} and {key!r}")
     needed = [roles["s"], roles["a"], roles["y"], *roles["covariates"]]
     # the rows hold no reference cycles, so a collection while they are
     # read finds nothing, yet walks every object the process tracks
@@ -446,13 +452,15 @@ def _score_histogram(hs: np.ndarray, s: np.ndarray, bins: int = 30) -> dict:
     }
 
 
-def _fit_summary(fit: GlmFit) -> dict:
+def _fit_summary(fit: GlmFit, x: np.ndarray, y: np.ndarray) -> dict:
+    """The report's record of ``fit``, fitted to the design ``x`` and
+    response ``y``."""
     return {
         "coefficients": np.asarray(fit.coefficients).tolist(),
         "family": fit.family.value,
         "converged": fit.converged,
         "iterations": fit.iterations,
-        "log_likelihood": fit.log_likelihood,
+        "log_likelihood": log_likelihood(fit, x, y),
         "fixed": fit.fixed,
     }
 
@@ -506,17 +514,18 @@ def cmd_analyze(config: dict) -> dict:
         "n1": data.n1,
         "n2": data.n2,
         "q": data.q,
-        "sampling_model": _fit_summary(sampling),
-        "propensity_model": _fit_summary(propensity),
+        "sampling_model": _fit_summary(sampling, data.x, data.s),
+        "propensity_model": _fit_summary(propensity, data.x[data.trial_mask], data.a[data.trial_mask]),
         "sampling_score_histogram": _score_histogram(
             predict_mean(sampling, data.x), data.s
         ),
         "estimates": [],
     }
     if outcome is not None:
+        # a is NaN on target rows, so a == 1 and a == 0 pick out each arm's trial rows
         report["outcome_models"] = {
-            "treated": _fit_summary(outcome[0]),
-            "control": _fit_summary(outcome[1]),
+            arm: _fit_summary(fit, data.x[rows], data.y[rows])
+            for arm, fit, rows in zip(("treated", "control"), outcome, (data.a == 1, data.a == 0))
         }
     if partition is not None:
         report["partition"] = {

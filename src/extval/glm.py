@@ -9,10 +9,13 @@ Bernoulli responses and identity for Gaussian responses. The Bernoulli
 solver is Newton's method (iteratively reweighted least squares) with
 step-halving. The log-likelihood is concave, so where its slope along a
 step is still nonnegative at the trial point it did not fall anywhere on
-the step: that point is accepted on its score alone. Only otherwise are
-log-likelihoods computed and compared, and a trial point where the
-log-likelihood fell is halved. The Gaussian fit is the exact
-normal-equation solution.
+the step: that point is accepted on its score alone. A trial point whose
+score meets SCORE_TOL is accepted too, since the fit stops there and a
+comparison would only weigh rounding. Only otherwise are log-likelihoods
+computed and compared, and a trial point where the log-likelihood fell
+is halved. The Gaussian fit is the exact normal-equation solution. A fit
+does not carry its log-likelihood; ``log_likelihood`` computes it from
+the fit and its data for whoever reports it.
 
 A Bernoulli fit starts at zero unless it is given a ``start``. The
 bootstrap starts each replicate's sampling and propensity refits at the
@@ -62,7 +65,6 @@ class GlmFit:
     family: GlmFamily
     converged: bool
     iterations: int
-    log_likelihood: float
     fixed: bool = False
 
     @property
@@ -79,7 +81,7 @@ def _check_design(x: np.ndarray, y: np.ndarray, family: GlmFamily):
     if n < q:
         raise DataError(f"need at least q={q} observations, got {n}")
     if family is GlmFamily.BERNOULLI_LOGIT:
-        if not np.all(np.isin(y, (0.0, 1.0))):
+        if not ((y == 0.0) | (y == 1.0)).all():
             raise DataError("bernoulli-logit requires responses in {0, 1}")
     elif not np.all(np.isfinite(y)):
         raise DataError("gaussian-identity requires finite responses")
@@ -99,9 +101,10 @@ def fit_glm(
     when None); the exact Gaussian solution needs none and ignores it.
     Convergence means the score (log-likelihood gradient) has max-norm
     at most 1e-8. A Newton step is halved until the score at its end has
-    a nonnegative inner product with it or, failing that, the
-    log-likelihood did not fall by more than 1e-12; the reported
-    log-likelihood is computed once, at the final point. Bernoulli fits whose coefficients leave [-30, 30]
+    a nonnegative inner product with it or a max-norm at most 1e-8 or,
+    failing both, the log-likelihood did not fall by more than 1e-12;
+    only that last test computes log-likelihoods, and ``log_likelihood``
+    gives the fit's own. Bernoulli fits whose coefficients leave [-30, 30]
     raise SeparationError whether or not the gradient test passes:
     separation can satisfy it once probabilities saturate, and the
     downstream inverse-probability weights would overflow either way.
@@ -109,7 +112,7 @@ def fit_glm(
     x = np.asarray(x_matrix, dtype=float)
     y = np.asarray(y, dtype=float)
     _check_design(x, y, family)
-    n, q = x.shape
+    q = x.shape[1]
     if start is not None:
         start = np.array(start, dtype=float)
         if start.shape != (q,):
@@ -123,10 +126,7 @@ def fit_glm(
             raise SingularInformationError("collinear design in gaussian fit")
         if not np.all(np.isfinite(coef)):
             raise SingularInformationError("non-finite gaussian solution")
-        resid = y - x @ coef
-        sigma2 = max(float(resid @ resid) / n, 1e-300)
-        ll = -0.5 * n * (np.log(2.0 * np.pi * sigma2) + 1.0)
-        return GlmFit(coef, family, True, 1, ll)
+        return GlmFit(coef, family, True, 1)
 
     # coef, its linear predictor eta, mean p and score g always describe the
     # same point; its log-likelihood ll is computed only once a step needs it
@@ -153,15 +153,16 @@ def fit_glm(
             raise SingularInformationError("non-finite Newton step in logistic fit")
         # step-halving: accept a trial point where the slope along the step is
         # nonnegative (by concavity the log-likelihood did not fall on the
-        # step), or else where the log-likelihood did not fall; when 40
-        # halvings all fail both, the fit stops where it is, unconverged
+        # step) or the score meets the tolerance (the fit stops there), or
+        # else where the log-likelihood did not fall; when 40 halvings all
+        # fail, the fit stops where it is, unconverged
         for t in 0.5 ** np.arange(40):
             new_coef = coef + t * step
             new_eta = x @ new_coef
             new_p = expit(new_eta)
             new_g = x.T @ (y - new_p)
             new_ll = None
-            if new_g @ step >= 0.0:
+            if new_g @ step >= 0.0 or np.max(np.abs(new_g)) <= SCORE_TOL:
                 break
             if ll is None:
                 ll = _bernoulli_loglik(eta, y)
@@ -178,7 +179,20 @@ def fit_glm(
         raise SeparationError(
             "logistic fit diverged (|coefficient| > 30); classes appear separated"
         )
-    return GlmFit(coef, family, converged, steps, _bernoulli_loglik(eta, y) if ll is None else ll)
+    return GlmFit(coef, family, converged, steps)
+
+
+def log_likelihood(fit: GlmFit, x: np.ndarray, y: np.ndarray) -> float:
+    """Log-likelihood of ``fit`` on the design ``x`` and response ``y`` it
+    was fitted to; NaN for a fixed fit. A Gaussian fit's is the profile
+    one, at the residual variance (floored at 1e-300)."""
+    if fit.fixed:
+        return float("nan")
+    if fit.family is GlmFamily.BERNOULLI_LOGIT:
+        return _bernoulli_loglik(x @ fit.coefficients, y)
+    resid = y - x @ fit.coefficients
+    sigma2 = max(float(resid @ resid) / y.size, 1e-300)
+    return -0.5 * y.size * (np.log(2.0 * np.pi * sigma2) + 1.0)
 
 
 def predict_mean(fit: GlmFit, x: np.ndarray):
@@ -218,7 +232,7 @@ def fit_propensity_score(
             raise ConfigError("known_probability must lie strictly in (0, 1)")
         coef = np.zeros(data.q)
         coef[0] = np.log(p / (1.0 - p))
-        return GlmFit(coef, GlmFamily.BERNOULLI_LOGIT, True, 0, float("nan"), fixed=True)
+        return GlmFit(coef, GlmFamily.BERNOULLI_LOGIT, True, 0, fixed=True)
     trial = data.trial_mask
     if not trial.any():
         raise DataError("no trial rows to fit a propensity score on")

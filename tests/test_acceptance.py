@@ -232,8 +232,8 @@ def test_6_reduction_identities():
     r1 = truth.excluded[data.target_mask]
     q = data.q
     zero = (
-        GlmFit(np.zeros(q), GAUSS, True, 1, 0.0),
-        GlmFit(np.zeros(q), GAUSS, True, 1, 0.0),
+        GlmFit(np.zeros(q), GAUSS, True, 1),
+        GlmFit(np.zeros(q), GAUSS, True, 1),
     )
     # trimming at the attainable mass keeps every non-excluded row
     p3_full = 1.0 - float(np.mean(r1))
@@ -304,7 +304,7 @@ def _subset_fit(x, y, cols, family):
     sub = fit_glm(x[:, cols], y, family)
     coef = np.zeros(x.shape[1])
     coef[list(cols)] = sub.coefficients
-    return GlmFit(coef, family, sub.converged, sub.iterations, sub.log_likelihood)
+    return GlmFit(coef, family, sub.converged, sub.iterations)
 
 
 def _misspecified_bias(which, reps, seed):

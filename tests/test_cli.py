@@ -614,6 +614,9 @@ MALFORMED = {
     "analyze roles s number": ("analyze", _roles(s=5)),
     "analyze roles covariates with a number": ("analyze", _roles(covariates=["x1", 3])),
     "analyze roles covariates repeated": ("analyze", _roles(covariates=["x1", "x1", "x2"])),
+    "analyze roles s also a covariate": ("analyze", _roles(covariates=["x1", "selected"])),
+    "analyze roles a on the outcome column": ("analyze", _roles(a="outcome")),
+    "analyze roles s on a covariate column": ("analyze", _roles(s="x1")),
     "analyze p3_star text": ("analyze", {"p3_star": "0.8"}),
     "analyze epsilon text": ("analyze", {"epsilon": "abc"}),
     "analyze epsilon zero": ("analyze", {"epsilon": 0}),
@@ -669,6 +672,11 @@ def test_main_rejects_malformed_value(tmp_path, fixture_csv, capsys, kind, chang
     assert _run_main(args) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_load_dataset_names_a_column_given_two_roles(fixture_csv):
+    with pytest.raises(ConfigError, match="column 'x1' is given two roles, 's' and 'covariates'"):
+        load_dataset(fixture_csv, _roles(s="x1")["roles"])
 
 
 def _run_main(args):

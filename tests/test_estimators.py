@@ -41,7 +41,7 @@ GAUSS = GlmFamily.GAUSSIAN_IDENTITY
 
 
 def _fit(coef, family=BERN):
-    return GlmFit(np.asarray(coef, dtype=float), family, True, 1, 0.0)
+    return GlmFit(np.asarray(coef, dtype=float), family, True, 1)
 
 
 def _toy_dataset():
@@ -516,7 +516,7 @@ def test_zero_weight_arm_raises():
     n1 = 20
     x1 = np.ones((n1, 1))
     data = make_dataset(x1, np.ones(n1), np.zeros(n1), np.ones((10, 1)))
-    fixed = GlmFit(np.array([0.0]), BERN, True, 0, 0.0, fixed=True)
+    fixed = GlmFit(np.array([0.0]), BERN, True, 0, fixed=True)
     with pytest.raises(ZeroWeightError):
         hajek_ipw(data, _fit([0.0]), fixed, variance="none")
 

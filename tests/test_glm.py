@@ -103,23 +103,23 @@ def test_dimension_mismatch():
 
 
 def test_predict_mean_values():
-    fit = GlmFit(np.zeros(3), BERN, True, 0, 0.0)
+    fit = GlmFit(np.zeros(3), BERN, True, 0)
     assert predict_mean(fit, np.array([1.0, 5.0, -2.0])) == pytest.approx(0.5)
-    gfit = GlmFit(np.array([1.0, 2.0]), GAUSS, True, 1, 0.0)
+    gfit = GlmFit(np.array([1.0, 2.0]), GAUSS, True, 1)
     assert predict_mean(gfit, np.array([1.0, 3.0])) == pytest.approx(7.0)
-    bfit = GlmFit(np.array([-4.59512, 0.0]), BERN, True, 0, 0.0)
+    bfit = GlmFit(np.array([-4.59512, 0.0]), BERN, True, 0)
     assert predict_mean(bfit, np.array([1.0, 9.9])) == pytest.approx(0.01, abs=1e-5)
 
 
 def test_predict_mean_monotone_in_positive_coefficient():
-    fit = GlmFit(np.array([0.3, 1.7]), BERN, True, 0, 0.0)
+    fit = GlmFit(np.array([0.3, 1.7]), BERN, True, 0)
     grid = np.column_stack([np.ones(50), np.linspace(-4, 4, 50)])
     preds = predict_mean(fit, grid)
     assert np.all(np.diff(preds) > 0)
 
 
 def test_predict_mean_dimension_check():
-    fit = GlmFit(np.zeros(3), BERN, True, 0, 0.0)
+    fit = GlmFit(np.zeros(3), BERN, True, 0)
     with pytest.raises(DimensionError):
         predict_mean(fit, np.ones(4))
 
@@ -137,11 +137,11 @@ def test_score_contributions_sum_to_zero_at_mle():
 
 
 def test_refused_newton_step_keeps_a_consistent_point(monkeypatch):
-    # when no halving of a Newton step passes either acceptance test (a
-    # nonnegative slope at the trial point, or a log-likelihood that did
-    # not fall), the fit stops unconverged at its current point, with that
-    # point's likelihood. A NaN mean at every trial point leaves the slope
-    # undecided, and every trial point's likelihood is made lower.
+    # when no halving of a Newton step passes an acceptance test (a
+    # nonnegative slope at the trial point, a score within SCORE_TOL, or a
+    # log-likelihood that did not fall), the fit stops unconverged at its
+    # current point. A NaN mean at every trial point leaves the slope and
+    # the score undecided, and every trial point's likelihood is made lower.
     rng = np.random.default_rng(5)
     x = np.column_stack([np.ones(20), rng.standard_normal((20, 2))])
     y = (rng.random(20) < expit(x @ np.array([0.5, -1.0, 0.3]))).astype(float)
@@ -161,7 +161,6 @@ def test_refused_newton_step_keeps_a_consistent_point(monkeypatch):
     fit = fit_glm(x, y, BERN)
     assert not fit.converged and fit.iterations == 0
     assert np.all(fit.coefficients == 0.0)
-    assert fit.log_likelihood == loglik(np.zeros(20), y)
     # the start's likelihood once, when the first trial point's slope fails,
     # then one per trial point
     assert len(means) == 41 and len(calls) == 41
@@ -211,7 +210,7 @@ def _assert_same_fit(x, y, start=None) -> int:
     fit = fit_glm(x, y, BERN, start)
     assert fit.coefficients.tobytes() == coef.tobytes()
     assert (fit.converged, fit.iterations) == (converged, steps)
-    assert fit.log_likelihood.hex() == ll.hex()
+    assert glm.log_likelihood(fit, x, y).hex() == ll.hex()
     return halvings
 
 
@@ -261,14 +260,8 @@ def test_newton_loop_matches_reference_on_a_separated_design():
             fit_glm(x, y, BERN, start)
 
 
-def test_fit_without_halving_evaluates_the_log_likelihood_once(monkeypatch):
-    # every step is accepted on its slope, so only the reported
-    # log-likelihood at the end is computed
-    rng = np.random.default_rng(3)
-    x = np.column_stack([np.ones(500), rng.standard_normal((500, 3))])
-    y = (rng.random(500) < expit(x @ np.array([-0.5, 1.0, -0.8, 0.3]))).astype(float)
-    *_, steps, _, halvings = _parent_newton(x, y)
-    assert steps > 1 and halvings == 0
+def _counting_loglik(monkeypatch) -> list:
+    """Replaces glm._bernoulli_loglik with a copy that records each call."""
     loglik = glm._bernoulli_loglik
     calls = []
 
@@ -277,9 +270,63 @@ def test_fit_without_halving_evaluates_the_log_likelihood_once(monkeypatch):
         return loglik(eta, y)
 
     monkeypatch.setattr(glm, "_bernoulli_loglik", counted)
+    return calls
+
+
+def test_fit_without_halving_evaluates_no_log_likelihood(monkeypatch):
+    # every step is accepted on its slope, and the fit reports no
+    # log-likelihood, so none is computed
+    rng = np.random.default_rng(3)
+    x = np.column_stack([np.ones(500), rng.standard_normal((500, 3))])
+    y = (rng.random(500) < expit(x @ np.array([-0.5, 1.0, -0.8, 0.3]))).astype(float)
+    *_, steps, _, halvings = _parent_newton(x, y)
+    assert steps > 1 and halvings == 0
+    calls = _counting_loglik(monkeypatch)
     fit = fit_glm(x, y, BERN)
     assert fit.iterations == steps
-    assert len(calls) == 1
+    assert calls == []
+
+
+def _full_newton_steps(x, y, start):
+    """The Newton path from ``start`` taking every step whole: its end, and
+    per step the slope along the step and the score's max-norm at its end."""
+    coef, path = start, []
+    while len(path) < 20:
+        p = expit(x @ coef)
+        g = x.T @ (y - p)
+        if np.max(np.abs(g)) <= glm.SCORE_TOL:
+            break
+        step = np.linalg.solve((x * (p * (1.0 - p))[:, None]).T @ x, g)
+        coef = coef + step
+        new_g = x.T @ (y - expit(x @ coef))
+        path.append((new_g @ step, np.max(np.abs(new_g))))
+    return coef, path
+
+
+def test_warm_refit_ending_within_tolerance_compares_no_log_likelihoods(monkeypatch):
+    # a warm-started bootstrap refit whose last trial point already meets
+    # SCORE_TOL, but whose slope there is negative by rounding, stops at
+    # that point without comparing log-likelihoods
+    data, _ = generate_cohort(DgpConfig(n_total=20_000), [41, 0])
+    trial = data.trial_mask
+    calls = _counting_loglik(monkeypatch)
+    refits = 0
+    for x, y in ((data.x, data.s), (data.x[trial], data.a[trial])):
+        full = fit_glm(x, y, BERN).coefficients
+        for r in range(20):
+            rows = np.random.default_rng([7, r]).integers(0, y.size, y.size)
+            end, path = _full_newton_steps(x[rows], y[rows], full)
+            slopes = [slope for slope, _ in path]
+            if not path or min(slopes[:-1], default=0.0) < 0.0 or slopes[-1] >= 0.0 \
+                    or path[-1][1] > glm.SCORE_TOL:
+                continue
+            calls.clear()
+            fit = fit_glm(x[rows], y[rows], BERN, full)
+            assert fit.coefficients.tobytes() == end.tobytes()
+            assert (fit.converged, fit.iterations) == (True, len(path))
+            assert calls == []
+            refits += 1
+    assert refits > 0
 
 
 def _two_sample(rng, n1, n2, q=3, beta=None):

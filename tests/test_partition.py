@@ -320,8 +320,8 @@ def test_mean_smooth_inclusion_nonincreasing_in_delta():
 
 
 def _fits_for(q):
-    sampling = GlmFit(np.array([-1.0] + [0.5] * (q - 1)), GlmFamily.BERNOULLI_LOGIT, True, 5, 0.0)
-    propensity = GlmFit(np.zeros(q), GlmFamily.BERNOULLI_LOGIT, True, 0, 0.0)
+    sampling = GlmFit(np.array([-1.0] + [0.5] * (q - 1)), GlmFamily.BERNOULLI_LOGIT, True, 5)
+    propensity = GlmFit(np.zeros(q), GlmFamily.BERNOULLI_LOGIT, True, 0)
     return sampling, propensity
 
 
@@ -387,8 +387,8 @@ def test_partition_group_shares_synthetic_2_8_90():
     n1 = 100
     x1 = np.column_stack([np.ones(n1), rng.standard_normal((n1, 2)) + 1.0, np.zeros(n1)])
     data = make_dataset(x1, (rng.random(n1) < 0.5).astype(float), rng.standard_normal(n1), x2)
-    sampling = GlmFit(np.array([-1.0, 0.5, 0.5, 0.0]), GlmFamily.BERNOULLI_LOGIT, True, 5, 0.0)
-    propensity = GlmFit(np.zeros(4), GlmFamily.BERNOULLI_LOGIT, True, 0, 0.0)
+    sampling = GlmFit(np.array([-1.0, 0.5, 0.5, 0.0]), GlmFamily.BERNOULLI_LOGIT, True, 5)
+    propensity = GlmFit(np.zeros(4), GlmFamily.BERNOULLI_LOGIT, True, 0)
     part = partition_population(data, sampling, propensity, x2[:, 3] == 1.0, 0.9)
     c1, c2, c3 = part.counts
     assert c1 == int(0.02 * n2)

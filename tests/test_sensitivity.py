@@ -152,10 +152,10 @@ def test_sweep_input_validation():
 
 def test_extrapolate_group_cases():
     gauss = GlmFamily.GAUSSIAN_IDENTITY
-    same = GlmFit(np.array([1.0, 2.0]), gauss, True, 1, 0.0)
+    same = GlmFit(np.array([1.0, 2.0]), gauss, True, 1)
     x = np.column_stack([np.ones(8), np.linspace(-3, 3, 8)])
     assert extrapolate_group_ate((same, same), x) == 0.0
-    shifted = GlmFit(np.array([1.0 + 0.75, 2.0]), gauss, True, 1, 0.0)
+    shifted = GlmFit(np.array([1.0 + 0.75, 2.0]), gauss, True, 1)
     assert extrapolate_group_ate((shifted, same), x) == pytest.approx(0.75)
     with pytest.raises(EmptyGroupError):
         extrapolate_group_ate((same, same), np.empty((0, 2)))

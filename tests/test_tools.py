@@ -34,9 +34,9 @@ SECOND = '''def f():
 '''
 
 
-def _run(package: Path) -> dict[str, list[int]]:
+def _run(package: Path, *options: str) -> dict[str, list[int]]:
     out = subprocess.run(
-        [sys.executable, str(SRC_LINES), str(package)],
+        [sys.executable, str(SRC_LINES), *options, str(package)],
         capture_output=True, text=True, check=True,
     ).stdout.splitlines()
     assert out[0].split() == ["module", "code", "docstring", "comment", "blank"]
@@ -54,3 +54,29 @@ def test_src_lines_counts_each_kind(tmp_path):
     assert rows["second.py"] == [3, 1, 0, 1]
     assert rows["total"] == [sum(col) for col in zip(rows["first.py"], rows["second.py"])]
     assert sum(rows["first.py"]) == len(FIRST.splitlines())
+
+
+def _git(repo: Path, *args: str):
+    subprocess.run(
+        ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t", *args],
+        capture_output=True, check=True,
+    )
+
+
+def test_src_lines_against_a_revision_reads_it_from_git(tmp_path):
+    package = tmp_path / "src" / "extval"
+    package.mkdir(parents=True)
+    _git(tmp_path, "init", "-q")
+    (package / "first.py").write_text(FIRST, encoding="utf-8")
+    _git(tmp_path, "add", "-A")
+    _git(tmp_path, "commit", "-q", "-m", "first")
+    (package / "second.py").write_text(SECOND, encoding="utf-8")
+    _git(tmp_path, "add", "-A")
+    _git(tmp_path, "commit", "-q", "-m", "second")
+    # an uncommitted edit counts in the tree only: one more blank line
+    (package / "second.py").write_text(SECOND + "\n", encoding="utf-8")
+    rows = _run(package, "--against", "HEAD~1")
+    assert list(rows) == ["HEAD~1", "tree", "delta"]
+    assert rows["HEAD~1"] == [6, 5, 2, 3]
+    assert rows["tree"] == [9, 6, 2, 5]
+    assert rows["delta"] == [3, 1, 0, 2]

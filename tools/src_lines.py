@@ -6,11 +6,18 @@ docstring spans, found with ``ast``; of the other lines, a comment line
 is one whose text starts with ``#`` and a blank line one that holds only
 whitespace; every other line is code.
 
-Usage: python3 tools/src_lines.py [package directory]
+Usage: python3 tools/src_lines.py [--against REV] [package directory]
 (default: src/extval next to this script's directory).
+
+With ``--against REV`` it prints totals only: the package as the git
+revision REV holds it (read with ``git show REV:<file>``, without a
+checkout), as the working tree holds it, and a ``delta`` row, the tree
+minus REV.
 """
 
+import argparse
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,9 +34,8 @@ def docstring_lines(tree: ast.Module) -> set[int]:
     return lines
 
 
-def count(path: Path) -> dict[str, int]:
-    """The lines of one module by kind."""
-    text = path.read_text(encoding="utf-8")
+def count(text: str) -> dict[str, int]:
+    """The lines of one module's source by kind."""
     docs = docstring_lines(ast.parse(text))
     counts = dict.fromkeys(KINDS, 0)
     for number, line in enumerate(text.splitlines(), start=1):
@@ -45,16 +51,54 @@ def count(path: Path) -> dict[str, int]:
     return counts
 
 
+def _git(root: Path, *args: str) -> str:
+    return subprocess.run(
+        ["git", "-C", str(root), *args], capture_output=True, text=True, check=True,
+    ).stdout
+
+
+def revision_sources(root: Path, rev: str) -> dict[str, str]:
+    """The modules of the package directory ``root`` as revision ``rev``
+    of its git repository holds them, by file name."""
+    names = _git(root, "ls-tree", "--name-only", rev, ".").splitlines()
+    return {name: _git(root, "show", f"{rev}:./{name}") for name in sorted(names) if name.endswith(".py")}
+
+
+def tree_sources(root: Path) -> dict[str, str]:
+    """The modules of the package directory ``root``, by file name."""
+    return {path.name: path.read_text(encoding="utf-8") for path in sorted(root.glob("*.py"))}
+
+
+def totals(sources: dict[str, str]) -> dict[str, int]:
+    counts = [count(text) for text in sources.values()]
+    return {kind: sum(c[kind] for c in counts) for kind in KINDS}
+
+
+def _row(label: str, counts: dict[str, int], sign: str) -> str:
+    return f"{label:<16}" + "".join(f"{counts[kind]:>{sign}11,}" for kind in KINDS)
+
+
 def main(argv: list[str]) -> int:
-    root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src" / "extval"
-    totals = dict.fromkeys(KINDS, 0)
+    parser = argparse.ArgumentParser(description="Count the package's lines by kind.")
+    parser.add_argument("package", nargs="?", type=Path,
+                        default=Path(__file__).resolve().parent.parent / "src" / "extval")
+    parser.add_argument("--against", metavar="REV",
+                        help="print totals at git revision REV, in the tree, and their delta")
+    args = parser.parse_args(argv[1:])
+    tree = tree_sources(args.package)
+    if args.against is None:
+        rows = [(name, count(text), "") for name, text in tree.items()] + [("total", totals(tree), "")]
+    else:
+        try:
+            before = totals(revision_sources(args.package, args.against))
+        except subprocess.CalledProcessError as exc:
+            parser.error(exc.stderr.strip())
+        after = totals(tree)
+        delta = {kind: after[kind] - before[kind] for kind in KINDS}
+        rows = [(args.against, before, ""), ("tree", after, ""), ("delta", delta, "+")]
     print(f"{'module':<16}" + "".join(f"{kind:>11}" for kind in KINDS))
-    for path in sorted(root.glob("*.py")):
-        counts = count(path)
-        for kind in KINDS:
-            totals[kind] += counts[kind]
-        print(f"{path.name:<16}" + "".join(f"{counts[kind]:>11,}" for kind in KINDS))
-    print(f"{'total':<16}" + "".join(f"{totals[kind]:>11,}" for kind in KINDS))
+    for label, counts, sign in rows:
+        print(_row(label, counts, sign))
     return 0
 
 
