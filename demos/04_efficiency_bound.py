@@ -4,8 +4,9 @@ Two exercises:
 1. a hand-checkable configuration (balanced participation and
    assignment, unit variances, constant effect) where the bound is
    exactly 8, and
-2. a weak-selection process where the augmented estimator's realized
-   n * variance should sit near the bound.
+2. a weak-selection process, its participation intercept calibrated to a
+   1% rate from the process's own slopes and covariate law, where the
+   augmented estimator's realized n * variance should sit near the bound.
 
 Run:  python demos/04_efficiency_bound.py
 """
@@ -17,7 +18,6 @@ from extval import (
     GlmFamily,
     augmented_ipw,
     calibrate_intercept,
-    dgp_covariate_sampler,
     efficiency_bound_mc,
     fit_outcome_models,
     fit_propensity_score,
@@ -37,8 +37,10 @@ print(f"balanced half/half design: bound = {efficiency_bound_mc(balanced, 1_000_
       "(pencil-and-paper value: 8)")
 
 slopes = (-0.2, 0.1, 0.1, 0.1)
-sampler = dgp_covariate_sampler(DgpConfig(beta=(0.0, *slopes), exclusions=False, e_prob=0.0))
-b0 = calibrate_intercept(slopes, 0.01, sampler, mc_draws=1_000_000)
+# the intercept that gives these slopes a 1% participation rate
+b0 = calibrate_intercept(
+    DgpConfig(beta=(0.0, *slopes), exclusions=False, e_prob=0.0), 0.01, mc_draws=1_000_000
+)
 weak = DgpConfig(
     n_total=100_000, beta=(b0, *slopes),
     exclusions=False, e_prob=0.0, effect_shift=0.0,

@@ -68,7 +68,6 @@ from .simulation import (
     StudyConfig,
     StudyReport,
     calibrate_intercept,
-    dgp_covariate_sampler,
     efficiency_bound_mc,
     generate_cohort,
     run_study,

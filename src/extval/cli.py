@@ -94,9 +94,9 @@ class CsvColumns(dict):
     blank one.
     """
 
-    def __init__(self, columns, lines: np.ndarray, text=None, path: str = "CSV"):
+    def __init__(self, columns, lines: np.ndarray, text: dict, path: str):
         super().__init__(columns)
-        self.lines, self.path, self.text = lines, path, text or {}
+        self.lines, self.text, self.path = lines, text, path
 
 
 # data rows read at a time by the block parser; their text lives that long
@@ -333,13 +333,11 @@ _COMPARATORS = {
 }
 
 
-def evaluate_raw_rules(rules: list, columns: dict, mask_rows) -> np.ndarray:
+def evaluate_raw_rules(rules: list, columns: CsvColumns, mask_rows) -> np.ndarray:
     """Evaluate clause lists on the rows ``mask_rows`` selects.
 
-    ``columns`` maps CSV column names to their cells: a ``CsvColumns`` as
-    ``load_dataset`` returns it, whose errors name its file, or a plain
-    dict of text cells, whose errors name ``CSV`` and count data rows from
-    line 2. Each clause is a list of {"var": column name, "op": comparator,
+    ``columns`` are a CSV's columns as ``load_dataset`` returns them. Each
+    clause is a list of {"var": column name, "op": comparator,
     "value": number, or a list of numbers for "in"}; a row matches when
     every predicate of at least one clause holds. Cells compare
     numerically and an empty cell reads as NaN, which satisfies only "!=".
@@ -351,8 +349,6 @@ def evaluate_raw_rules(rules: list, columns: dict, mask_rows) -> np.ndarray:
     if not isinstance(rules, list):
         raise ConfigError(f"exclusion rules {rules!r} are not a list of clauses")
     selected = np.asarray(mask_rows, dtype=bool)
-    if not isinstance(columns, CsvColumns):
-        columns = _text_columns(columns, np.arange(selected.size) + 2)
     rows = np.flatnonzero(selected)
     values: dict[str, np.ndarray] = {}
     out = np.zeros(rows.size, dtype=bool)
@@ -379,13 +375,6 @@ def evaluate_raw_rules(rules: list, columns: dict, mask_rows) -> np.ndarray:
             match &= _COMPARATORS[op](values[var], constant)
         out |= match
     return out
-
-
-def _text_columns(cells: dict, lines: np.ndarray) -> CsvColumns:
-    """Columns of text cells parsed as the block parser parses them."""
-    parts, text = {name: (j, []) for j, name in enumerate(cells)}, {}
-    _parse_block(list(zip(*cells.values())), len(cells), parts, (), text, 0)
-    return CsvColumns({name: blocks[0] for name, (_, blocks) in parts.items()}, lines, text)
 
 
 def _rule_constant(var: str, op: str, value) -> np.ndarray:
@@ -428,9 +417,16 @@ def _number(value):
     raise TypeError(f"{value!r} is not a number")
 
 
+def _list(values) -> list:
+    """``values`` if it is a list, else a TypeError (a string is no list)."""
+    if isinstance(values, list):
+        return values
+    raise TypeError(f"{values!r} is not a list")
+
+
 def _number_list(values, count=None) -> list:
-    """``values`` as a list of numbers, ``count`` of them unless None."""
-    numbers = [_number(v) for v in values]
+    """``values``, a list of numbers, ``count`` of them unless None."""
+    numbers = [_number(v) for v in _list(values)]
     if count not in (None, len(numbers)):
         raise ValueError(f"{values!r} does not hold {count} numbers")
     return numbers
@@ -711,22 +707,26 @@ def cmd_simulate(config: dict, threads: int = 1) -> str:
     if "seed" not in config:
         raise ConfigError("simulate requires an explicit seed")
     family = _family(config.get("outcome_family", "gaussian"))
-    sizes = _value(config, "sizes", lambda v: [int(n) for n in v], [100_000])
+    sizes = _value(config, "sizes", lambda v: [int(n) for n in _list(v)], [100_000])
     if not sizes:
         raise ConfigError("simulate needs at least one size")
-    chunks = []
-    # the truth does not read n_total, so the first size's serves them all
-    true_tau = None
-    for n_total in sizes:
-        study = StudyConfig(
+    # every size's config is checked before any study runs
+    studies = [
+        StudyConfig(
             dgp=DgpConfig(n_total=n_total, outcome_family=family),
             replications=_value(config, "replications", int, 1000),
-            p3_stars=_value(config, "p3_star", tuple, [0.8, 0.9]),
-            methods=_value(config, "methods", tuple, ["ipw", "aipw"]),
-            assumptions=_value(config, "assumptions", tuple, ["gpd", "epd"]),
+            p3_stars=tuple(_value(config, "p3_star", _number_list, [0.8, 0.9])),
+            methods=tuple(_value(config, "methods", _list, ["ipw", "aipw"])),
+            assumptions=tuple(_value(config, "assumptions", _list, ["gpd", "epd"])),
             master_seed=_value(config, "seed", int),
             oracle_draws=_value(config, "oracle_draws", int, 4_000_000),
         )
+        for n_total in sizes
+    ]
+    chunks = []
+    # the truth does not read n_total, so the first size's serves them all
+    true_tau = None
+    for study in studies:
         report = run_study(study, n_jobs=max(1, threads), true_tau=true_tau)
         true_tau = report.true_tau
         print(
@@ -749,15 +749,7 @@ def cmd_calibrate(args) -> dict:
         exclusions=not args.no_exclusions,
         x4_cut=args.x4_cut,
     )
-    from .simulation import dgp_covariate_sampler
-
-    intercept = calibrate_intercept(
-        slopes,
-        args.target,
-        covariate_sampler=dgp_covariate_sampler(config),
-        mc_draws=args.draws,
-        seed=args.seed,
-    )
+    intercept = calibrate_intercept(config, args.target, mc_draws=args.draws, seed=args.seed)
     return {"intercept": intercept, "target_prob": args.target, "slopes": slopes}
 
 

@@ -637,13 +637,16 @@ def sandwich_variance(system: StackedSystem) -> float:
 # bootstrap
 # ---------------------------------------------------------------------------
 
+# share of the replicates that may fail before the bootstrap does
+MAX_ERROR_SHARE = 0.05
+
+
 def bootstrap_ci(
     estimator: Callable,
     data: Dataset,
     reps: int,
     seed,
     r1_mask: np.ndarray | None = None,
-    max_error_share: float = 0.05,
 ) -> tuple[float, float, float]:
     """Stratified nonparametric bootstrap: (variance, ci_low, ci_high).
 
@@ -666,9 +669,9 @@ def bootstrap_ci(
 
     Numerical failures of individual replicates (an ExtvalError or a
     LinAlgError, or a non-finite estimate) are tolerated up to
-    ``max_error_share``; past it, NumericalError names the count of each
-    failure class. Any other exception is a bug and propagates with its
-    own class.
+    ``MAX_ERROR_SHARE`` of the replicates; past it, NumericalError names
+    the count of each failure class. Any other exception is a bug and
+    propagates with its own class.
     """
     if reps < 100:
         raise ConfigError("bootstrap needs at least 100 replicates")
@@ -684,7 +687,7 @@ def bootstrap_ci(
         for v, good in zip(outcomes, np.isfinite(estimates)) if not good
     )
     failed = sum(failures.values())
-    if failed > max_error_share * reps:
+    if failed > MAX_ERROR_SHARE * reps:
         counts = ", ".join(f"{name}: {count}" for name, count in failures.most_common())
         raise NumericalError(f"bootstrap failed: {failed}/{reps} replicates errored ({counts})")
     good = estimates[np.isfinite(estimates)]
@@ -715,6 +718,6 @@ def _cpu_count() -> int:
 
 
 def _seed_int(seed) -> int:
-    if isinstance(seed, (int, np.integer)):
+    if isinstance(seed, (int, np.integer)) and seed >= 0:
         return int(seed)
-    raise ConfigError("bootstrap seed must be an integer")
+    raise ConfigError(f"bootstrap seed must be a non-negative integer, got {seed!r}")

@@ -3,11 +3,11 @@
 The generating process draws four standard-normal covariates plus a
 rare binary eligibility flag; rows matching the hard exclusion rule
 never enter the trial, remaining rows participate with a logistic
-probability whose intercept is calibrated to a target participation
-rate, and a fixed share of nonparticipants is subsampled into the
-observed target sample. Outcomes are linear-Gaussian or
-Bernoulli-logistic in the covariates with an extra effect shift on
-excluded rows.
+probability whose intercept ``calibrate_intercept`` fits to a target
+participation rate from the config's own slopes and covariate law, and a
+fixed share of nonparticipants is subsampled into the observed target
+sample. Outcomes are linear-Gaussian or Bernoulli-logistic in the
+covariates with an extra effect shift on excluded rows.
 
 The study harness replays the full fit / partition / estimate /
 sensitivity pipeline over many replications, scores bias, MSE, SD and
@@ -34,7 +34,7 @@ from .errors import ConfigError, ExtvalError, NumericalError
 from .estimators import trimmed_aipw, trimmed_ipw
 from .glm import GlmFamily, fit_outcome_models, fit_propensity_score, fit_sampling_score
 from .parallel import ordered_map
-from .partition import DEFAULT_EPSILON, partition_population
+from .partition import partition_population
 from .sensitivity import SensitivityInput, epd_estimate, gpd_estimate
 
 
@@ -58,6 +58,8 @@ class DgpConfig:
         q = len(self.beta)
         if len(self.theta0) != q or len(self.theta1) != q:
             raise ConfigError("beta, theta0, theta1 must share one dimension")
+        if not self.n_total >= 1:
+            raise ConfigError(f"n_total must be at least 1, got {self.n_total!r}")
         for name in ("e_prob", "subsample_rate", "treatment_prob"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -189,35 +191,28 @@ def _blocks(config: DgpConfig, rng: np.random.Generator, m: int):
 
 
 def calibrate_intercept(
-    slopes,
-    target_prob: float,
-    covariate_sampler,
-    mc_draws: int = 2_000_000,
-    tol: float = 1e-4,
-    seed: int = 24_601,
+    config: DgpConfig, target_prob: float, mc_draws: int = 2_000_000, seed: int = 24_601
 ) -> float:
     """Solve for the participation-model intercept hitting a target rate.
 
-    ``covariate_sampler(rng, m)`` must return (covariate matrix without
-    the intercept column, exclusion mask), as ``dgp_covariate_sampler``
-    does. Bisection runs on a fixed Monte Carlo sample, so the objective
-    is monotone and deterministic given the seed.
+    The slopes are ``config.beta[1:]``. Bisection runs on a fixed sample of
+    ``mc_draws`` draws of the config's covariates, so the objective is
+    monotone and deterministic given the seed, and stops within 1e-6 of
+    the target rate.
     """
-    slopes = np.asarray(slopes, dtype=float)
     if not 0.0 < target_prob < 1.0:
         raise ConfigError("target_prob must lie strictly in (0, 1)")
     if mc_draws < 1:
         raise ConfigError("mc_draws must be positive")
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     bases = []
     masks = []
     for chunk in _chunks(mc_draws, 1_000_000):
-        x, excl = covariate_sampler(rng, chunk)
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != slopes.size:
-            raise ConfigError("sampler covariate dimension does not match slopes")
-        bases.append(x @ slopes)
-        masks.append(np.asarray(excl, dtype=bool))
+        x, _, excl = _covariates(config, rng, chunk)
+        bases.append(x[:, 1:] @ np.asarray(config.beta[1:]))
+        masks.append(excl)
     base = np.concatenate(bases)
     keep = ~np.concatenate(masks)
 
@@ -230,7 +225,7 @@ def calibrate_intercept(
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         f = rate(mid) - target_prob
-        if abs(f) <= 0.01 * tol or hi - lo < 1e-12:
+        if abs(f) <= 1e-6 or hi - lo < 1e-12:
             return mid
         if f < 0:
             lo = mid
@@ -239,19 +234,13 @@ def calibrate_intercept(
     return 0.5 * (lo + hi)
 
 
-def dgp_covariate_sampler(config: DgpConfig):
-    """Sampler of (non-intercept covariates, exclusion mask) for calibration."""
-
-    def sample(rng: np.random.Generator, m: int):
-        x, _, excl = _covariates(config, rng, m)
-        return x[:, 1:], excl
-
-    return sample
-
-
 # ---------------------------------------------------------------------------
 # replication study
 # ---------------------------------------------------------------------------
+
+# share of a study's replications that may fail before the study does
+MAX_FAILURE_SHARE = 0.01
+
 
 @dataclass(frozen=True)
 class StudyConfig:
@@ -261,13 +250,16 @@ class StudyConfig:
     methods: tuple[str, ...] = ("ipw", "aipw")
     assumptions: tuple[str, ...] = ("gpd", "epd")
     master_seed: int = 0
-    epsilon: float = DEFAULT_EPSILON
     oracle_draws: int = 4_000_000
-    max_failure_share: float = 0.01
 
     def __post_init__(self):
         if self.replications < 1:
             raise ConfigError("study needs at least one replication")
+        if self.master_seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.master_seed!r}")
+        for p in self.p3_stars:
+            if not 0.0 < p <= 1.0:
+                raise ConfigError(f"p3_star must lie in (0, 1], got {p!r}")
         for m in self.methods:
             if m not in ("ipw", "aipw"):
                 raise ConfigError(f"unknown method {m!r}")
@@ -352,7 +344,7 @@ def _one_replication(config: StudyConfig, rep: int) -> dict:
     r1 = truth.excluded[data.target_mask]
     out: dict = {}
     for p3s in config.p3_stars:
-        part = partition_population(data, sampling, propensity, r1, p3s, config.epsilon)
+        part = partition_population(data, sampling, propensity, r1, p3s)
         t1, t2, t3 = _group_truths(cate_t, part.labels)
         for method in config.methods:
             if method == "ipw":
@@ -405,7 +397,7 @@ def run_study(config: StudyConfig, n_jobs: int = 1, true_tau: float | None = Non
     results = ordered_map(partial(_replication, config), range(config.replications), n_jobs)
 
     failures = sum(1 for r in results if isinstance(r, Exception))
-    if failures > config.max_failure_share * config.replications:
+    if failures > MAX_FAILURE_SHARE * config.replications:
         raise NumericalError(
             f"study failed: {failures}/{config.replications} replications errored "
             f"(first: {next(r for r in results if isinstance(r, Exception))!r})"

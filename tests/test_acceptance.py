@@ -49,7 +49,6 @@ from extval import (
     StudyConfig,
     bootstrap_ci,
     calibrate_intercept,
-    dgp_covariate_sampler,
     efficiency_bound_mc,
     epd_estimate,
     fit_glm,
@@ -193,11 +192,7 @@ def test_3_replication_study_binary():
 
 
 def test_4_intercept_calibration():
-    b0 = calibrate_intercept(
-        (-2.0, 1.0, 1.0, 1.0), 0.01,
-        covariate_sampler=dgp_covariate_sampler(DgpConfig()),
-        mc_draws=4_000_000,
-    )
+    b0 = calibrate_intercept(DgpConfig(), 0.01, mc_draws=4_000_000)
     clauses = {"intercept": _band(b0, -7.523 - 0.02, -7.523 + 0.02)}
     _report(4, "participation intercept calibration to a 1% rate", clauses)
 
@@ -357,8 +352,9 @@ def test_9_efficiency_bound():
     bound_hand = efficiency_bound_mc(hand, mc_draws=2_000_000)
 
     slopes = (-0.2, 0.1, 0.1, 0.1)
-    sampler = dgp_covariate_sampler(DgpConfig(beta=(0.0, *slopes), exclusions=False, e_prob=0.0))
-    b0 = calibrate_intercept(slopes, 0.01, sampler, mc_draws=2_000_000)
+    b0 = calibrate_intercept(
+        DgpConfig(beta=(0.0, *slopes), exclusions=False, e_prob=0.0), 0.01, mc_draws=2_000_000
+    )
     weak = DgpConfig(
         n_total=200_000,
         beta=(b0, *slopes),

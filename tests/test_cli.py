@@ -215,12 +215,6 @@ def test_rule_reads_spelled_out_nan_only_in_selected_rows(tmp_path):
         assert str(exc.value) == f"{path} line {line}: non-numeric value {cell!r} in column 'flag'"
 
 
-def test_rule_error_on_plain_dict_names_csv_and_counts_from_line_2():
-    with pytest.raises(DataError) as exc:
-        evaluate_raw_rules([[{"var": "flag", "op": "==", "value": 1}]], {"flag": ("1", "x")}, [True, True])
-    assert str(exc.value) == "CSV line 3: non-numeric value 'x' in column 'flag'"
-
-
 # -- block-wise ingest --------------------------------------------------------
 
 BLOCK_SIZES = [1, 3, cli.BLOCK_ROWS]
@@ -624,6 +618,7 @@ MALFORMED = {
     "analyze epsilon infinite": ("analyze", {"epsilon": float("inf")}),
     "analyze bootstrap_reps text": ("analyze", {"variance": "bootstrap", "bootstrap_reps": "x"}),
     "analyze seed text": ("analyze", {"variance": "bootstrap", "seed": "x"}),
+    "analyze seed negative": ("analyze", {"variance": "bootstrap", "seed": -1}),
     "analyze known_propensity text": ("analyze", {"known_propensity": "x"}),
     "analyze outcome_family list": ("analyze", {"outcome_family": ["gaussian"]}),
     "sensitivity k1_grid text": ("sensitivity", {"k1_grid": "abc"}),
@@ -641,13 +636,36 @@ MALFORMED = {
     "simulate sizes empty": ("simulate", {"sizes": []}),
     "simulate seed text": ("simulate", {"seed": "x"}),
     "simulate p3_star number": ("simulate", {"p3_star": 0.8}),
+    "simulate p3_star text": ("simulate", {"p3_star": "x"}),
+    "simulate p3_star above one": ("simulate", {"p3_star": [1.5]}),
+    "simulate sizes negative": ("simulate", {"sizes": [-5]}),
+    "simulate sizes negative second": ("simulate", {"sizes": [20000, -5]}),
+    "simulate sizes text": ("simulate", {"sizes": "20000"}),
+    "simulate methods text": ("simulate", {"methods": "ipw"}),
+    "simulate seed negative": ("simulate", {"seed": -1}),
     "calibrate no draws": ("calibrate", ["--slopes", "0,0", "--draws", "0"]),
     "calibrate slopes text": ("calibrate", ["--slopes=a,b"]),
+    "calibrate seed negative": ("calibrate", ["--slopes", "0,0", "--seed", "-1"]),
 }
 
 
-@pytest.mark.parametrize("kind, change", MALFORMED.values(), ids=MALFORMED.keys())
-def test_main_rejects_malformed_value(tmp_path, fixture_csv, capsys, kind, change):
+# what the error of a case must name: its key, or the seed
+NAMED = {
+    "analyze seed negative": "seed must be a non-negative integer, got -1",
+    "simulate p3_star text": "'p3_star'",
+    "simulate p3_star above one": "p3_star must lie in (0, 1], got 1.5",
+    "simulate sizes negative": "n_total must be at least 1, got -5",
+    "simulate sizes negative second": "n_total must be at least 1, got -5",
+    "simulate sizes text": "'sizes'",
+    "simulate methods text": "'methods'",
+    "simulate seed negative": "seed must be a non-negative integer, got -1",
+    "calibrate seed negative": "seed must be a non-negative integer, got -1",
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_main_rejects_malformed_value(tmp_path, fixture_csv, capsys, case):
+    kind, change = MALFORMED[case]
     cfg = _config(fixture_csv)
     cfg_path, report_path = tmp_path / "cfg.json", tmp_path / "report.json"
     if kind == "analyze":
@@ -672,6 +690,7 @@ def test_main_rejects_malformed_value(tmp_path, fixture_csv, capsys, kind, chang
     assert _run_main(args) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert NAMED.get(case, "") in err[0]
 
 
 def test_load_dataset_names_a_column_given_two_roles(fixture_csv):

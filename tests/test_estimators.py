@@ -624,9 +624,11 @@ def test_bootstrap_identical_at_one_and_two_workers(monkeypatch):
     for workers in (1, 2):
         monkeypatch.setattr(estimators, "_cpu_count", lambda: workers)
         calls.clear()
-        results[workers] = bootstrap_ci(estimator, data, 120, seed=17, r1_mask=r1, max_error_share=0.5)
+        monkeypatch.setattr(estimators, "MAX_ERROR_SHARE", 0.5)
+        results[workers] = bootstrap_ci(estimator, data, 120, seed=17, r1_mask=r1)
+        monkeypatch.setattr(estimators, "MAX_ERROR_SHARE", 0.01)
         with pytest.raises(NumericalError) as err:
-            bootstrap_ci(estimator, data, 120, seed=17, r1_mask=r1, max_error_share=0.01)
+            bootstrap_ci(estimator, data, 120, seed=17, r1_mask=r1)
         messages[workers] = str(err.value)
         # the serial loop calls here for every replicate; at two workers this
         # process runs the first half and a forked worker the second

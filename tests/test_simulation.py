@@ -13,7 +13,6 @@ from extval import (
     SingularSystemError,
     StudyConfig,
     calibrate_intercept,
-    dgp_covariate_sampler,
     efficiency_bound_mc,
     generate_cohort,
     run_study,
@@ -24,24 +23,36 @@ from extval import simulation
 GAUSS = GlmFamily.GAUSSIAN_IDENTITY
 BERN = GlmFamily.BERNOULLI_LOGIT
 
-NO_EXCLUSION = DgpConfig(exclusions=False, e_prob=0.0)
+# no exclusions and zero slopes: every draw participates with expit(b0)
+FLAT = DgpConfig(beta=(0.0,) * 5, exclusions=False, e_prob=0.0)
 
 
 def test_calibrate_trivial_half():
-    sampler = dgp_covariate_sampler(NO_EXCLUSION)
-    b0 = calibrate_intercept(np.zeros(4), 0.5, sampler, mc_draws=200_000)
+    b0 = calibrate_intercept(FLAT, 0.5, mc_draws=200_000)
     assert b0 == pytest.approx(0.0, abs=1e-6)
 
 
 def test_calibrate_trivial_one_percent():
-    sampler = dgp_covariate_sampler(NO_EXCLUSION)
-    b0 = calibrate_intercept(np.zeros(4), 0.01, sampler, mc_draws=200_000)
+    b0 = calibrate_intercept(FLAT, 0.01, mc_draws=200_000)
     assert b0 == pytest.approx(-4.59512, abs=1e-4)
 
 
 def test_calibrate_rejects_unattainable_target():
     with pytest.raises(ConfigError):
-        calibrate_intercept(np.zeros(4), 1.5, dgp_covariate_sampler(NO_EXCLUSION))
+        calibrate_intercept(FLAT, 1.5)
+
+
+@pytest.mark.parametrize("config, draws, expected", [
+    # the default process, with exclusions, over two chunks of draws
+    (DgpConfig(), 1_200_000, "-0x1.e096000000000p+2"),
+    # acceptance 9's weak-selection process
+    (DgpConfig(beta=(0.0, -0.2, 0.1, 0.1, 0.1), exclusions=False, e_prob=0.0), 300_000,
+     "-0x1.2847800000000p+2"),
+])
+def test_calibrate_intercept_pinned_values(config, draws, expected):
+    # pinned to the bit: a change to the draws, their chunks or the
+    # bisection's stop moves them
+    assert calibrate_intercept(config, 0.01, mc_draws=draws).hex() == expected
 
 
 def test_cohort_shapes_and_exclusion():

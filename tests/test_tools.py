@@ -1,11 +1,18 @@
-"""``tools/src_lines.py``, which counts the package's lines by kind for the
-size rule every change reports against."""
+"""The scripts in ``tools/``: ``src_lines.py``, which counts the package's
+lines by kind for the size rule every change reports against, and
+``coverage.py``, which scores the study's interval under three sandwich
+variances."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
-SRC_LINES = Path(__file__).resolve().parents[1] / "tools" / "src_lines.py"
+import pytest
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+SRC_LINES = TOOLS / "src_lines.py"
+COVERAGE = TOOLS / "coverage.py"
 
 # code 6, docstring 5, comment 2, blank 3
 FIRST = '''"""Module docstring."""
@@ -80,3 +87,33 @@ def test_src_lines_against_a_revision_reads_it_from_git(tmp_path):
     assert rows["HEAD~1"] == [6, 5, 2, 3]
     assert rows["tree"] == [9, 6, 2, 5]
     assert rows["delta"] == [3, 1, 0, 2]
+
+
+def _coverage_tool():
+    # loaded under its own name, so that no ``coverage`` package is shadowed
+    spec = importlib.util.spec_from_file_location("coverage_tool", COVERAGE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_coverage_prints_one_row_per_check_and_seed(capsys, monkeypatch):
+    tool = _coverage_tool()
+    # each cohort's variances() raises unless its HC0, values @ values / n^2,
+    # is sandwich_variance(system) to a relative 1e-12
+    assert tool.main(["--cohorts", "2", "check7=820_720", "check7=840_720"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].split() == ["check", "seed", "cohorts", "failed", "HC0", "HC2", "HC3", "median_min_ess"]
+    rows = [line.split() for line in out[1:]]
+    assert [row[:4] for row in rows] == [["check7", "820720", "2", "0"], ["check7", "840720", "2", "0"]]
+    for row in rows:
+        hc0, hc2, hc3, ess = (float(v) for v in row[4:])
+        # each variance widens the interval of the one before it
+        assert 0.0 <= hc0 <= hc2 <= hc3 <= 1.0
+        assert hc0 in (0.0, 0.5, 1.0)
+        assert ess > 1.0
+    # and that check is live: a sandwich off by a relative 1e-9 fails it
+    sandwich = tool.sandwich_variance
+    monkeypatch.setattr(tool, "sandwich_variance", lambda system: sandwich(system) * (1 + 1e-9))
+    with pytest.raises(AssertionError, match="is not the sandwich"):
+        tool.main(["--cohorts", "1", "check7=820_720"])
