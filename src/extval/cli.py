@@ -3,21 +3,22 @@
 Subcommands: ``analyze`` (fit, partition, estimate), ``sensitivity``
 (grid sweep from an analysis report), ``simulate`` (replication study),
 and ``calibrate`` (participation-intercept solver). Configuration is
-JSON with ``"schema_version": 1``; tabular outputs are CSV. All
+JSON with ``"schema_version": 1``; tabular outputs are CSV; integer
+values (sizes, counts, draws, seeds) must be whole numbers. All
 randomness flows from explicit seeds in the configuration; a missing
 seed where one is needed is a configuration error, never a silent
 clock seed.
 
-``load_dataset`` parses the CSV's role columns and the columns that the
-config's rules name, and no others, into float arrays, with numpy's C
-reader where it reads the file as the block parser would and with the
-block parser otherwise; it returns the dataset and those columns by name
-(``CsvColumns``). Exclusion rules (``exclusion_rules``) and the
-extrapolation filters (``sensitivity.extrapolation.r{1,2}_trial_filter``)
-are clause lists over those named columns, evaluated column-wise by
-``evaluate_raw_rules``; the partition receives the resulting target-row
-mask. Each method name maps to its estimator in one table, which serves
-both the full-sample estimate and every bootstrap replicate.
+Exclusion rules (``exclusion_rules``) and the extrapolation filters
+(``sensitivity.extrapolation.r{1,2}_trial_filter``) are clause lists over
+named CSV columns, evaluated column-wise by ``evaluate_raw_rules``; the
+partition receives the resulting target-row mask. ``load_dataset`` parses
+the role columns and the columns that the rules and filters name, all of
+which the header must hold, and no others, into float arrays, with
+numpy's C reader where it reads the file as the block parser would and
+with the block parser otherwise. Each method name maps to its estimator
+in one table, which serves both the full-sample estimate and every
+bootstrap replicate.
 
 Exit codes: 0 success, 2 configuration error, 3 data error,
 4 numerical error.
@@ -103,23 +104,22 @@ class CsvColumns(dict):
 BLOCK_ROWS = 4096
 
 
-def load_dataset(path: str, roles: dict, keep=None, optional=()) -> tuple[Dataset, CsvColumns]:
+def load_dataset(path: str, roles: dict, names=()) -> tuple[Dataset, CsvColumns]:
     """Parse a CSV into a Dataset, prepending the constant-1 column.
 
     ``roles`` maps {"s": column, "a": column, "y": column,
     "covariates": [columns...]}: column names as strings, the covariates
     distinct and no column in two roles, else a ConfigError names the
-    role, or the column and its two roles. The file is read as
-    UTF-8, after an optional byte-order mark. Cells are read as numbers,
-    an empty cell as NaN, and the Dataset checks the role columns:
-    treatment and outcome must be empty exactly on target rows. Returns the dataset and the
-    columns by name (``CsvColumns``) so that exclusion rules may reference
-    non-model columns: the role columns, the columns named in ``keep``
-    (every column when it is None), which the header must hold, else a
-    ConfigError is raised before any row is read, and those named in
-    ``optional`` that the header holds. A header that repeats a name is a
-    DataError. Blank lines are skipped; every other row must have as many
-    fields as the header.
+    role, or the column and its two roles. The file is read as UTF-8,
+    after an optional byte-order mark. Cells are read as numbers, an empty
+    cell as NaN, and the Dataset checks the role columns: treatment and
+    outcome must be empty exactly on target rows. Returns the dataset and
+    the columns by name (``CsvColumns``) so that exclusion rules may
+    reference non-model columns: the role columns and those in ``names``,
+    and no others. Before any row is read, a role column the header lacks
+    or a name it repeats is a DataError, and a column of ``names`` that it
+    lacks a ConfigError. Blank lines are skipped; every other row must
+    have as many fields as the header.
 
     numpy's C reader parses the file when it can (``_read_fast``), and
     otherwise the block parser, ``BLOCK_ROWS`` rows at a time
@@ -132,12 +132,12 @@ def load_dataset(path: str, roles: dict, keep=None, optional=()) -> tuple[Datase
     for key in ("s", "a", "y", "covariates"):
         if key not in roles:
             raise ConfigError(f"column roles must include {key!r}")
-        names = roles[key] if key == "covariates" else [roles[key]]
-        if not (isinstance(names, list) and all(isinstance(c, str) for c in names)
-                and len(set(names)) == len(names)):
+        given = roles[key] if key == "covariates" else [roles[key]]
+        if not (isinstance(given, list) and all(isinstance(c, str) for c in given)
+                and len(set(given)) == len(given)):
             raise ConfigError(f"column role {key!r} must name a column, or for "
                               f"'covariates' a list of distinct columns; got {roles[key]!r}")
-        for column in names:
+        for column in given:
             if role_of.setdefault(column, key) != key:
                 raise ConfigError(f"column {column!r} is given two roles, {role_of[column]!r} and {key!r}")
     needed = [roles["s"], roles["a"], roles["y"], *roles["covariates"]]
@@ -157,17 +157,16 @@ def load_dataset(path: str, roles: dict, keep=None, optional=()) -> tuple[Datase
             repeated = sorted({c for c in header if header.count(c) > 1})
             if repeated:
                 raise DataError(f"{path}: repeated column names {repeated}")
-            for name in keep or ():
+            for name in names:
                 if name not in header:
                     raise ConfigError(f"exclusion rule references unknown column {name!r}")
-            wanted = set(header if keep is None else (*needed, *keep, *optional))
-            names = [c for c in header if c in wanted]
-            loaded = _read_fast(fh, reader.line_num + 1, header, names, (roles["a"], roles["y"]))
+            wanted = [c for c in header if c in needed or c in names]
+            loaded = _read_fast(fh, reader.line_num + 1, header, wanted, (roles["a"], roles["y"]))
         if loaded is None:
             with open(path, newline="", encoding="utf-8-sig") as fh:
                 reader = csv.reader(fh)
                 next(reader)
-                loaded = _read_blocks(reader, path, header, names, needed)
+                loaded = _read_blocks(reader, path, header, wanted, needed)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     finally:
@@ -417,6 +416,15 @@ def _number(value):
     raise TypeError(f"{value!r} is not a number")
 
 
+def _whole(value) -> int:
+    """``value`` as an int if it is an int or a float with no fraction (JSON
+    may write 1e5 as a float), else a TypeError; a bool is neither."""
+    whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not whole:
+        raise TypeError(f"{value!r} is not a whole number")
+    return int(value)
+
+
 def _list(values) -> list:
     """``values`` if it is a list, else a TypeError (a string is no list)."""
     if isinstance(values, list):
@@ -437,8 +445,8 @@ def _check_schema(config: dict):
         raise ConfigError("config must declare \"schema_version\": 1")
 
 
-def _score_histogram(hs: np.ndarray, s: np.ndarray, bins: int = 30) -> dict:
-    edges = np.linspace(0.0, float(hs.max()) + 1e-12, bins + 1)
+def _score_histogram(hs: np.ndarray, s: np.ndarray) -> dict:
+    edges = np.linspace(0.0, float(hs.max()) + 1e-12, 31)
     trial, _ = np.histogram(hs[s == 1], bins=edges)
     target, _ = np.histogram(hs[s == 0], bins=edges)
     return {
@@ -473,8 +481,8 @@ def _stage(label: str):
 def cmd_analyze(config: dict) -> dict:
     """Run the fit / partition / estimate pipeline, returning the report."""
     _check_schema(config)
-    names = _named_columns(config)
-    data, columns = load_dataset(_require(config, "input"), _value(config, "roles", dict), **names)
+    path, roles = _require(config, "input"), _value(config, "roles", dict)
+    data, columns = load_dataset(path, roles, _rule_columns(config))
     family = _family(config.get("outcome_family", "gaussian"))
     methods = _value(config, "methods", list, ["trimmed_aipw"])
     for m in methods:
@@ -592,28 +600,20 @@ def _run_method(
         refit = _fit_components(ds, config, family, "aipw" in method, mask, threshold, start)
         return run(ds, *refit, "none").estimate
 
-    reps = _value(config, "bootstrap_reps", int, 500)
-    var, lo, hi = bootstrap_ci(point, data, reps, _value(config, "seed", int), r1_mask=r1_mask)
+    reps = _value(config, "bootstrap_reps", _whole, 500)
+    var, lo, hi = bootstrap_ci(point, data, reps, _value(config, "seed", _whole), r1_mask=r1_mask)
     return dataclasses.replace(
         rep, variance=var, ci_low=lo, ci_high=hi, variance_method="bootstrap"
     )
 
 
-def _named_columns(config: dict) -> dict:
-    """``load_dataset``'s ``keep`` and ``optional``: the columns that the
-    exclusion rules name, and those that the extrapolation filters name.
-    A filter runs only when its partition group has rows, so a column
-    that only a filter names and the header lacks is left for
-    ``evaluate_raw_rules`` to reject if the filter runs."""
+def _rule_columns(config: dict) -> list:
+    """The column names that the predicates of the exclusion rules and of
+    the extrapolation filters name. Parts that are not well formed name
+    none; ``evaluate_raw_rules`` rejects them when it reads them."""
     filters = _filters(config)
-    named = [filters.get(f"r{g}_trial_filter") for g in (1, 2)] if isinstance(filters, dict) else []
-    return {"keep": _rule_columns(config.get("exclusion_rules")), "optional": _rule_columns(*named)}
-
-
-def _rule_columns(*rule_sets) -> list:
-    """The column names that the predicates of the rule sets name. Parts
-    that are not well formed name none; ``evaluate_raw_rules`` rejects
-    them when it reads them."""
+    rule_sets = [config.get("exclusion_rules"),
+                 *(filters.get(f"r{g}_trial_filter") for g in (1, 2) if isinstance(filters, dict))]
     return [
         pred["var"] for rules in rule_sets if isinstance(rules, list)
         for clause in rules if isinstance(clause, list)
@@ -707,19 +707,19 @@ def cmd_simulate(config: dict, threads: int = 1) -> str:
     if "seed" not in config:
         raise ConfigError("simulate requires an explicit seed")
     family = _family(config.get("outcome_family", "gaussian"))
-    sizes = _value(config, "sizes", lambda v: [int(n) for n in _list(v)], [100_000])
+    sizes = _value(config, "sizes", lambda v: [_whole(n) for n in _list(v)], [100_000])
     if not sizes:
         raise ConfigError("simulate needs at least one size")
     # every size's config is checked before any study runs
     studies = [
         StudyConfig(
             dgp=DgpConfig(n_total=n_total, outcome_family=family),
-            replications=_value(config, "replications", int, 1000),
+            replications=_value(config, "replications", _whole, 1000),
             p3_stars=tuple(_value(config, "p3_star", _number_list, [0.8, 0.9])),
             methods=tuple(_value(config, "methods", _list, ["ipw", "aipw"])),
             assumptions=tuple(_value(config, "assumptions", _list, ["gpd", "epd"])),
-            master_seed=_value(config, "seed", int),
-            oracle_draws=_value(config, "oracle_draws", int, 4_000_000),
+            master_seed=_value(config, "seed", _whole),
+            oracle_draws=_value(config, "oracle_draws", _whole, 4_000_000),
         )
         for n_total in sizes
     ]

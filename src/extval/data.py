@@ -95,16 +95,14 @@ class Dataset:
     def subset(self, idx: np.ndarray) -> "Dataset":
         """Row-indexed subset (used by the stratified bootstrap).
 
-        ``idx`` is a 1-d array of row indices, repeats allowed, or a boolean
-        mask over the rows, which selects the rows where it is true. Every
-        row it selects passed ``__post_init__`` in this dataset, so the
-        subset is built without running those checks again.
+        ``idx`` is a 1-d array of row indices, repeats allowed; any other
+        dtype is a DimensionError, since ``take`` would read a boolean mask
+        as the rows 0 and 1. Every row passed ``__post_init__`` in this
+        dataset, so the subset is built without running those checks again.
         """
         idx = np.asarray(idx)
-        if idx.dtype == bool:
-            if idx.shape != (self.n,):
-                raise DimensionError(f"mask of shape {idx.shape} does not match {self.n} rows")
-            idx = np.flatnonzero(idx)
+        if idx.dtype.kind not in "iu":
+            raise DimensionError(f"row indices must be integers, got dtype {idx.dtype}")
         sub = object.__new__(Dataset)
         for name in ("s", "a", "y", "x"):
             object.__setattr__(sub, name, getattr(self, name).take(idx, axis=0))

@@ -195,18 +195,14 @@ def log_likelihood(fit: GlmFit, x: np.ndarray, y: np.ndarray) -> float:
     return -0.5 * y.size * (np.log(2.0 * np.pi * sigma2) + 1.0)
 
 
-def predict_mean(fit: GlmFit, x: np.ndarray):
-    """Inverse-link of the linear predictor; scalar for a single row."""
+def predict_mean(fit: GlmFit, x: np.ndarray) -> np.ndarray:
+    """Inverse-link of the linear predictor on each row of the 2-d design
+    ``x`` of ``fit.q`` columns; any other shape is a DimensionError."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xm = np.atleast_2d(x)
-    if xm.shape[1] != fit.q:
-        raise DimensionError(
-            f"covariate length {xm.shape[1]} does not match fit dimension {fit.q}"
-        )
-    eta = xm @ fit.coefficients
-    mean = expit(eta) if fit.family is GlmFamily.BERNOULLI_LOGIT else eta
-    return float(mean[0]) if single else mean
+    if x.ndim != 2 or x.shape[1] != fit.q:
+        raise DimensionError(f"design of shape {x.shape} does not match fit dimension {fit.q}")
+    eta = x @ fit.coefficients
+    return expit(eta) if fit.family is GlmFamily.BERNOULLI_LOGIT else eta
 
 
 def fit_sampling_score(data: Dataset, start: np.ndarray | None = None) -> GlmFit:

@@ -45,18 +45,16 @@ SATURATED = 40.0
 
 @dataclass(frozen=True)
 class PartitionResult:
-    """Per-target-row labels and smooth weights plus solved threshold.
+    """Per-target-row labels plus solved threshold.
 
-    ``labels`` holds 1/2/3 for unrepresented/underrepresented/well-
-    represented. ``p_hat`` is (p1, p2, p3) where p1 is the labeled
-    exclusion share, p3 the achieved mean smooth weight (p3_star to
-    about 1e-12), and p2 the remainder. The row that the
-    threshold sits on carries a fractional weight, so hard label counts
-    can differ from p_hat by less than one row.
+    ``labels`` holds 1/2/3 for unrepresented/underrepresented/well-represented
+    rows. ``p_hat`` is (p1, p2, p3): p1 the labeled exclusion share, p3 the
+    achieved mean smooth inclusion weight (p3_star to about 1e-12), and p2
+    the remainder. The row that the threshold sits on carries a fractional
+    weight, so hard label counts can differ from p_hat by less than one row.
     """
 
     labels: np.ndarray
-    k_smooth: np.ndarray
     delta_star: float
     p_hat: tuple[float, float, float]
     p3_star: float
@@ -103,19 +101,20 @@ def _membership(prod1, prod0, delta: float, epsilon: float) -> np.ndarray:
 def solve_threshold(
     target_scores,
     p3_star: float,
-    epsilon: float = DEFAULT_EPSILON,
-    r1_mask: np.ndarray | None = None,
+    epsilon: float,
+    r1_mask: np.ndarray,
 ) -> float:
     """Solve for the threshold delta* at its order statistic.
 
-    ``target_scores`` is (hs, e1, e0), arrays over the m target rows. The
-    smooth inclusion weights summed over the target rows (excluded rows
-    at zero) fall with delta and must equal p3*·m. With j = floor(p3*·m),
-    the (j+1)-th largest non-excluded min product q takes the fractional
-    row p3*·m - j, so the sum crosses p3*·m within ten smoothing scales of
-    q. An Illinois (modified regula falsi) solve on that bracket finds
-    delta*. A whole p3*·m leaves the sum flat just above q, and any point
-    there solves it. delta* is 0 at the attainable mass.
+    ``target_scores`` is (hs, e1, e0), arrays over the m target rows, and
+    ``r1_mask`` marks the excluded ones. The smooth inclusion weights
+    summed over the target rows (excluded rows at zero) fall with delta
+    and must equal p3*·m. With j = floor(p3*·m), the (j+1)-th largest
+    non-excluded min product q takes the fractional row p3*·m - j, so the
+    sum crosses p3*·m within ten smoothing scales of q. An Illinois
+    (modified regula falsi) solve on that bracket finds delta*. A whole
+    p3*·m leaves the sum flat just above q, and any point there solves it.
+    delta* is 0 at the attainable mass.
 
     Each evaluation smooths only the rows that ``_saturation`` leaves
     unsaturated on the bracket; delta* is bit-identical to smoothing every
@@ -125,9 +124,9 @@ def solve_threshold(
     m = hs.shape[0]
     if m == 0:
         raise DataError("no target rows to solve the threshold on")
-    if r1_mask is None:
-        r1_mask = np.zeros(m, dtype=bool)
     r1_mask = np.asarray(r1_mask, dtype=bool)
+    if r1_mask.shape != (m,):
+        raise DimensionError("exclusion mask must align with target rows")
     prod1 = (hs * e1)[~r1_mask]
     prod0 = (hs * e0)[~r1_mask]
     p1_hat = float(np.mean(r1_mask))
@@ -218,8 +217,6 @@ def partition_population(
     e1 = predict_mean(propensity_fit, x_t)
     e0 = 1.0 - e1
     r1 = np.zeros(data.n2, dtype=bool) if rules is None else np.asarray(rules, dtype=bool)
-    if r1.shape != (data.n2,):
-        raise DimensionError("exclusion mask must align with target rows")
     delta = solve_threshold((hs, e1, e0), p3_star, epsilon, r1)
 
     k = np.where(r1, 0.0, _membership(hs * e1, hs * e0, delta, epsilon))
@@ -232,7 +229,6 @@ def partition_population(
     p3 = float(np.mean(k))
     return PartitionResult(
         labels=labels,
-        k_smooth=k,
         delta_star=delta,
         p_hat=(p1, 1.0 - p1 - p3, p3),
         p3_star=p3_star,

@@ -112,9 +112,8 @@ def epd_estimate(inp: SensitivityInput, k1: float = 1.0, k2: float = 1.0) -> Sen
 def extrapolate_group_ate(
     outcome_fits: tuple[GlmFit, GlmFit], x_group: np.ndarray
 ) -> float:
-    """Group-average model contrast m(1, x) - m(0, x) over a group's
-    target rows; the models may be evaluated off their fitting support."""
-    x_group = np.atleast_2d(np.asarray(x_group, dtype=float))
+    """Mean model contrast m(1, x) - m(0, x) over the rows of a group's
+    2-d design; the models may be evaluated off their fitting support."""
     if x_group.shape[0] == 0:
         raise EmptyGroupError("cannot extrapolate over an empty group")
     m1 = predict_mean(outcome_fits[0], x_group)

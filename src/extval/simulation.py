@@ -240,6 +240,8 @@ def calibrate_intercept(
 
 # share of a study's replications that may fail before the study does
 MAX_FAILURE_SHARE = 0.01
+# covariate draws behind the trial and target sizes that the study reports
+NOMINAL_DRAWS = 400_000
 
 
 @dataclass(frozen=True)
@@ -292,11 +294,13 @@ class StudyCell:
 
 @dataclass(frozen=True)
 class StudyReport:
+    """The study's cells, scored against ``true_tau``; a cell's SD is NaN
+    when fewer than two replications succeeded."""
+
     cells: tuple[StudyCell, ...]
     true_tau: float
     replications: int
     failures: int
-    sd_defined: bool
 
     CSV_HEADER = (
         "trial_size", "target_size", "proportion", "method",
@@ -428,14 +432,13 @@ def run_study(config: StudyConfig, n_jobs: int = 1, true_tau: float | None = Non
         true_tau=true_tau,
         replications=config.replications,
         failures=failures,
-        sd_defined=len(good) > 1,
     )
 
 
-def _nominal_trial_size(config: DgpConfig, draws: int = 400_000, seed: int = 777_001) -> int:
-    rng = np.random.default_rng(seed)
-    p = np.empty(draws)
-    for rows, x, _, excl in _blocks(config, rng, draws):
+def _nominal_trial_size(config: DgpConfig) -> int:
+    rng = np.random.default_rng(777_001)
+    p = np.empty(NOMINAL_DRAWS)
+    for rows, x, _, excl in _blocks(config, rng, NOMINAL_DRAWS):
         p[rows] = expit(x @ np.asarray(config.beta)) * ~excl
     return int(round(config.n_total * float(np.mean(p))))
 

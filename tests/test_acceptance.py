@@ -208,7 +208,7 @@ def test_5_threshold_contract_against_quantile_oracle():
         p3 = m_keep / n
         hs = 2.0 * prods
         e = np.full(n, 0.5)
-        delta = solve_threshold((hs, e, e), p3, 1e-8)
+        delta = solve_threshold((hs, e, e), p3, 1e-8, np.zeros(n, dtype=bool))
         k = _smooth_k(hs * e, hs * e, delta, 1e-8)
         worst_mean = max(worst_mean, abs(float(np.mean(k)) - p3))
         oracle = np.sort(prods)[n - m_keep - 1]

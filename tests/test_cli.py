@@ -84,7 +84,7 @@ def fixture_csv(tmp_path):
 def test_load_dataset_roles(fixture_csv):
     data, columns = load_dataset(str(fixture_csv), {
         "s": "selected", "a": "treat", "y": "outcome", "covariates": ["x1", "x2"],
-    })
+    }, ["ineligible"])
     assert data.n1 == 120 and data.n2 == 300
     assert data.q == 3          # intercept prepended
     assert np.all(data.x[:, 0] == 1.0)
@@ -186,7 +186,7 @@ def test_load_dataset_reads_flag_as_number(tmp_path):
 def test_rule_ignores_non_numeric_cell_in_unselected_row(tmp_path):
     path = tmp_path / "rules.csv"
     path.write_text("s,a,y,x1,flag\n1,1,2.0,0.1,n/a\n0,,,0.2,0\n0,,,0.3,1\n")
-    data, columns = load_dataset(str(path), {"s": "s", "a": "a", "y": "y", "covariates": ["x1"]})
+    data, columns = load_dataset(str(path), {"s": "s", "a": "a", "y": "y", "covariates": ["x1"]}, ["flag"])
     mask = evaluate_raw_rules([[{"var": "flag", "op": "==", "value": 1}]], columns, data.target_mask)
     assert mask.tolist() == [False, True]
 
@@ -194,7 +194,7 @@ def test_rule_ignores_non_numeric_cell_in_unselected_row(tmp_path):
 def test_rule_error_names_file_line_past_blank_line(tmp_path):
     path = tmp_path / "blank.csv"
     path.write_text("s,a,y,x1,flag\n1,1,2.0,0.1,0\n0,,,0.2,0\n\n0,,,0.3,abc\n")
-    data, columns = load_dataset(str(path), {"s": "s", "a": "a", "y": "y", "covariates": ["x1"]})
+    data, columns = load_dataset(str(path), {"s": "s", "a": "a", "y": "y", "covariates": ["x1"]}, ["flag"])
     with pytest.raises(DataError) as exc:
         evaluate_raw_rules([[{"var": "flag", "op": "==", "value": 1}]], columns, data.target_mask)
     assert "line 5:" in str(exc.value)
@@ -206,7 +206,7 @@ def test_rule_reads_spelled_out_nan_only_in_selected_rows(tmp_path):
     # a row it does not select
     path = tmp_path / "nan.csv"
     path.write_text("s,a,y,x1,flag\n1,1,2.0,0.1,nan\n0,,,0.2,1\n\n0,,,0.3,NaN\n")
-    data, columns = load_dataset(str(path), {"s": "s", "a": "a", "y": "y", "covariates": ["x1"]})
+    data, columns = load_dataset(str(path), {"s": "s", "a": "a", "y": "y", "covariates": ["x1"]}, ["flag"])
     rule = [[{"var": "flag", "op": "==", "value": 1}]]
     assert evaluate_raw_rules(rule, columns, np.array([False, True, False])).tolist() == [True]
     for rows, line, cell in ((data.target_mask, 5, "NaN"), (data.trial_mask, 2, "nan")):
@@ -252,7 +252,7 @@ def test_load_dataset_parses_like_float_bit_for_bit(tmp_path_factory, block, row
     path.write_text("\n".join(text) + "\n")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "BLOCK_ROWS", block)
-        data, columns = load_dataset(str(path), {"s": "s", "a": "a", "y": "y", "covariates": ["x1"]})
+        data, columns = load_dataset(str(path), {"s": "s", "a": "a", "y": "y", "covariates": ["x1"]}, ["note"])
     trial = [r[1] for r in rows]
     assert columns.lines.tolist() == lines
     assert _bits(data.s) == _bits([float(t) for t in trial])
@@ -352,7 +352,7 @@ def _csv_file(draw):
 real_read_fast = cli._read_fast
 
 
-def _loaded(path, keep, fast: bool):
+def _loaded(path, names, fast: bool):
     """What ``load_dataset`` gives with numpy's reader allowed or not: the
     arrays' bits, the cells' text and lines, or the error's text; and
     whether numpy's reader gave the rows."""
@@ -360,7 +360,7 @@ def _loaded(path, keep, fast: bool):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_read_fast", lambda *args: read.append(real_read_fast(*args) if fast else None) or read[-1])
         try:
-            data, columns = load_dataset(str(path), _FIVE_COLUMNS, keep=keep)
+            data, columns = load_dataset(str(path), _FIVE_COLUMNS, names)
         except DataError as exc:
             return str(exc), bool(read) and read[0] is not None
     arrays = {name: _bits(values) for name, values in columns.items()}
@@ -369,11 +369,11 @@ def _loaded(path, keep, fast: bool):
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
-@given(file=_csv_file(), keep=st.sampled_from([None, [], ["note"]]), block=st.sampled_from(BLOCK_SIZES))
+@given(file=_csv_file(), names=st.sampled_from([[], ["note"]]), block=st.sampled_from(BLOCK_SIZES))
 # rows a field short and a field long, whose commas add up, past a column
 # that is not read
-@example(file=(b"s,a,y,x1,note\n0,,,0.5\n0,,,0.5,1,9\n", False), keep=[], block=1)
-def test_numpy_reader_agrees_with_block_parser(tmp_path_factory, file, keep, block):
+@example(file=(b"s,a,y,x1,note\n0,,,0.5\n0,,,0.5,1,9\n", False), names=[], block=1)
+def test_numpy_reader_agrees_with_block_parser(tmp_path_factory, file, names, block):
     # the block parser is the reference: on every file the load gives the
     # same arrays, text and lines bit for bit, or the same error
     content, plain = file
@@ -381,8 +381,8 @@ def test_numpy_reader_agrees_with_block_parser(tmp_path_factory, file, keep, blo
     path.write_bytes(content)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "BLOCK_ROWS", block)
-        got, fast = _loaded(path, keep, fast=True)
-        reference, _ = _loaded(path, keep, fast=False)
+        got, fast = _loaded(path, names, fast=True)
+        reference, _ = _loaded(path, names, fast=False)
     assert got == reference
     # a plain file is numpy's to read, whether or not it loads
     assert fast or not plain
@@ -396,7 +396,7 @@ def test_load_dataset_reads_only_the_named_columns(tmp_path):
     read = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_read_fast", lambda *args: read.append(real_read_fast(*args)) or read[-1])
-        data, columns = load_dataset(str(path), _FIVE_COLUMNS, keep=["flag"])
+        data, columns = load_dataset(str(path), _FIVE_COLUMNS, ["flag"])
     assert read[0] is not None
     assert set(columns) == {"s", "a", "y", "x1", "flag"}
     assert columns["flag"].tolist() == [0.0, 1.0]
@@ -406,20 +406,19 @@ def test_load_dataset_rejects_unknown_named_column_before_reading_rows(tmp_path)
     path = tmp_path / "bad.csv"
     path.write_text("s,a,y,x1\n1,1,2.0,abc\n")
     with pytest.raises(ConfigError) as exc:
-        load_dataset(str(path), _FIVE_COLUMNS, keep=["nope"])
+        load_dataset(str(path), _FIVE_COLUMNS, ["nope"])
     assert str(exc.value) == "exclusion rule references unknown column 'nope'"
-    # an optional name the header lacks is left out
-    path.write_text("s,a,y,x1\n1,1,2.0,0.5\n0,,,0.25\n")
-    _, columns = load_dataset(str(path), _FIVE_COLUMNS, optional=["nope"])
-    assert "nope" not in columns
 
 
-def test_filter_on_unknown_column_fails_only_when_it_runs(fixture_csv):
-    # with no exclusion rule, group 1 is empty and no filter runs
-    cfg = _config(fixture_csv, exclusion_rules=[])
+@pytest.mark.parametrize("rules", ["none", "exclusion"])
+def test_filter_on_unknown_column_fails_before_rows_are_read(fixture_csv, rules):
+    # a filter's column is checked against the header before the bad last
+    # row is read, even where group 1 is empty (no exclusion rule) and the
+    # filter would never run
+    with open(fixture_csv, "a") as fh:
+        fh.write("0,,,abc,0.1,0\n")
+    cfg = _config(fixture_csv, **({"exclusion_rules": []} if rules == "none" else {}))
     cfg["sensitivity"]["extrapolation"] = {"r2_trial_filter": [[{"var": "nope", "op": "==", "value": 1}]]}
-    assert "zeta" not in cmd_analyze(cfg)
-    cfg["exclusion_rules"] = _config(fixture_csv)["exclusion_rules"]
     with pytest.raises(ConfigError) as exc:
         cmd_analyze(cfg)
     assert str(exc.value) == "exclusion rule references unknown column 'nope'"
@@ -471,10 +470,10 @@ def _registry_csv(path, n, codes=0):
 REGISTRY_ROLES = {"s": "s", "a": "a", "y": "y", "covariates": ["x1", "x2", "x3", "x4"]}
 
 
-def _load_peak(path, **names):
+def _load_peak(path, names=()):
     tracemalloc.start()
     try:
-        data, _ = load_dataset(str(path), REGISTRY_ROLES, **names)
+        data, _ = load_dataset(str(path), REGISTRY_ROLES, names)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -491,7 +490,7 @@ def test_load_dataset_memory_ignores_columns_no_rule_names(tmp_path):
     # 40 columns of codes that no rule names cost the load nothing to keep
     path = _registry_csv(tmp_path / "wide.csv", 20_000, codes=40)
     config = _config(path, exclusion_rules=[[{"var": "ineligible", "op": "==", "value": 1}]])
-    peak, arrays = _load_peak(path, **cli._named_columns(config))
+    peak, arrays = _load_peak(path, cli._rule_columns(config))
     assert peak <= 4 * arrays, f"peak {peak} bytes against {arrays} bytes of arrays"
 
 
@@ -513,7 +512,7 @@ def test_analyze_matches_library_exactly(fixture_csv):
     report = cmd_analyze(_config(fixture_csv))
     data, columns = load_dataset(str(fixture_csv), {
         "s": "selected", "a": "treat", "y": "outcome", "covariates": ["x1", "x2"],
-    })
+    }, ["ineligible"])
     flags = np.array([float(c) for c in columns["ineligible"]])[data.target_mask]
     sampling = fit_sampling_score(data)
     propensity = fit_propensity_score(data)
@@ -619,6 +618,8 @@ MALFORMED = {
     "analyze bootstrap_reps text": ("analyze", {"variance": "bootstrap", "bootstrap_reps": "x"}),
     "analyze seed text": ("analyze", {"variance": "bootstrap", "seed": "x"}),
     "analyze seed negative": ("analyze", {"variance": "bootstrap", "seed": -1}),
+    "analyze bootstrap_reps fraction": ("analyze", {"variance": "bootstrap", "bootstrap_reps": 100.5}),
+    "analyze seed bool": ("analyze", {"variance": "bootstrap", "seed": True}),
     "analyze known_propensity text": ("analyze", {"known_propensity": "x"}),
     "analyze outcome_family list": ("analyze", {"outcome_family": ["gaussian"]}),
     "sensitivity k1_grid text": ("sensitivity", {"k1_grid": "abc"}),
@@ -643,6 +644,10 @@ MALFORMED = {
     "simulate sizes text": ("simulate", {"sizes": "20000"}),
     "simulate methods text": ("simulate", {"methods": "ipw"}),
     "simulate seed negative": ("simulate", {"seed": -1}),
+    "simulate seed fraction": ("simulate", {"seed": 1.9}),
+    "simulate replications fraction": ("simulate", {"replications": 2.9}),
+    "simulate sizes fraction": ("simulate", {"sizes": [20000.7]}),
+    "simulate oracle_draws fraction": ("simulate", {"oracle_draws": 250000.9}),
     "calibrate no draws": ("calibrate", ["--slopes", "0,0", "--draws", "0"]),
     "calibrate slopes text": ("calibrate", ["--slopes=a,b"]),
     "calibrate seed negative": ("calibrate", ["--slopes", "0,0", "--seed", "-1"]),
@@ -659,6 +664,12 @@ NAMED = {
     "simulate sizes text": "'sizes'",
     "simulate methods text": "'methods'",
     "simulate seed negative": "seed must be a non-negative integer, got -1",
+    "analyze bootstrap_reps fraction": "'bootstrap_reps' has a malformed value 100.5",
+    "analyze seed bool": "'seed' has a malformed value True",
+    "simulate seed fraction": "'seed' has a malformed value 1.9",
+    "simulate replications fraction": "'replications' has a malformed value 2.9",
+    "simulate sizes fraction": "'sizes' has a malformed value [20000.7]",
+    "simulate oracle_draws fraction": "'oracle_draws' has a malformed value 250000.9",
     "calibrate seed negative": "seed must be a non-negative integer, got -1",
 }
 
@@ -784,7 +795,7 @@ def test_main_rejects_rule_set_that_is_not_a_list(tmp_path, fixture_csv, rules, 
 
 def test_rules_read_named_columns(fixture_csv):
     # the vectorised engine agrees with a per-row reading of the CSV
-    data, columns = load_dataset(str(fixture_csv), _config(fixture_csv)["roles"])
+    data, columns = load_dataset(str(fixture_csv), _config(fixture_csv)["roles"], ["ineligible"])
     rules = [
         [{"var": "ineligible", "op": "in", "value": [1]}, {"var": "x1", "op": "<", "value": 0.5}],
         [{"var": "x2", "op": ">=", "value": 1.0}],
@@ -803,7 +814,7 @@ def test_rules_read_named_columns(fixture_csv):
 def test_main_simulate_smoke_and_determinism(tmp_path, capsys):
     cfg = {
         "schema_version": 1,
-        "sizes": [20000],
+        "sizes": [2e4],     # JSON may write a whole number as a float
         "replications": 3,
         "p3_star": [0.8],
         "methods": ["aipw"],
@@ -830,8 +841,7 @@ def test_main_simulate_reports_failures_per_size(tmp_path, capsys, monkeypatch):
     # the cells, so the count reaches the user through stderr alone
     def study_with_failures(study, n_jobs=1, true_tau=None):
         failures = study.dgp.n_total // 10_000
-        return StudyReport(cells=(), true_tau=0.0, replications=study.replications,
-                           failures=failures, sd_defined=True)
+        return StudyReport(cells=(), true_tau=0.0, replications=study.replications, failures=failures)
 
     monkeypatch.setattr(cli, "run_study", study_with_failures)
     cfg_path = tmp_path / "study.json"

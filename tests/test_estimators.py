@@ -88,9 +88,8 @@ def test_hajek_weight_scale_invariance():
 
 def _manual_partition(delta, p3_star, n_target, epsilon=1e-8):
     labels = np.full(n_target, 3, dtype=np.int8)
-    k = np.ones(n_target)
     return PartitionResult(
-        labels=labels, k_smooth=k, delta_star=delta,
+        labels=labels, delta_star=delta,
         p_hat=(0.0, 1.0 - p3_star, p3_star), p3_star=p3_star, epsilon=epsilon,
     )
 

@@ -104,11 +104,11 @@ def test_dimension_mismatch():
 
 def test_predict_mean_values():
     fit = GlmFit(np.zeros(3), BERN, True, 0)
-    assert predict_mean(fit, np.array([1.0, 5.0, -2.0])) == pytest.approx(0.5)
+    assert predict_mean(fit, np.array([[1.0, 5.0, -2.0]])) == pytest.approx([0.5])
     gfit = GlmFit(np.array([1.0, 2.0]), GAUSS, True, 1)
-    assert predict_mean(gfit, np.array([1.0, 3.0])) == pytest.approx(7.0)
+    assert predict_mean(gfit, np.array([[1.0, 3.0]])) == pytest.approx([7.0])
     bfit = GlmFit(np.array([-4.59512, 0.0]), BERN, True, 0)
-    assert predict_mean(bfit, np.array([1.0, 9.9])) == pytest.approx(0.01, abs=1e-5)
+    assert predict_mean(bfit, np.array([[1.0, 9.9]])) == pytest.approx([0.01], abs=1e-5)
 
 
 def test_predict_mean_monotone_in_positive_coefficient():
@@ -118,10 +118,13 @@ def test_predict_mean_monotone_in_positive_coefficient():
     assert np.all(np.diff(preds) > 0)
 
 
-def test_predict_mean_dimension_check():
+@pytest.mark.parametrize("shape", [(4,), (3,), (2, 4), (2, 3, 1)], ids=str)
+def test_predict_mean_dimension_check(shape):
+    # only a 2-d design of fit.q columns: a 1-d row of the right length too
+    # is refused
     fit = GlmFit(np.zeros(3), BERN, True, 0)
     with pytest.raises(DimensionError):
-        predict_mean(fit, np.ones(4))
+        predict_mean(fit, np.ones(shape))
 
 
 def test_score_contributions_sum_to_zero_at_mle():
@@ -385,8 +388,8 @@ def test_outcome_models_constant_arms():
     y = np.where(a == 1, 4.0, -1.0)
     data = make_dataset(x1, a, y, np.ones((5, 1)))
     fit1, fit0 = fit_outcome_models(data, GAUSS)
-    assert predict_mean(fit1, np.array([1.0])) == pytest.approx(4.0)
-    assert predict_mean(fit0, np.array([1.0])) == pytest.approx(-1.0)
+    assert predict_mean(fit1, np.ones((1, 1))) == pytest.approx([4.0])
+    assert predict_mean(fit0, np.ones((1, 1))) == pytest.approx([-1.0])
 
 
 def test_outcome_models_recover_linear_truth():
@@ -461,7 +464,7 @@ def test_warm_start_of_wrong_length_raises():
         fit_sampling_score(data, start=np.zeros(1))
 
 
-@pytest.mark.parametrize("rows", ["trial", "target", "mixed", "mask"])
+@pytest.mark.parametrize("rows", ["trial", "target", "mixed", "mask_rows"])
 def test_subset_equals_dataset_of_the_same_rows(rows):
     rng = np.random.default_rng(12)
     data = _two_sample(rng, 30, 40)
@@ -469,7 +472,7 @@ def test_subset_equals_dataset_of_the_same_rows(rows):
         "trial": np.flatnonzero(data.trial_mask)[[3, 3, 0, 29]],
         "target": np.flatnonzero(data.target_mask)[[5, 39, 5]],
         "mixed": rng.integers(0, data.n, 50),
-        "mask": rng.random(data.n) < 0.5,
+        "mask_rows": np.flatnonzero(rng.random(data.n) < 0.5),
     }[rows]
     sub = data.subset(idx)
     built = Dataset(data.s[idx], data.a[idx], data.y[idx], data.x[idx])
@@ -479,10 +482,17 @@ def test_subset_equals_dataset_of_the_same_rows(rows):
         np.testing.assert_array_equal(got, want)
 
 
-def test_subset_rejects_a_mask_of_the_wrong_length():
+@pytest.mark.parametrize("idx", ["mask", "short_mask", "floats"])
+def test_subset_rejects_indices_that_are_not_integers(idx):
+    # take would read a boolean mask as the rows 0 and 1
     data = _two_sample(np.random.default_rng(12), 30, 40)
+    idx = {
+        "mask": np.arange(data.n) % 2 == 0,
+        "short_mask": np.ones(data.n - 1, dtype=bool),
+        "floats": np.array([0.0, 3.0, 5.0]),
+    }[idx]
     with pytest.raises(DimensionError):
-        data.subset(np.ones(data.n - 1, dtype=bool))
+        data.subset(idx)
 
 
 def test_cached_masks_are_read_only():

@@ -13,6 +13,7 @@ from extval import (
     UnattainableProportionError,
     make_dataset,
     partition_population,
+    predict_mean,
     solve_threshold,
 )
 from extval import partition
@@ -67,7 +68,8 @@ def test_rule_engine_on_loaded_columns_matches_direct_mask(tmp_path):
         lines.append(f"{int(s[i])},{ay}," + ",".join(repr(float(v)) for v in x[i, 1:5]) + f",{int(x[i, 5])}")
     path = tmp_path / "cohort.csv"
     path.write_text("\n".join(lines) + "\n")
-    data, loaded = load_dataset(str(path), {"s": "s", "a": "a", "y": "y", "covariates": ["x1", "x2", "x3", "x4"]})
+    roles = {"s": "s", "a": "a", "y": "y", "covariates": ["x1", "x2", "x3", "x4"]}
+    data, loaded = load_dataset(str(path), roles, ["flag"])
     for rows in (data.target_mask, data.trial_mask):
         mask = evaluate_raw_rules(RULE_E_OR_X4, loaded, rows)
         assert np.array_equal(mask, ((x[:, 5] == 1.0) | (x[:, 4] >= 3.0))[rows])
@@ -100,6 +102,9 @@ def test_rule_error_paths():
     sampling, propensity = _fits_for(2)
     with pytest.raises(DimensionError):
         partition_population(data, sampling, propensity, np.zeros(3, dtype=bool), 0.5)
+    scores = (np.array([0.4, 0.6, 0.8]), np.full(3, 0.5), np.full(3, 0.5))
+    with pytest.raises(DimensionError):
+        solve_threshold(scores, 0.5, 1e-8, np.zeros(2, dtype=bool))
 
 
 def test_rule_set_membership():
@@ -170,7 +175,7 @@ def test_solve_threshold_matches_sort_quantile_oracle():
         prods = rng.random(n)
         hs = 2.0 * prods
         e = np.full(n, 0.5)
-        delta = solve_threshold((hs, e, e), 0.8, 1e-8)
+        delta = solve_threshold((hs, e, e), 0.8, 1e-8, np.zeros(n, dtype=bool))
         oracle = np.sort(prods)[19]  # 20th smallest: keep exactly 80 rows
         assert abs(delta - oracle) < 1e-4
         k = _smooth_k(hs * e, hs * e, delta, 1e-8)
@@ -181,7 +186,7 @@ def test_solve_threshold_fractional_target():
     rng = np.random.default_rng(32)
     hs = 2.0 * rng.random(100)
     e = np.full(100, 0.5)
-    delta = solve_threshold((hs, e, e), 0.815, 1e-8)
+    delta = solve_threshold((hs, e, e), 0.815, 1e-8, np.zeros(100, dtype=bool))
     k = _smooth_k(hs * e, hs * e, delta, 1e-8)
     assert abs(np.mean(k) - 0.815) <= 1e-9
 
@@ -192,7 +197,7 @@ def test_solve_threshold_count_just_below_whole():
     rng = np.random.default_rng(33)
     prods = rng.random(5000)
     e = np.full(5000, 0.5)
-    delta = solve_threshold((2.0 * prods, e, e), 0.7999999999, 1e-8)
+    delta = solve_threshold((2.0 * prods, e, e), 0.7999999999, 1e-8, np.zeros(5000, dtype=bool))
     k = _smooth_k(prods, prods, delta, 1e-8)
     assert abs(np.mean(k) - 0.7999999999) <= 1e-9
     q = np.sort(prods)[::-1][3999]
@@ -205,7 +210,8 @@ def test_solve_threshold_count_rounded_below_whole():
     rng = np.random.default_rng(1)
     prods = rng.random(90)
     e = np.full(90, 0.5)
-    deltas = [solve_threshold((2.0 * prods, e, e), p3, 1e-8) for p3 in (0.7, np.nextafter(0.7, 1.0))]
+    none = np.zeros(90, dtype=bool)
+    deltas = [solve_threshold((2.0 * prods, e, e), p3, 1e-8, none) for p3 in (0.7, np.nextafter(0.7, 1.0))]
     assert deltas[0] == deltas[1]
     assert 0 < deltas[0] - np.sort(prods)[::-1][63] < 11e-8
 
@@ -218,7 +224,7 @@ def test_solve_threshold_whole_count_with_close_neighbour():
     q = prods[19]
     prods[20] = q + 4.7e-8
     e = np.full(100, 0.5)
-    delta = solve_threshold((2.0 * prods, e, e), 0.8, 1e-8)
+    delta = solve_threshold((2.0 * prods, e, e), 0.8, 1e-8, np.zeros(100, dtype=bool))
     k = _smooth_k(prods, prods, delta, 1e-8)
     assert abs(np.mean(k) - 0.8) <= 1e-9
     assert q < delta < q + 4.7e-8
@@ -227,7 +233,7 @@ def test_solve_threshold_whole_count_with_close_neighbour():
 def test_solve_threshold_full_mass_returns_zero():
     hs = np.array([0.4, 0.6, 0.8])
     e = np.full(3, 0.5)
-    delta = solve_threshold((hs, e, e), 1.0, 1e-8)
+    delta = solve_threshold((hs, e, e), 1.0, 1e-8, np.zeros(3, dtype=bool))
     assert delta < np.min(hs * 0.5)
     assert delta == pytest.approx(0.0)
 
@@ -236,14 +242,14 @@ def test_solve_threshold_unattainable():
     hs = np.array([0.4, 0.6, 0.8])
     e = np.full(3, 0.5)
     with pytest.raises(UnattainableProportionError):
-        solve_threshold((hs, e, e), 0.9, 1e-8, r1_mask=np.array([True, False, False]))
+        solve_threshold((hs, e, e), 0.9, 1e-8, np.array([True, False, False]))
 
 
 def test_solve_threshold_degenerate_plateau():
     hs = np.full(50, 0.4)
     e = np.full(50, 0.5)
     with pytest.raises(DegenerateScoresError):
-        solve_threshold((hs, e, e), 0.5, 1e-8)
+        solve_threshold((hs, e, e), 0.5, 1e-8, np.zeros(50, dtype=bool))
 
 
 EPS = 1e-8
@@ -337,8 +343,10 @@ def test_partition_reaches_requested_share():
     part = partition_population(data, sampling, propensity, None, 0.85)
     assert sum(part.p_hat) == pytest.approx(1.0, abs=1e-12)
     assert part.p_hat[2] == pytest.approx(0.85, abs=1e-6)
-    assert np.mean(part.k_smooth) == pytest.approx(0.85, abs=1e-6)
-    assert np.all(part.k_smooth[part.r1_mask] == 0.0)
+    # p3 is the mean smooth inclusion weight at delta*
+    x_t = data.x[data.target_mask]
+    hs, e1 = predict_mean(sampling, x_t), predict_mean(propensity, x_t)
+    assert np.mean(_membership(hs * e1, hs * (1.0 - e1), part.delta_star, part.epsilon)) == part.p_hat[2]
 
 
 def test_partition_no_rules_p3_one_all_well_represented():

@@ -3,6 +3,7 @@ import pytest
 
 from extval import (
     ConfigError,
+    DimensionError,
     EmptyGroupError,
     GlmFamily,
     GlmFit,
@@ -159,6 +160,9 @@ def test_extrapolate_group_cases():
     assert extrapolate_group_ate((shifted, same), x) == pytest.approx(0.75)
     with pytest.raises(EmptyGroupError):
         extrapolate_group_ate((same, same), np.empty((0, 2)))
+    # one target row is a design of one row, not a 1-d row
+    with pytest.raises(DimensionError):
+        extrapolate_group_ate((same, same), x[0])
 
 
 def test_input_share_validation():

@@ -154,7 +154,6 @@ def test_run_study_smoke_shape():
     report = _smoke_study()
     assert len(report.cells) == 4
     assert report.failures == 0
-    assert report.sd_defined
     for cell in report.cells:
         assert np.isfinite(cell.bias) and np.isfinite(cell.sd)
         assert 0.0 <= cell.coverage <= 1.0
@@ -180,7 +179,6 @@ def test_run_study_single_replication_flags_undefined_sd():
         oracle_draws=200_000,
     )
     report = run_study(cfg)
-    assert not report.sd_defined
     assert np.isnan(report.cells[0].sd)
 
 
@@ -336,8 +334,8 @@ def test_blocked_truth_is_bit_identical_to_whole_chunks(monkeypatch, config, dra
         monkeypatch.setattr(simulation, "MC_BLOCK", block)
     draws = _draw_count(draws)
     assert true_tau_oracle(config, draws).hex() == _reference_oracle(config, draws).hex()
-    nominal = simulation._nominal_trial_size(config, draws)
-    assert nominal == _reference_nominal_trial_size(config, draws)
+    monkeypatch.setattr(simulation, "NOMINAL_DRAWS", draws)
+    assert simulation._nominal_trial_size(config) == _reference_nominal_trial_size(config, draws)
 
 
 @pytest.mark.parametrize("block", [16, None], ids=["block16", "default"])
