@@ -42,6 +42,7 @@ from .data import Dataset
 from .errors import ConfigError, DataError, ExtvalError
 from .estimators import (
     EstimateReport,
+    _bootstrap_seed,
     augmented_ipw,
     bootstrap_ci,
     hajek_ipw,
@@ -104,7 +105,7 @@ class CsvColumns(dict):
 BLOCK_ROWS = 4096
 
 
-def load_dataset(path: str, roles: dict, names=()) -> tuple[Dataset, CsvColumns]:
+def load_dataset(path: str, roles: dict, names: dict | None = None) -> tuple[Dataset, CsvColumns]:
     """Parse a CSV into a Dataset, prepending the constant-1 column.
 
     ``roles`` maps {"s": column, "a": column, "y": column,
@@ -116,9 +117,11 @@ def load_dataset(path: str, roles: dict, names=()) -> tuple[Dataset, CsvColumns]
     outcome must be empty exactly on target rows. Returns the dataset and
     the columns by name (``CsvColumns``) so that exclusion rules may
     reference non-model columns: the role columns and those in ``names``,
-    and no others. Before any row is read, a role column the header lacks
-    or a name it repeats is a DataError, and a column of ``names`` that it
-    lacks a ConfigError. Blank lines are skipped; every other row must
+    and no others. ``names`` maps each column that a rule names to the
+    config key of the rule set that names it. Before any row is read, a
+    role column the header lacks or a name it repeats is a DataError, and
+    a column of ``names`` that it lacks a ConfigError naming that key.
+    Blank lines are skipped; every other row must
     have as many fields as the header.
 
     numpy's C reader parses the file when it can (``_read_fast``), and
@@ -141,6 +144,7 @@ def load_dataset(path: str, roles: dict, names=()) -> tuple[Dataset, CsvColumns]
             if role_of.setdefault(column, key) != key:
                 raise ConfigError(f"column {column!r} is given two roles, {role_of[column]!r} and {key!r}")
     needed = [roles["s"], roles["a"], roles["y"], *roles["covariates"]]
+    names = names or {}
     # the rows hold no reference cycles, so a collection while they are
     # read finds nothing, yet walks every object the process tracks
     collecting = gc.isenabled()
@@ -157,9 +161,9 @@ def load_dataset(path: str, roles: dict, names=()) -> tuple[Dataset, CsvColumns]
             repeated = sorted({c for c in header if header.count(c) > 1})
             if repeated:
                 raise DataError(f"{path}: repeated column names {repeated}")
-            for name in names:
+            for name, where in names.items():
                 if name not in header:
-                    raise ConfigError(f"exclusion rule references unknown column {name!r}")
+                    raise ConfigError(f"{where}: rule references unknown column {name!r}")
             wanted = [c for c in header if c in needed or c in names]
             loaded = _read_fast(fh, reader.line_num + 1, header, wanted, (roles["a"], roles["y"]))
         if loaded is None:
@@ -346,23 +350,23 @@ def evaluate_raw_rules(rules: list, columns: CsvColumns, mask_rows) -> np.ndarra
     naming its file line.
     """
     if not isinstance(rules, list):
-        raise ConfigError(f"exclusion rules {rules!r} are not a list of clauses")
+        raise ConfigError(f"rules {rules!r} are not a list of clauses")
     selected = np.asarray(mask_rows, dtype=bool)
     rows = np.flatnonzero(selected)
     values: dict[str, np.ndarray] = {}
     out = np.zeros(rows.size, dtype=bool)
     for clause in rules:
         if not isinstance(clause, list):
-            raise ConfigError(f"exclusion rule clause {clause!r} is not a list of predicates")
+            raise ConfigError(f"rule clause {clause!r} is not a list of predicates")
         match = np.ones(rows.size, dtype=bool)
         for pred in clause:
             if not isinstance(pred, dict):
-                raise ConfigError(f"exclusion rule predicate {pred!r} is not an object")
+                raise ConfigError(f"rule predicate {pred!r} is not an object")
             var, op, value = pred.get("var"), pred.get("op"), pred.get("value")
             if op not in _COMPARATORS:
-                raise ConfigError(f"unknown comparator {op!r} in exclusion rule")
+                raise ConfigError(f"unknown comparator {op!r} in rule")
             if var not in columns:
-                raise ConfigError(f"exclusion rule references unknown column {var!r}")
+                raise ConfigError(f"rule references unknown column {var!r}")
             constant = _rule_constant(var, op, value)
             if var not in values:
                 bad = min((i for i in columns.text.get(var, ()) if selected[i]), default=None)
@@ -382,7 +386,7 @@ def _rule_constant(var: str, op: str, value) -> np.ndarray:
     numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items)
     if not numeric or (op == "in") != isinstance(value, list):
         kind = "a list of numbers" if op == "in" else "a number"
-        raise ConfigError(f"exclusion rule {var!r} {op} needs {kind}, got {value!r}")
+        raise ConfigError(f"rule {var!r} {op} needs {kind}, got {value!r}")
     return np.asarray(value, dtype=float)
 
 
@@ -482,7 +486,6 @@ def cmd_analyze(config: dict) -> dict:
     """Run the fit / partition / estimate pipeline, returning the report."""
     _check_schema(config)
     path, roles = _require(config, "input"), _value(config, "roles", dict)
-    data, columns = load_dataset(path, roles, _rule_columns(config))
     family = _family(config.get("outcome_family", "gaussian"))
     methods = _value(config, "methods", list, ["trimmed_aipw"])
     for m in methods:
@@ -500,13 +503,18 @@ def cmd_analyze(config: dict) -> dict:
         raise ConfigError("trimmed methods require p3_star")
     if p3_star is not None and not (isinstance(p3_star, (int, float)) and 0.0 < p3_star <= 1.0):
         raise ConfigError(f"p3_star must be a number in (0, 1], got {p3_star!r}")
-    seed = config.get("seed")
-    if variance_method == "bootstrap" and seed is None:
-        raise ConfigError("bootstrap variance requires an explicit seed")
+    # the bootstrap's replicates and seed are checked before any row is read
+    bootstrap = None
+    if variance_method == "bootstrap":
+        if config.get("seed") is None:
+            raise ConfigError("bootstrap variance requires an explicit seed")
+        reps = _value(config, "bootstrap_reps", _whole, 500)
+        bootstrap = reps, _bootstrap_seed(reps, _value(config, "seed", _whole))
 
+    data, columns = load_dataset(path, roles, _rule_columns(config))
     r1_mask = None
     if config.get("exclusion_rules"):
-        r1_mask = evaluate_raw_rules(config["exclusion_rules"], columns, data.target_mask)
+        r1_mask = _rule_mask("exclusion_rules", config["exclusion_rules"], columns, data.target_mask)
     sampling, propensity, outcome, partition = _fit_components(
         data, config, family, any("aipw" in m for m in methods), r1_mask,
         (p3_star, epsilon) if needs_partition else None,
@@ -519,7 +527,7 @@ def cmd_analyze(config: dict) -> dict:
         "n2": data.n2,
         "q": data.q,
         "sampling_model": _fit_summary(sampling, data.x, data.s),
-        "propensity_model": _fit_summary(propensity, data.x[data.trial_mask], data.a[data.trial_mask]),
+        "propensity_model": _fit_summary(propensity, data.x_trial, data.a[data.trial_mask]),
         "sampling_score_histogram": _score_histogram(
             predict_mean(sampling, data.x), data.s
         ),
@@ -545,7 +553,7 @@ def cmd_analyze(config: dict) -> dict:
             report["estimates"].append(
                 _run_method(
                     m, data, (sampling, propensity, outcome, partition),
-                    variance_method, config, family, r1_mask,
+                    bootstrap, config, family, r1_mask,
                 ).to_dict()
             )
 
@@ -582,14 +590,16 @@ def _fit_components(data, config, family, outcome: bool, r1_mask, threshold, sta
 
 
 def _run_method(
-    method, data, components, variance_method, config, family, r1_mask,
+    method, data, components, bootstrap, config, family, r1_mask,
 ) -> EstimateReport:
     """One method's report; ``components`` are the full-sample fits and
-    partition. A bootstrap refits them on every replicate, the sampling and
-    propensity models starting from their full-sample coefficients."""
+    partition. ``bootstrap`` is None for the sandwich variance, else the
+    replicates and the seed of a bootstrap, which refits the components on
+    every replicate, the sampling and propensity models starting from
+    their full-sample coefficients."""
     run = _METHODS[method]
-    rep = run(data, *components, "sandwich" if variance_method == "sandwich" else "none")
-    if variance_method != "bootstrap":
+    rep = run(data, *components, "sandwich" if bootstrap is None else "none")
+    if bootstrap is None:
         return rep
 
     sampling, propensity, _, partition = components
@@ -600,25 +610,38 @@ def _run_method(
         refit = _fit_components(ds, config, family, "aipw" in method, mask, threshold, start)
         return run(ds, *refit, "none").estimate
 
-    reps = _value(config, "bootstrap_reps", _whole, 500)
-    var, lo, hi = bootstrap_ci(point, data, reps, _value(config, "seed", _whole), r1_mask=r1_mask)
+    var, lo, hi = bootstrap_ci(point, data, *bootstrap, r1_mask=r1_mask)
     return dataclasses.replace(
         rep, variance=var, ci_low=lo, ci_high=hi, variance_method="bootstrap"
     )
 
 
-def _rule_columns(config: dict) -> list:
+def _rule_columns(config: dict) -> dict:
     """The column names that the predicates of the exclusion rules and of
-    the extrapolation filters name. Parts that are not well formed name
+    the extrapolation filters name, each mapped to the config key of the
+    first rule set that names it. Parts that are not well formed name
     none; ``evaluate_raw_rules`` rejects them when it reads them."""
     filters = _filters(config)
-    rule_sets = [config.get("exclusion_rules"),
-                 *(filters.get(f"r{g}_trial_filter") for g in (1, 2) if isinstance(filters, dict))]
-    return [
-        pred["var"] for rules in rule_sets if isinstance(rules, list)
-        for clause in rules if isinstance(clause, list)
-        for pred in clause if isinstance(pred, dict) and isinstance(pred.get("var"), str)
-    ]
+    rule_sets = {"exclusion_rules": config.get("exclusion_rules")}
+    if isinstance(filters, dict):
+        rule_sets.update((f"sensitivity.extrapolation.r{g}_trial_filter", filters.get(f"r{g}_trial_filter"))
+                         for g in (1, 2))
+    named: dict = {}
+    for where, rules in rule_sets.items():
+        for clause in rules if isinstance(rules, list) else ():
+            for pred in clause if isinstance(clause, list) else ():
+                if isinstance(pred, dict) and isinstance(pred.get("var"), str):
+                    named.setdefault(pred["var"], where)
+    return named
+
+
+def _rule_mask(where: str, rules, columns, rows) -> np.ndarray:
+    """``evaluate_raw_rules`` on the rule set at config key ``where``, whose
+    ConfigError names that key."""
+    try:
+        return evaluate_raw_rules(rules, columns, rows)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _filters(config) -> dict:
@@ -641,7 +664,8 @@ def _extrapolations(config, data, columns, family, outcome, partition):
         fits = outcome
         filt = filters.get(f"r{group}_trial_filter")
         if filt:
-            trial_mask = evaluate_raw_rules(filt, columns, data.trial_mask)
+            where = f"sensitivity.extrapolation.r{group}_trial_filter"
+            trial_mask = _rule_mask(where, filt, columns, data.trial_mask)
             idx = np.flatnonzero(data.trial_mask)[trial_mask]
             if idx.size == 0:
                 raise DataError(f"extrapolation filter for group {group} matches no trial rows")

@@ -69,8 +69,8 @@ class Dataset:
     def q(self) -> int:
         return self.x.shape[1]
 
-    # the masks and counts are computed once per dataset; the masks are
-    # read-only, since every caller shares them
+    # the masks, the trial rows' design and the counts are computed once per
+    # dataset; the arrays are read-only, since every caller shares them
     @cached_property
     def trial_mask(self) -> np.ndarray:
         return _read_only(self.s == 1)
@@ -78,6 +78,10 @@ class Dataset:
     @cached_property
     def target_mask(self) -> np.ndarray:
         return _read_only(self.s == 0)
+
+    @cached_property
+    def x_trial(self) -> np.ndarray:
+        return _read_only(self.x.compress(self.trial_mask, axis=0))
 
     @cached_property
     def n1(self) -> int:

@@ -56,7 +56,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import expit, ndtr, ndtri
+from scipy.special import ndtr, ndtri
 
 from .data import Dataset
 from .errors import (
@@ -68,7 +68,7 @@ from .errors import (
     StationarityError,
     ZeroWeightError,
 )
-from .glm import GlmFamily, GlmFit, predict_mean
+from .glm import GlmFamily, GlmFit, expit, predict_mean
 from .parallel import ordered_map
 from .partition import PartitionResult, _membership, _saturation
 
@@ -214,7 +214,7 @@ class _Pipeline:
         self.y = np.where(data.trial_mask, data.y, 0.0)
         # the rows the trial-only blocks live on, and their design rows
         self.trial = np.flatnonzero(data.trial_mask)
-        self.x_trial = data.x.take(self.trial, axis=0)
+        self.x_trial = data.x_trial
         self.treated = data.trial_mask & (self.a == 1)
         self.control = data.trial_mask & (self.a == 0)
         # exclusions force k to 0 on target rows only; trial rows are
@@ -226,6 +226,10 @@ class _Pipeline:
         # estimated: its equation holds identically and carries no noise
         self.estimate_delta = partition is not None and partition.delta_star > 0.0
         self.fixed_e1 = predict_mean(propensity_fit, data.x) if propensity_fit.fixed else None
+        self.at_fits = (
+            predict_mean(sampling_fit, data.x),
+            self.fixed_e1 if propensity_fit.fixed else _propensity(data, propensity_fit, partition),
+        )
         self.link, self.link_slope = (
             _outcome_link(outcome_fits) if outcome_fits is not None else (None, None)
         )
@@ -259,12 +263,17 @@ class _Pipeline:
     def rows(self, xi: np.ndarray, scale: float | None = None) -> _Rows:
         """hs, e1, the transport weights, k, m1/m0 and the weighted-mean
         rows at ``xi``; ``scale`` smooths the threshold membership (the
-        partition's epsilon by default, see threshold_bandwidth)."""
+        partition's epsilon by default, see threshold_bandwidth). At
+        ``nuisance`` itself hs and e1 are ``at_fits``, the scores the fits
+        and the partition hold."""
         x, s, a = self.data.x, self.data.s, self.a
-        hs = expit(x @ xi[self.slices["sampling"]])
-        e1 = self.fixed_e1
-        if e1 is None:
-            e1 = expit(x @ xi[self.slices["propensity"]])
+        if xi is self.nuisance:
+            hs, e1 = self.at_fits
+        else:
+            hs = expit(x @ xi[self.slices["sampling"]])
+            e1 = self.fixed_e1
+            if e1 is None:
+                e1 = expit(x @ xi[self.slices["propensity"]])
         e0 = 1.0 - e1
         base = np.where(self.data.trial_mask, (1.0 - hs) / hs, 0.0)
         w1 = np.where(self.treated, base / e1, 0.0)
@@ -429,6 +438,21 @@ class _Pipeline:
                 jac[row, sl[block]] = (weight * slopes[j]) @ design / n
             jac[row, row] = -np.sum(weight) / n
         return jac
+
+
+def _propensity(data: Dataset, fit: GlmFit, partition: PartitionResult | None) -> np.ndarray:
+    """The propensity scores of every row at ``fit``: on the trial rows the
+    fit's own means (``glm.predict_mean`` on ``data.x_trial``), on the
+    target rows those that ``partition`` evaluated from this design and
+    fit, or evaluated here when it holds none."""
+    e1 = np.empty(data.n)
+    e1[data.trial_mask] = predict_mean(fit, data.x_trial)
+    kept = partition._e1 if partition is not None else None
+    if kept is not None and kept[0] is data.x and kept[1] is fit:
+        e1[data.target_mask] = kept[2]
+    else:
+        e1[data.target_mask] = predict_mean(fit, data.x.compress(data.target_mask, axis=0))
+    return e1
 
 
 # ---------------------------------------------------------------------------
@@ -673,10 +697,8 @@ def bootstrap_ci(
     the count of each failure class. Any other exception is a bug and
     propagates with its own class.
     """
-    if reps < 100:
-        raise ConfigError("bootstrap needs at least 100 replicates")
     replicate = partial(
-        _replicate, estimator, data, _seed_int(seed),
+        _replicate, estimator, data, _bootstrap_seed(reps, seed),
         np.flatnonzero(data.trial_mask), np.flatnonzero(data.target_mask),
         None if r1_mask is None else np.asarray(r1_mask, dtype=bool),
     )
@@ -717,7 +739,11 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _seed_int(seed) -> int:
+def _bootstrap_seed(reps, seed) -> int:
+    """``seed`` as an int; fewer than 100 replicates, or a seed that is not
+    a non-negative integer, is a ConfigError."""
+    if reps < 100:
+        raise ConfigError("bootstrap needs at least 100 replicates")
     if isinstance(seed, (int, np.integer)) and seed >= 0:
         return int(seed)
     raise ConfigError(f"bootstrap seed must be a non-negative integer, got {seed!r}")

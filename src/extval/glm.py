@@ -17,6 +17,14 @@ is halved. The Gaussian fit is the exact normal-equation solution. A fit
 does not carry its log-likelihood; ``log_likelihood`` computes it from
 the fit and its data for whoever reports it.
 
+The inverse logit, ``expit``, and the log-likelihood run on numpy's vector
+``exp`` and ``log1p``: ``expit`` is within a few ulp of
+``scipy.special.expit``, whose scalar ``exp`` per element takes up to
+three times as long from a few thousand values up. A Bernoulli fit keeps
+the design it converged on and its means there, and ``predict_mean``
+hands those back for that design, so the pipeline evaluates each score
+once per fit.
+
 A Bernoulli fit starts at zero unless it is given a ``start``. The
 bootstrap starts each replicate's sampling and propensity refits at the
 full-sample coefficients, a few Newton steps from the replicate's own
@@ -27,10 +35,9 @@ so their coefficients differ by at most H^-1 times twice that tolerance.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .data import Dataset
 from .errors import (
@@ -66,6 +73,9 @@ class GlmFit:
     converged: bool
     iterations: int
     fixed: bool = False
+    # a Bernoulli fit from fit_glm: the design it converged on and its
+    # read-only means there, which predict_mean returns for that design
+    _fitted: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def q(self) -> int:
@@ -87,9 +97,24 @@ def _check_design(x: np.ndarray, y: np.ndarray, family: GlmFamily):
         raise DataError("gaussian-identity requires finite responses")
 
 
+@np.errstate(over="ignore")
+def expit(x: np.ndarray) -> np.ndarray:
+    """The inverse logit 1 / (1 + exp(-x)) of an array, within a few ulp of
+    ``scipy.special.expit`` and exactly 0.0 and 1.0 where it is; NaN for
+    NaN. exp(-x) overflows to inf only where the result is exactly 0.0,
+    so that overflow is not warned of. Each step writes into the one
+    array it returns: on large arrays the temporaries would cost as much
+    as the arithmetic."""
+    t = np.negative(x, dtype=float)
+    np.exp(t, out=t)
+    t += 1.0
+    return np.divide(1.0, t, out=t)
+
+
 def _bernoulli_loglik(eta: np.ndarray, y: np.ndarray) -> float:
-    # y*eta - log(1 + exp(eta)), numerically stable
-    return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+    # y*eta - log(1 + exp(eta)), with log(1 + exp(eta)) taken as
+    # log1p(exp(-|eta|)) + max(eta, 0), which cannot overflow
+    return float(np.sum(y * eta - (np.log1p(np.exp(-np.abs(eta))) + np.maximum(eta, 0.0))))
 
 
 def fit_glm(
@@ -179,7 +204,8 @@ def fit_glm(
         raise SeparationError(
             "logistic fit diverged (|coefficient| > 30); classes appear separated"
         )
-    return GlmFit(coef, family, converged, steps)
+    p.flags.writeable = False
+    return GlmFit(coef, family, converged, steps, _fitted=(x, p))
 
 
 def log_likelihood(fit: GlmFit, x: np.ndarray, y: np.ndarray) -> float:
@@ -197,10 +223,14 @@ def log_likelihood(fit: GlmFit, x: np.ndarray, y: np.ndarray) -> float:
 
 def predict_mean(fit: GlmFit, x: np.ndarray) -> np.ndarray:
     """Inverse-link of the linear predictor on each row of the 2-d design
-    ``x`` of ``fit.q`` columns; any other shape is a DimensionError."""
+    ``x`` of ``fit.q`` columns; any other shape is a DimensionError. On the
+    very design array a Bernoulli fit converged on, the fit's own means,
+    read-only: the same values, not evaluated again."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != fit.q:
         raise DimensionError(f"design of shape {x.shape} does not match fit dimension {fit.q}")
+    if fit._fitted is not None and fit._fitted[0] is x:
+        return fit._fitted[1]
     eta = x @ fit.coefficients
     return expit(eta) if fit.family is GlmFamily.BERNOULLI_LOGIT else eta
 
@@ -235,7 +265,7 @@ def fit_propensity_score(
     a = data.a[trial]
     if a.min() == a.max():
         raise DataError("both treatment arms must be present among trial rows")
-    return fit_glm(data.x.compress(trial, axis=0), a, GlmFamily.BERNOULLI_LOGIT, start)
+    return fit_glm(data.x_trial, a, GlmFamily.BERNOULLI_LOGIT, start)
 
 
 def fit_outcome_models(data: Dataset, family: GlmFamily) -> tuple[GlmFit, GlmFit]:

@@ -22,7 +22,7 @@ both for the membership weights and inside the threshold solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
@@ -59,6 +59,9 @@ class PartitionResult:
     p_hat: tuple[float, float, float]
     p3_star: float
     epsilon: float
+    # the target rows' propensity scores, and the design and the propensity
+    # fit they were evaluated from, which the estimators read back
+    _e1: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def r1_mask(self) -> np.ndarray:
@@ -207,14 +210,18 @@ def partition_population(
     row meets a known exclusion criterion, or None for no exclusions.
     The command line builds that mask from rules over named CSV columns
     (``cli.evaluate_raw_rules``).
+
+    The sampling scores are those the sampling fit holds from its own fit
+    on ``data.x`` (``glm.predict_mean``). The target rows' propensity
+    scores are evaluated here, once, and the result keeps them for the
+    estimators.
     """
     data.require_both_samples()
     for fit in (sampling_fit, propensity_fit):
         if not fit.converged:
             raise NotConvergedError("partition requires converged score fits")
-    x_t = data.x.compress(data.target_mask, axis=0)
-    hs = predict_mean(sampling_fit, x_t)
-    e1 = predict_mean(propensity_fit, x_t)
+    hs = predict_mean(sampling_fit, data.x).compress(data.target_mask)
+    e1 = predict_mean(propensity_fit, data.x.compress(data.target_mask, axis=0))
     e0 = 1.0 - e1
     r1 = np.zeros(data.n2, dtype=bool) if rules is None else np.asarray(rules, dtype=bool)
     delta = solve_threshold((hs, e1, e0), p3_star, epsilon, r1)
@@ -233,4 +240,5 @@ def partition_population(
         p_hat=(p1, 1.0 - p1 - p3, p3),
         p3_star=p3_star,
         epsilon=epsilon,
+        _e1=(data.x, propensity_fit, e1),
     )

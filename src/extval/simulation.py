@@ -27,12 +27,11 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import expit
 
 from .data import Dataset
 from .errors import ConfigError, ExtvalError, NumericalError
 from .estimators import trimmed_aipw, trimmed_ipw
-from .glm import GlmFamily, fit_outcome_models, fit_propensity_score, fit_sampling_score
+from .glm import GlmFamily, expit, fit_outcome_models, fit_propensity_score, fit_sampling_score
 from .parallel import ordered_map
 from .partition import partition_population
 from .sensitivity import SensitivityInput, epd_estimate, gpd_estimate

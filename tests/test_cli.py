@@ -84,7 +84,7 @@ def fixture_csv(tmp_path):
 def test_load_dataset_roles(fixture_csv):
     data, columns = load_dataset(str(fixture_csv), {
         "s": "selected", "a": "treat", "y": "outcome", "covariates": ["x1", "x2"],
-    }, ["ineligible"])
+    }, {"ineligible": "exclusion_rules"})
     assert data.n1 == 120 and data.n2 == 300
     assert data.q == 3          # intercept prepended
     assert np.all(data.x[:, 0] == 1.0)
@@ -186,7 +186,7 @@ def test_load_dataset_reads_flag_as_number(tmp_path):
 def test_rule_ignores_non_numeric_cell_in_unselected_row(tmp_path):
     path = tmp_path / "rules.csv"
     path.write_text("s,a,y,x1,flag\n1,1,2.0,0.1,n/a\n0,,,0.2,0\n0,,,0.3,1\n")
-    data, columns = load_dataset(str(path), {"s": "s", "a": "a", "y": "y", "covariates": ["x1"]}, ["flag"])
+    data, columns = load_dataset(str(path), {"s": "s", "a": "a", "y": "y", "covariates": ["x1"]}, {"flag": "exclusion_rules"})
     mask = evaluate_raw_rules([[{"var": "flag", "op": "==", "value": 1}]], columns, data.target_mask)
     assert mask.tolist() == [False, True]
 
@@ -194,7 +194,7 @@ def test_rule_ignores_non_numeric_cell_in_unselected_row(tmp_path):
 def test_rule_error_names_file_line_past_blank_line(tmp_path):
     path = tmp_path / "blank.csv"
     path.write_text("s,a,y,x1,flag\n1,1,2.0,0.1,0\n0,,,0.2,0\n\n0,,,0.3,abc\n")
-    data, columns = load_dataset(str(path), {"s": "s", "a": "a", "y": "y", "covariates": ["x1"]}, ["flag"])
+    data, columns = load_dataset(str(path), {"s": "s", "a": "a", "y": "y", "covariates": ["x1"]}, {"flag": "exclusion_rules"})
     with pytest.raises(DataError) as exc:
         evaluate_raw_rules([[{"var": "flag", "op": "==", "value": 1}]], columns, data.target_mask)
     assert "line 5:" in str(exc.value)
@@ -206,7 +206,7 @@ def test_rule_reads_spelled_out_nan_only_in_selected_rows(tmp_path):
     # a row it does not select
     path = tmp_path / "nan.csv"
     path.write_text("s,a,y,x1,flag\n1,1,2.0,0.1,nan\n0,,,0.2,1\n\n0,,,0.3,NaN\n")
-    data, columns = load_dataset(str(path), {"s": "s", "a": "a", "y": "y", "covariates": ["x1"]}, ["flag"])
+    data, columns = load_dataset(str(path), {"s": "s", "a": "a", "y": "y", "covariates": ["x1"]}, {"flag": "exclusion_rules"})
     rule = [[{"var": "flag", "op": "==", "value": 1}]]
     assert evaluate_raw_rules(rule, columns, np.array([False, True, False])).tolist() == [True]
     for rows, line, cell in ((data.target_mask, 5, "NaN"), (data.trial_mask, 2, "nan")):
@@ -252,7 +252,7 @@ def test_load_dataset_parses_like_float_bit_for_bit(tmp_path_factory, block, row
     path.write_text("\n".join(text) + "\n")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "BLOCK_ROWS", block)
-        data, columns = load_dataset(str(path), {"s": "s", "a": "a", "y": "y", "covariates": ["x1"]}, ["note"])
+        data, columns = load_dataset(str(path), {"s": "s", "a": "a", "y": "y", "covariates": ["x1"]}, {"note": "exclusion_rules"})
     trial = [r[1] for r in rows]
     assert columns.lines.tolist() == lines
     assert _bits(data.s) == _bits([float(t) for t in trial])
@@ -369,10 +369,10 @@ def _loaded(path, names, fast: bool):
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
-@given(file=_csv_file(), names=st.sampled_from([[], ["note"]]), block=st.sampled_from(BLOCK_SIZES))
+@given(file=_csv_file(), names=st.sampled_from([{}, {"note": "exclusion_rules"}]), block=st.sampled_from(BLOCK_SIZES))
 # rows a field short and a field long, whose commas add up, past a column
 # that is not read
-@example(file=(b"s,a,y,x1,note\n0,,,0.5\n0,,,0.5,1,9\n", False), names=[], block=1)
+@example(file=(b"s,a,y,x1,note\n0,,,0.5\n0,,,0.5,1,9\n", False), names={}, block=1)
 def test_numpy_reader_agrees_with_block_parser(tmp_path_factory, file, names, block):
     # the block parser is the reference: on every file the load gives the
     # same arrays, text and lines bit for bit, or the same error
@@ -396,7 +396,7 @@ def test_load_dataset_reads_only_the_named_columns(tmp_path):
     read = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_read_fast", lambda *args: read.append(real_read_fast(*args)) or read[-1])
-        data, columns = load_dataset(str(path), _FIVE_COLUMNS, ["flag"])
+        data, columns = load_dataset(str(path), _FIVE_COLUMNS, {"flag": "exclusion_rules"})
     assert read[0] is not None
     assert set(columns) == {"s", "a", "y", "x1", "flag"}
     assert columns["flag"].tolist() == [0.0, 1.0]
@@ -406,8 +406,8 @@ def test_load_dataset_rejects_unknown_named_column_before_reading_rows(tmp_path)
     path = tmp_path / "bad.csv"
     path.write_text("s,a,y,x1\n1,1,2.0,abc\n")
     with pytest.raises(ConfigError) as exc:
-        load_dataset(str(path), _FIVE_COLUMNS, ["nope"])
-    assert str(exc.value) == "exclusion rule references unknown column 'nope'"
+        load_dataset(str(path), _FIVE_COLUMNS, {"nope": "exclusion_rules"})
+    assert str(exc.value) == "exclusion_rules: rule references unknown column 'nope'"
 
 
 @pytest.mark.parametrize("rules", ["none", "exclusion"])
@@ -421,7 +421,7 @@ def test_filter_on_unknown_column_fails_before_rows_are_read(fixture_csv, rules)
     cfg["sensitivity"]["extrapolation"] = {"r2_trial_filter": [[{"var": "nope", "op": "==", "value": 1}]]}
     with pytest.raises(ConfigError) as exc:
         cmd_analyze(cfg)
-    assert str(exc.value) == "exclusion rule references unknown column 'nope'"
+    assert str(exc.value) == "sensitivity.extrapolation.r2_trial_filter: rule references unknown column 'nope'"
 
 
 @pytest.mark.parametrize("odd_line", ["", '0,,,"0.5"'])
@@ -470,7 +470,7 @@ def _registry_csv(path, n, codes=0):
 REGISTRY_ROLES = {"s": "s", "a": "a", "y": "y", "covariates": ["x1", "x2", "x3", "x4"]}
 
 
-def _load_peak(path, names=()):
+def _load_peak(path, names=None):
     tracemalloc.start()
     try:
         data, _ = load_dataset(str(path), REGISTRY_ROLES, names)
@@ -512,7 +512,7 @@ def test_analyze_matches_library_exactly(fixture_csv):
     report = cmd_analyze(_config(fixture_csv))
     data, columns = load_dataset(str(fixture_csv), {
         "s": "selected", "a": "treat", "y": "outcome", "covariates": ["x1", "x2"],
-    }, ["ineligible"])
+    }, {"ineligible": "exclusion_rules"})
     flags = np.array([float(c) for c in columns["ineligible"]])[data.target_mask]
     sampling = fit_sampling_score(data)
     propensity = fit_propensity_score(data)
@@ -620,6 +620,12 @@ MALFORMED = {
     "analyze seed negative": ("analyze", {"variance": "bootstrap", "seed": -1}),
     "analyze bootstrap_reps fraction": ("analyze", {"variance": "bootstrap", "bootstrap_reps": 100.5}),
     "analyze seed bool": ("analyze", {"variance": "bootstrap", "seed": True}),
+    # the bootstrap's values are refused before a bad last row is read
+    "analyze bootstrap_reps fraction before rows": (
+        "analyze bad rows", {"variance": "bootstrap", "bootstrap_reps": 100.5}),
+    "analyze bootstrap_reps below 100 before rows": (
+        "analyze bad rows", {"variance": "bootstrap", "bootstrap_reps": 50}),
+    "analyze seed negative before rows": ("analyze bad rows", {"variance": "bootstrap", "seed": -1}),
     "analyze known_propensity text": ("analyze", {"known_propensity": "x"}),
     "analyze outcome_family list": ("analyze", {"outcome_family": ["gaussian"]}),
     "sensitivity k1_grid text": ("sensitivity", {"k1_grid": "abc"}),
@@ -665,6 +671,9 @@ NAMED = {
     "simulate methods text": "'methods'",
     "simulate seed negative": "seed must be a non-negative integer, got -1",
     "analyze bootstrap_reps fraction": "'bootstrap_reps' has a malformed value 100.5",
+    "analyze bootstrap_reps fraction before rows": "'bootstrap_reps' has a malformed value 100.5",
+    "analyze bootstrap_reps below 100 before rows": "bootstrap needs at least 100 replicates",
+    "analyze seed negative before rows": "seed must be a non-negative integer, got -1",
     "analyze seed bool": "'seed' has a malformed value True",
     "simulate seed fraction": "'seed' has a malformed value 1.9",
     "simulate replications fraction": "'replications' has a malformed value 2.9",
@@ -679,9 +688,13 @@ def test_main_rejects_malformed_value(tmp_path, fixture_csv, capsys, case):
     kind, change = MALFORMED[case]
     cfg = _config(fixture_csv)
     cfg_path, report_path = tmp_path / "cfg.json", tmp_path / "report.json"
-    if kind == "analyze":
+    if kind.startswith("analyze"):
         args = ["analyze", "--config", cfg_path]
         cfg.update(change)
+        if kind == "analyze bad rows":
+            # a non-numeric role cell, which would exit 3 once read
+            with open(fixture_csv, "a") as fh:
+                fh.write("0,,,abc,0.1,0\n")
     elif kind == "simulate":
         args = ["simulate", "--config", cfg_path]
         cfg = {"schema_version": 1, "sizes": [20000], "replications": 2, "seed": 5, **change}
@@ -780,7 +793,8 @@ def test_main_rejects_invalid_rule(tmp_path, fixture_csv, predicate):
     [5], [[{"var": "ineligible", "op": "==", "value": 1}], 3], 7,
 ])
 @pytest.mark.parametrize("key", ["exclusion_rules", "r1_trial_filter", "r2_trial_filter", "extrapolation"])
-def test_main_rejects_rule_set_that_is_not_a_list(tmp_path, fixture_csv, rules, key):
+def test_main_rejects_rule_set_that_is_not_a_list(tmp_path, fixture_csv, capsys, rules, key):
+    # the error names the config key of the rule set
     cfg = _config(fixture_csv)
     if key == "exclusion_rules":
         cfg[key] = rules
@@ -791,11 +805,12 @@ def test_main_rejects_rule_set_that_is_not_a_list(tmp_path, fixture_csv, rules, 
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert _run_main(["analyze", "--config", cfg_path]) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_rules_read_named_columns(fixture_csv):
     # the vectorised engine agrees with a per-row reading of the CSV
-    data, columns = load_dataset(str(fixture_csv), _config(fixture_csv)["roles"], ["ineligible"])
+    data, columns = load_dataset(str(fixture_csv), _config(fixture_csv)["roles"], {"ineligible": "exclusion_rules"})
     rules = [
         [{"var": "ineligible", "op": "in", "value": [1]}, {"var": "x1", "op": "<", "value": 0.5}],
         [{"var": "x2", "op": ">=", "value": 1.0}],

@@ -1,6 +1,6 @@
 """The package imports only the standard library, numpy and scipy, never
-loads scipy.optimize, and catches no exception more broadly than by its
-class."""
+loads scipy.optimize, catches no exception more broadly than by its
+class, and evaluates inverse logits only through ``glm.expit``."""
 
 import ast
 import json
@@ -72,6 +72,41 @@ def test_broad_handlers_are_found():
         "try:\n    pass\nexcept ValueError:\n    pass\n"
     )
     assert _broad_handlers(tree) == [3, 7, 11]
+
+
+def _scalar_logistic_kernels(tree: ast.AST) -> list[int]:
+    """The lines that import ``expit`` from ``scipy.special`` or call
+    ``logaddexp``, whose per-element scalar ``exp`` ``glm.expit`` and
+    ``glm._bernoulli_loglik`` replace with numpy's vector one."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "scipy.special":
+            if any(alias.name == "expit" for alias in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "logaddexp":
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_scalar_logistic_kernels(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = _scalar_logistic_kernels(tree)
+    assert not found, f"{path.name} uses scipy's expit or logaddexp at lines {found}"
+
+
+def test_scalar_logistic_kernels_are_found():
+    tree = ast.parse(
+        "from scipy.special import ndtr, expit\n"
+        "from scipy.special import ndtr\n"
+        "y = np.logaddexp(0.0, x)\n"
+        "y = logaddexp(0.0, x)\n"
+        "y = expit(x)\n"
+    )
+    assert _scalar_logistic_kernels(tree) == [1, 3, 4]
 
 
 def test_simulate_never_loads_scipy_optimize(tmp_path):

@@ -1,6 +1,7 @@
 import dataclasses
 import multiprocessing
 import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -29,11 +30,12 @@ from extval import (
     hajek_ipw,
     make_dataset,
     partition_population,
+    predict_mean,
     sandwich_variance,
     trimmed_aipw,
     trimmed_ipw,
 )
-from extval import estimators
+from extval import estimators, glm
 from extval.estimators import _hajek
 
 BERN = GlmFamily.BERNOULLI_LOGIT
@@ -518,6 +520,74 @@ def test_zero_weight_arm_raises():
     fixed = GlmFit(np.array([0.0]), BERN, True, 0, fixed=True)
     with pytest.raises(ZeroWeightError):
         hajek_ipw(data, _fit([0.0]), fixed, variance="none")
+
+
+def _counting_expit(monkeypatch) -> tuple[list, list]:
+    """Rebinds ``glm.expit`` in every extval module that binds it to a copy
+    that records each call's input length and the phase it came in."""
+    kernel = glm.expit
+    calls, phase = [], ["setup"]
+
+    def counted(x):
+        calls.append((phase[0], np.size(x)))
+        return kernel(x)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "extval":
+            for attr, value in list(vars(module).items()):
+                if value is kernel:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls, phase
+
+
+def test_bootstrap_replicate_evaluates_each_score_once(monkeypatch):
+    # the sampling score is evaluated only inside its fit, the propensity
+    # score inside its fit and once on the target rows; the partition and
+    # the estimate read them back
+    data, truth = generate_cohort(DgpConfig(n_total=50_000), [13, 1, 0])
+    r1 = truth.excluded[data.target_mask]
+    full = fit_sampling_score(data), fit_propensity_score(data)
+    calls, phase = _counting_expit(monkeypatch)
+
+    def point(ds, mask):
+        phase[0] = "fit"
+        sampling = fit_sampling_score(ds, start=full[0].coefficients)
+        propensity = fit_propensity_score(ds, start=full[1].coefficients)
+        outcome = fit_outcome_models(ds, GAUSS)
+        phase[0] = "partition"
+        part = partition_population(ds, sampling, propensity, mask, 0.8)
+        phase[0] = "estimate"
+        return trimmed_aipw(ds, sampling, propensity, outcome, part, variance="none").estimate
+
+    idx_trial, idx_target = np.flatnonzero(data.trial_mask), np.flatnonzero(data.target_mask)
+    assert isinstance(estimators._replicate(point, data, 7, idx_trial, idx_target, r1, 0), float)
+    n, n1, n2 = data.n, data.n1, data.n2
+    assert len({n, n1, n2}) == 3
+    fits = [size for where, size in calls if where == "fit"]
+    assert set(fits) == {n, n1} and len(fits) >= 4
+    assert [call for call in calls if call[0] != "fit"] == [("partition", n2)]
+
+
+def test_scores_held_by_the_fits_equal_those_evaluated_again():
+    # the means a fit holds, read on a subset of its rows or combined with
+    # the partition's, are bit-identical to evaluating the scores afresh
+    data, truth = generate_cohort(DgpConfig(n_total=50_000), [13, 1, 0])
+    r1 = truth.excluded[data.target_mask]
+    sampling, propensity = fit_sampling_score(data), fit_propensity_score(data)
+    outcome = fit_outcome_models(data, GAUSS)
+    x_t = data.x.compress(data.target_mask, axis=0)
+    held = predict_mean(sampling, data.x).compress(data.target_mask)
+    assert held.tobytes() == glm.expit(x_t @ sampling.coefficients).tobytes()
+    part = partition_population(data, sampling, propensity, r1, 0.8)
+    pipeline = estimators._Pipeline(data, sampling, propensity, outcome, part)
+    at_fits = pipeline.rows(pipeline.nuisance)
+    afresh = pipeline.rows(pipeline.nuisance.copy())
+    for name in ("hs", "e1", "w1", "w0", "k"):
+        assert getattr(at_fits, name).tobytes() == getattr(afresh, name).tobytes()
+    # a partition from the same fits without their held means
+    bare = [dataclasses.replace(fit, _fitted=None) for fit in (sampling, propensity)]
+    again = partition_population(data, *bare, r1, 0.8)
+    assert again.delta_star == part.delta_star and np.array_equal(again.labels, part.labels)
 
 
 def test_bootstrap_deterministic_and_close_to_classic_se():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -127,6 +129,45 @@ def test_predict_mean_dimension_check(shape):
         predict_mean(fit, np.ones(shape))
 
 
+def test_expit_stays_within_four_ulp_of_scipy_and_warns_of_nothing():
+    normals = np.random.default_rng(11).standard_normal(200_000) * 8.0
+    grid = np.linspace(-745.0, 745.0, 200_001)
+    for x in (normals, grid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = glm.expit(x)
+        want = expit(x)
+        assert np.max(np.abs(got - want) / np.spacing(want)) <= 4.0
+
+
+def test_expit_matches_scipy_exactly_at_the_extremes():
+    x = np.array([-np.inf, -800.0, 800.0, np.inf, np.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = glm.expit(x)
+    assert np.array_equal(got, expit(x), equal_nan=True)
+    assert got[:4].tolist() == [0.0, 0.0, 1.0, 1.0]
+
+
+def test_bernoulli_loglik_matches_the_logaddexp_form():
+    rng = np.random.default_rng(12)
+    for scale in (0.1, 3.0, 40.0, 800.0):
+        eta = rng.standard_normal(10_000) * scale
+        y = (rng.random(10_000) < expit(eta)).astype(float)
+        reference = float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+        assert glm._bernoulli_loglik(eta, y) == pytest.approx(reference, rel=1e-13, abs=0.0)
+
+
+def test_predict_mean_returns_the_means_a_fit_converged_at():
+    # on the design array it was fitted to, a Bernoulli fit's own means,
+    # read-only and bit-identical to evaluating them again
+    data, _ = generate_cohort(DgpConfig(n_total=20_000), [41, 1])
+    for fit, x in ((fit_sampling_score(data), data.x), (fit_propensity_score(data), data.x_trial)):
+        held = predict_mean(fit, x)
+        assert held is predict_mean(fit, x) and not held.flags.writeable
+        assert held.tobytes() == predict_mean(fit, x.copy()).tobytes()
+
+
 def test_score_contributions_sum_to_zero_at_mle():
     # the per-row score rows (y - mean(x)) x that the stacked systems use
     # sum to zero at a converged fit on its own data
@@ -181,7 +222,7 @@ def _parent_newton(x, y, start=None):
     converged = False
     steps = halvings = 0
     while True:
-        p = expit(eta)
+        p = glm.expit(eta)
         g = x.T @ (y - p)
         if np.max(np.abs(g)) <= glm.SCORE_TOL:
             converged = True
@@ -295,13 +336,13 @@ def _full_newton_steps(x, y, start):
     per step the slope along the step and the score's max-norm at its end."""
     coef, path = start, []
     while len(path) < 20:
-        p = expit(x @ coef)
+        p = glm.expit(x @ coef)
         g = x.T @ (y - p)
         if np.max(np.abs(g)) <= glm.SCORE_TOL:
             break
         step = np.linalg.solve((x * (p * (1.0 - p))[:, None]).T @ x, g)
         coef = coef + step
-        new_g = x.T @ (y - expit(x @ coef))
+        new_g = x.T @ (y - glm.expit(x @ coef))
         path.append((new_g @ step, np.max(np.abs(new_g))))
     return coef, path
 

@@ -69,7 +69,7 @@ def test_rule_engine_on_loaded_columns_matches_direct_mask(tmp_path):
     path = tmp_path / "cohort.csv"
     path.write_text("\n".join(lines) + "\n")
     roles = {"s": "s", "a": "a", "y": "y", "covariates": ["x1", "x2", "x3", "x4"]}
-    data, loaded = load_dataset(str(path), roles, ["flag"])
+    data, loaded = load_dataset(str(path), roles, {"flag": "exclusion_rules"})
     for rows in (data.target_mask, data.trial_mask):
         mask = evaluate_raw_rules(RULE_E_OR_X4, loaded, rows)
         assert np.array_equal(mask, ((x[:, 5] == 1.0) | (x[:, 4] >= 3.0))[rows])

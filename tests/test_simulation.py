@@ -4,7 +4,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from extval import (
     ConfigError,
@@ -18,7 +17,7 @@ from extval import (
     run_study,
     true_tau_oracle,
 )
-from extval import simulation
+from extval import glm, simulation
 
 GAUSS = GlmFamily.GAUSSIAN_IDENTITY
 BERN = GlmFamily.BERNOULLI_LOGIT
@@ -229,7 +228,7 @@ def test_efficiency_bound_guards():
 
 @pytest.mark.parametrize("error, propagates", [(TypeError, True), (SingularSystemError, False)])
 def test_replication_block_counts_only_numerical_failures(monkeypatch, error, propagates):
-    from extval import simulation
+    from extval import glm, simulation
 
     def broken(*args, **kwargs):
         raise error("from the estimator")
@@ -258,7 +257,7 @@ def _reference_oracle(config, mc_draws, seed=1_234_567):
     weight = 0.0
     for chunk in simulation._chunks(mc_draws, 1_000_000):
         x, e, excl = simulation._covariates(config, rng, chunk)
-        p_s = expit(x @ np.asarray(config.beta)) * ~excl
+        p_s = glm.expit(x @ np.asarray(config.beta)) * ~excl
         w = 1.0 - p_s
         total += float(np.sum(simulation._cate(config, x, e) * w))
         weight += float(np.sum(w))
@@ -269,7 +268,7 @@ def _reference_oracle(config, mc_draws, seed=1_234_567):
 def _reference_nominal_trial_size(config, draws, seed=777_001):
     rng = np.random.default_rng(seed)
     x, _, excl = simulation._covariates(config, rng, draws)
-    p = expit(x @ np.asarray(config.beta)) * ~excl
+    p = glm.expit(x @ np.asarray(config.beta)) * ~excl
     return int(round(config.n_total * float(np.mean(p))))
 
 
@@ -285,7 +284,7 @@ def _reference_efficiency_bound(config, mc_draws, seed=9_090):
     draws = []
     for chunk in simulation._chunks(mc_draws, 1_000_000):
         x, e, _ = simulation._covariates(config, rng, chunk)
-        p = expit(x @ np.asarray(config.beta))
+        p = glm.expit(x @ np.asarray(config.beta))
         sel = p + config.subsample_rate * (1.0 - p)
         h = p / sel
         cate = simulation._cate(config, x, e)
@@ -296,8 +295,8 @@ def _reference_efficiency_bound(config, mc_draws, seed=9_090):
     for h, sel, cate, x, e in draws:
         if config.outcome_family is GlmFamily.BERNOULLI_LOGIT:
             mu1, mu0 = simulation._outcome_means(config, x, e)
-            s1 = expit(mu1) * (1.0 - expit(mu1))
-            s0 = expit(mu0) * (1.0 - expit(mu0))
+            s1 = glm.expit(mu1) * (1.0 - glm.expit(mu1))
+            s0 = glm.expit(mu0) * (1.0 - glm.expit(mu0))
         else:
             s1 = 1.0
             s0 = 1.0
