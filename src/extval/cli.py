@@ -34,11 +34,11 @@ import gc
 import json
 import sys
 from functools import partial
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, take_rows
 from .errors import ConfigError, DataError, ExtvalError
 from .estimators import (
     EstimateReport,
@@ -103,6 +103,9 @@ class CsvColumns(dict):
 
 # data rows read at a time by the block parser; their text lives that long
 BLOCK_ROWS = 4096
+# bytes of the field that numpy's reader reads a treatment or outcome cell
+# into; a cell that fills it goes to the block parser
+CELL_BYTES = 32
 
 
 def load_dataset(path: str, roles: dict, names: dict | None = None) -> tuple[Dataset, CsvColumns]:
@@ -176,81 +179,98 @@ def load_dataset(path: str, roles: dict, names: dict | None = None) -> tuple[Dat
     finally:
         if collecting:
             gc.enable()
-    columns = CsvColumns(*loaded, path)
-    x = np.column_stack([np.ones(columns.lines.size), *(columns[c] for c in roles["covariates"])])
-    columns.update(zip(roles["covariates"], x[:, 1:].T))
+    # each column's batches are joined once, a covariate's straight into its
+    # column of the column-major design, which its entry then views; each
+    # column's batches are let go before the next column is joined
+    blocks, lines, text = loaded
+    covariates = roles["covariates"]
+    x = np.empty((lines.size, 1 + len(covariates)), order="F")
+    x[:, 0] = 1.0
+    columns = CsvColumns({}, lines, text, path)
+    for name, batches in blocks.items():
+        out = x[:, 1 + covariates.index(name)] if name in covariates else None
+        columns[name] = np.concatenate(batches, out=out)
+        batches.clear()
     with _naming_lines(path, columns.lines):
         return Dataset(*(columns[roles[k]] for k in ("s", "a", "y")), x), columns
 
 
 def _read_fast(fh, first_line: int, header: list, names: list, blank_ok: tuple):
-    """The rest of ``fh`` as numpy's C reader parses it: the columns
-    ``names`` as float arrays, the file line of each data row and no cell
-    text; or None where the block parser must read the file instead, since
-    numpy may read it otherwise or cannot name the faulty row.
+    """The rest of ``fh`` as numpy's C reader parses it, one batch of lines
+    (``_checked_batches``) at a time: each of the columns ``names`` as a
+    list of float arrays, one per batch, the file line of each data row
+    and no cell text; or None where the block parser must read the file
+    instead, since numpy may read it otherwise or cannot name the faulty
+    row.
 
-    That is so when a line holds a quote character or a wrong field count,
-    when the reader refuses a cell (a blank one outside the ``blank_ok``
-    columns, ``1_000`` or non-ASCII digits among them), when a cell spells
-    out NaN, and when there is no data row. ``first_line`` is the file
-    line that ``fh`` is at.
+    The ``blank_ok`` columns (treatment and outcome), blank on target rows,
+    are read as byte fields of ``CELL_BYTES`` bytes and cast to float once
+    per batch; a blank cell, or one of spaces alone, reads as NaN. The file
+    goes to the block parser when a line holds a quote character, a NUL or
+    a wrong field count, when the reader refuses a cell (a blank one
+    outside the ``blank_ok`` columns, ``1_000`` or non-ASCII digits among
+    them), when a cell spells out NaN, when a ``blank_ok`` cell fills its
+    byte field (it may have been cut short), and when there is no data row.
+    ``first_line`` is the file line that ``fh`` is at.
     """
     last = len(header) - 1
     # numpy refuses a row without the last field, and each batch of lines
-    # holds as many commas as its rows need, so every row has all fields
+    # holds as many commas as its rows need, so every row has all fields;
+    # a last column that no name asks for is kept as one character of text
     usecols = sorted({header.index(name) for name in names} | {last})
-    converters = {header.index(c): _blank_or_number for c in blank_ok}
-    if header[last] not in names:
-        converters[last] = len
+    # one field per column read, named by its index in the header
+    kinds = {name: float for name in names} | {name: f"S{CELL_BYTES}" for name in blank_ok}
+    dtype = np.dtype([(str(j), kinds.get(header[j], "U1")) for j in usecols])
+    parts: dict[str, list] = {name: [] for name in names}
     blank: list[int] = []
-    rows = chain.from_iterable(_checked_batches(fh, first_line, last, blank))
     try:
-        first = next(rows, None)
-        if first is None:
-            return None
-        table = np.loadtxt(
-            chain([first], rows), delimiter=",", comments=None, quotechar=None, ndmin=2,
-            usecols=usecols, converters=converters,
-        )
+        for batch in _checked_batches(fh, first_line, last, blank):
+            table = np.loadtxt(batch, delimiter=",", comments=None, quotechar=None, ndmin=1,
+                               usecols=usecols, dtype=dtype)
+            for name in names:
+                cells, filled = table[str(header.index(name))], slice(None)
+                if name in blank_ok:
+                    if (np.char.str_len(cells) == CELL_BYTES).any():
+                        return None
+                    filled = (cells != b"") & ~np.char.isspace(cells)
+                    values = np.full(cells.size, np.nan)
+                    values[filled] = cells[filled].astype(float)
+                else:
+                    values = cells.copy()  # contiguous, which lets the table go
+                if np.isnan(values[filled]).any():  # a cell that spells out NaN
+                    return None
+                parts[name].append(values)
     except ValueError:
         return None
-    # contiguous copies, which let the table go
-    parts = {header[j]: table[:, k].copy() for k, j in enumerate(usecols) if header[j] in names}
-    if any(np.isnan(parts[name]).any() for name in names if name not in blank_ok):
+    n = sum(map(len, parts[names[0]]))
+    if n == 0:
         return None
-    lines = np.arange(first_line, first_line + len(parts[names[0]]) + len(blank))
+    lines = np.arange(first_line, first_line + n + len(blank))
     return parts, np.delete(lines, np.array(blank, int) - first_line), {}
 
 
 def _checked_batches(fh, number: int, commas: int, blank: list):
-    """The lines of ``fh`` in batches, the first line being file line
-    ``number``; each blank line's number goes to ``blank``. A batch with a
-    quote character, or with other than ``commas`` commas for each line
-    that is not blank, is a ValueError."""
+    """The lines of ``fh`` in batches that hold a data row, the first line
+    being file line ``number``; each blank line's number goes to ``blank``.
+    A batch with a quote character or a NUL, or with other than ``commas``
+    commas for each line that is not blank, is a ValueError."""
     for batch in iter(partial(fh.readlines, 1 << 16), []):
         text = "".join(batch)
         empty = batch.count("\n") + batch.count("\r\n") + batch.count("\r")
-        if '"' in text or text.count(",") != commas * (len(batch) - empty):
+        if '"' in text or "\0" in text or text.count(",") != commas * (len(batch) - empty):
             raise ValueError(f"the lines from line {number} on need the block parser")
         if empty:
             blank.extend(number + i for i, line in enumerate(batch) if line[0] in "\r\n")
         number += len(batch)
-        yield batch
-
-
-def _blank_or_number(cell: str) -> float:
-    """A treatment or outcome cell as ``_numbers`` reads it; a cell it marks
-    as no number is a ValueError."""
-    value = float(cell) if cell.strip() else np.nan
-    if value != value and cell.strip():
-        raise ValueError(f"{cell!r} spells out NaN")
-    return value
+        if empty < len(batch):
+            yield batch
 
 
 def _read_blocks(reader, path: str, header: list, names: list, roles: list):
-    """The rows of ``reader`` parsed ``BLOCK_ROWS`` at a time: the columns
-    ``names`` as float arrays, the file line of each data row, and the text
-    of the cells outside the ``roles`` columns that are no number."""
+    """The rows of ``reader`` parsed ``BLOCK_ROWS`` at a time: each of the
+    columns ``names`` as a list of float arrays, one per block, the file
+    line of each data row, and the text of the cells outside the ``roles``
+    columns that are no number."""
     parts = {name: (header.index(name), []) for name in names}
     text: dict[str, dict[int, str]] = {}
     lines = []
@@ -265,7 +285,7 @@ def _read_blocks(reader, path: str, header: list, names: list, roles: list):
         del rows
     if not lines:
         raise DataError(f"{path}: no data rows")
-    return {name: np.concatenate(blocks) for name, (_, blocks) in parts.items()}, np.concatenate(lines), text
+    return {name: blocks for name, (_, blocks) in parts.items()}, np.concatenate(lines), text
 
 
 def _parse_block(rows, width: int, parts: dict, roles: list, text: dict, start: int):
@@ -503,6 +523,9 @@ def cmd_analyze(config: dict) -> dict:
         raise ConfigError("trimmed methods require p3_star")
     if p3_star is not None and not (isinstance(p3_star, (int, float)) and 0.0 < p3_star <= 1.0):
         raise ConfigError(f"p3_star must be a number in (0, 1], got {p3_star!r}")
+    known = config.get("known_propensity")
+    if known is not None and not (isinstance(known, (int, float)) and 0.0 < known < 1.0):
+        raise ConfigError(f"known_propensity must be null or a number in (0, 1), got {known!r}")
     # the bootstrap's replicates and seed are checked before any row is read
     bootstrap = None
     if variance_method == "bootstrap":
@@ -516,7 +539,7 @@ def cmd_analyze(config: dict) -> dict:
     if config.get("exclusion_rules"):
         r1_mask = _rule_mask("exclusion_rules", config["exclusion_rules"], columns, data.target_mask)
     sampling, propensity, outcome, partition = _fit_components(
-        data, config, family, any("aipw" in m for m in methods), r1_mask,
+        data, known, family, any("aipw" in m for m in methods), r1_mask,
         (p3_star, epsilon) if needs_partition else None,
     )
 
@@ -536,7 +559,7 @@ def cmd_analyze(config: dict) -> dict:
     if outcome is not None:
         # a is NaN on target rows, so a == 1 and a == 0 pick out each arm's trial rows
         report["outcome_models"] = {
-            arm: _fit_summary(fit, data.x[rows], data.y[rows])
+            arm: _fit_summary(fit, take_rows(data.x, rows), data.y[rows])
             for arm, fit, rows in zip(("treated", "control"), outcome, (data.a == 1, data.a == 0))
         }
     if partition is not None:
@@ -553,7 +576,7 @@ def cmd_analyze(config: dict) -> dict:
             report["estimates"].append(
                 _run_method(
                     m, data, (sampling, propensity, outcome, partition),
-                    bootstrap, config, family, r1_mask,
+                    bootstrap, known, family, r1_mask,
                 ).to_dict()
             )
 
@@ -570,17 +593,15 @@ def _family(name: str) -> GlmFamily:
     return _FAMILIES[name]
 
 
-def _fit_components(data, config, family, outcome: bool, r1_mask, threshold, start=(None, None)):
+def _fit_components(data, known, family, outcome: bool, r1_mask, threshold, start=(None, None)):
     """Sampling, propensity and (if ``outcome``) outcome fits, and the
     partition at ``threshold``, a (p3*, epsilon) pair, unless it is None.
-    ``start`` holds the coefficients the sampling and propensity fits
-    start from (zero when None)."""
+    ``known`` is the known propensity, or None to fit it. ``start`` holds
+    the coefficients the sampling and propensity fits start from (zero
+    when None)."""
     with _stage("fit"):
         sampling = fit_sampling_score(data, start[0])
-        propensity = fit_propensity_score(
-            data, start=start[1],
-            known_probability=_value(config, "known_propensity", lambda p: p if p is None else float(p), None),
-        )
+        propensity = fit_propensity_score(data, known_probability=known, start=start[1])
         fits = fit_outcome_models(data, family) if outcome else None
     partition = None
     if threshold is not None:
@@ -590,13 +611,14 @@ def _fit_components(data, config, family, outcome: bool, r1_mask, threshold, sta
 
 
 def _run_method(
-    method, data, components, bootstrap, config, family, r1_mask,
+    method, data, components, bootstrap, known, family, r1_mask,
 ) -> EstimateReport:
     """One method's report; ``components`` are the full-sample fits and
-    partition. ``bootstrap`` is None for the sandwich variance, else the
-    replicates and the seed of a bootstrap, which refits the components on
-    every replicate, the sampling and propensity models starting from
-    their full-sample coefficients."""
+    partition, and ``known`` the known propensity or None. ``bootstrap``
+    is None for the sandwich variance, else the replicates and the seed of
+    a bootstrap, which refits the components on every replicate, the
+    sampling and propensity models starting from their full-sample
+    coefficients."""
     run = _METHODS[method]
     rep = run(data, *components, "sandwich" if bootstrap is None else "none")
     if bootstrap is None:
@@ -607,7 +629,7 @@ def _run_method(
     threshold = (partition.p3_star, partition.epsilon) if method.startswith("trimmed") else None
 
     def point(ds: Dataset, mask):
-        refit = _fit_components(ds, config, family, "aipw" in method, mask, threshold, start)
+        refit = _fit_components(ds, known, family, "aipw" in method, mask, threshold, start)
         return run(ds, *refit, "none").estimate
 
     var, lo, hi = bootstrap_ci(point, data, *bootstrap, r1_mask=r1_mask)
@@ -619,13 +641,14 @@ def _run_method(
 def _rule_columns(config: dict) -> dict:
     """The column names that the predicates of the exclusion rules and of
     the extrapolation filters name, each mapped to the config key of the
-    first rule set that names it. Parts that are not well formed name
-    none; ``evaluate_raw_rules`` rejects them when it reads them."""
+    first rule set that names it. An extrapolation block that is not an
+    object is a ConfigError (``_filters``); other parts that are not well
+    formed name none, and ``evaluate_raw_rules`` rejects them when it
+    reads them."""
     filters = _filters(config)
     rule_sets = {"exclusion_rules": config.get("exclusion_rules")}
-    if isinstance(filters, dict):
-        rule_sets.update((f"sensitivity.extrapolation.r{g}_trial_filter", filters.get(f"r{g}_trial_filter"))
-                         for g in (1, 2))
+    rule_sets.update((f"sensitivity.extrapolation.r{g}_trial_filter", filters.get(f"r{g}_trial_filter"))
+                     for g in (1, 2))
     named: dict = {}
     for where, rules in rule_sets.items():
         for clause in rules if isinstance(rules, list) else ():
@@ -645,20 +668,22 @@ def _rule_mask(where: str, rules, columns, rows) -> np.ndarray:
 
 
 def _filters(config) -> dict:
-    """The ``sensitivity.extrapolation`` block of trial filters, if any."""
+    """The ``sensitivity.extrapolation`` block of trial filters, if any; a
+    block that is not an object is a ConfigError."""
     sens = config.get("sensitivity", {})
-    return sens.get("extrapolation", {}) if isinstance(sens, dict) else {}
+    filters = sens.get("extrapolation", {}) if isinstance(sens, dict) else {}
+    if not isinstance(filters, dict):
+        raise ConfigError(f"sensitivity.extrapolation {filters!r} is not an object of trial filters")
+    return filters
 
 
 def _extrapolations(config, data, columns, family, outcome, partition):
     """Group extrapolations for EPD; surrogate-stratum refits optional."""
     filters = _filters(config)
-    if not isinstance(filters, dict):
-        raise ConfigError(f"sensitivity.extrapolation {filters!r} is not an object of trial filters")
-    x_target = data.x.compress(data.target_mask, axis=0)
+    x_target = take_rows(data.x, data.target_mask)
     zeta = {}
     for group, label in ((1, "zeta1"), (2, "zeta2")):
-        rows = x_target.compress(partition.labels == group, axis=0)
+        rows = take_rows(x_target, partition.labels == group)
         if rows.shape[0] == 0:
             return None
         fits = outcome

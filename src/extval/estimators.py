@@ -58,7 +58,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .data import Dataset
+from .data import Dataset, take_rows
 from .errors import (
     ConfigError,
     ExtvalError,
@@ -403,7 +403,7 @@ class _Pipeline:
         k = np.broadcast_to(1.0, n)  # untrimmed: a length-n view of one 1.0
         if self.partition is not None:
             k, window, k_slopes = self.membership_slopes(r, xi, scale)
-            xw, omegas = x.take(window, axis=0), (r.w1[window], r.w0[window], 1.0 - s[window])
+            xw, omegas = take_rows(x, window), (r.w1[window], r.w0[window], 1.0 - s[window])
             # each row's factor of d k: omega (v - v_j) for the means and
             # 1 - s for the threshold
             factors = {
@@ -451,7 +451,7 @@ def _propensity(data: Dataset, fit: GlmFit, partition: PartitionResult | None) -
     if kept is not None and kept[0] is data.x and kept[1] is fit:
         e1[data.target_mask] = kept[2]
     else:
-        e1[data.target_mask] = predict_mean(fit, data.x.compress(data.target_mask, axis=0))
+        e1[data.target_mask] = predict_mean(fit, take_rows(data.x, data.target_mask))
     return e1
 
 

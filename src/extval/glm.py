@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, take_rows
 from .errors import (
     ConfigError,
     DataError,
@@ -275,6 +275,6 @@ def fit_outcome_models(data: Dataset, family: GlmFamily) -> tuple[GlmFit, GlmFit
     control = trial & (data.a == 0)
     if not treated.any() or not control.any():
         raise EmptyGroupError("each treatment arm needs at least one trial row")
-    fit1 = fit_glm(data.x.compress(treated, axis=0), data.y[treated], family)
-    fit0 = fit_glm(data.x.compress(control, axis=0), data.y[control], family)
+    fit1 = fit_glm(take_rows(data.x, treated), data.y[treated], family)
+    fit0 = fit_glm(take_rows(data.x, control), data.y[control], family)
     return fit1, fit0

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .data import Dataset
+from .data import Dataset, take_rows
 from .errors import (
     DataError,
     DegenerateScoresError,
@@ -221,7 +221,7 @@ def partition_population(
         if not fit.converged:
             raise NotConvergedError("partition requires converged score fits")
     hs = predict_mean(sampling_fit, data.x).compress(data.target_mask)
-    e1 = predict_mean(propensity_fit, data.x.compress(data.target_mask, axis=0))
+    e1 = predict_mean(propensity_fit, take_rows(data.x, data.target_mask))
     e0 = 1.0 - e1
     r1 = np.zeros(data.n2, dtype=bool) if rules is None else np.asarray(rules, dtype=bool)
     delta = solve_threshold((hs, e1, e0), p3_star, epsilon, r1)

@@ -82,7 +82,8 @@ class CohortTruth:
 
 
 def _covariates(config: DgpConfig, rng: np.random.Generator, m: int):
-    x = np.column_stack([np.ones(m), rng.standard_normal((m, config.q - 1))])
+    x = np.ones((m, config.q))
+    x[:, 1:] = rng.standard_normal((m, config.q - 1))
     e = rng.random(m) < config.e_prob
     if config.exclusions:
         excl = e | (x[:, config.q - 1] >= config.x4_cut)
@@ -115,6 +116,10 @@ def generate_cohort(config: DgpConfig, seed) -> tuple[Dataset, CohortTruth]:
 
     idx = np.flatnonzero(observed)
     s = s_full[idx].astype(float)
+    # row-major, as drawn: the outcome means and the truth keep the bits
+    # they had before the design went column-major (a column-major copy
+    # would move their last bits); the Dataset copies the rows into its
+    # column-major design
     xo = x[idx]
     n = idx.size
     a = np.full(n, np.nan)

@@ -1,7 +1,9 @@
 import csv
 import gc
+import importlib
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -373,6 +375,15 @@ def _loaded(path, names, fast: bool):
 # rows a field short and a field long, whose commas add up, past a column
 # that is not read
 @example(file=(b"s,a,y,x1,note\n0,,,0.5\n0,,,0.5,1,9\n", False), names={}, block=1)
+# an outcome cell longer than numpy's byte field for it
+@example(file=(b"s,a,y,x1,note\n1,1,+" + b"0" * cli.CELL_BYTES + b"1.5,0.5,1\n0,,,0.5,2\n", False),
+         names={}, block=1)
+# treatment and outcome cells of spaces alone on target rows, which numpy
+# still reads
+@example(file=(b"s,a,y,x1,note\n1,1,2.5,0.5,1\n0, ,  ,0.5,2\n0,\t, \t,0.25,3\n", True),
+         names={"note": "exclusion_rules"}, block=1)
+# a spelled-out nan outcome
+@example(file=(b"s,a,y,x1,note\n0,,,0.5,2\n1,1,nan,0.5,1\n", False), names={}, block=3)
 def test_numpy_reader_agrees_with_block_parser(tmp_path_factory, file, names, block):
     # the block parser is the reference: on every file the load gives the
     # same arrays, text and lines bit for bit, or the same error
@@ -386,6 +397,23 @@ def test_numpy_reader_agrees_with_block_parser(tmp_path_factory, file, names, bl
     assert got == reference
     # a plain file is numpy's to read, whether or not it loads
     assert fast or not plain
+
+
+def test_numpy_reader_parses_the_bench_csv_without_converters(tmp_path, monkeypatch):
+    # the benchmark's registry CSV is read by numpy's C reader alone: no
+    # Python function is called per cell
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    path = tmp_path / "cohort.csv"
+    workloads.write_cohort_csv(path, workloads.SMALL["analyze-registry"].n_total, [1, 0])
+    calls, read = [], []
+    real_loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt",
+                        lambda *args, **kwargs: calls.append(kwargs) or real_loadtxt(*args, **kwargs))
+    monkeypatch.setattr(cli, "_read_fast", lambda *args: read.append(real_read_fast(*args)) or read[-1])
+    data, _ = load_dataset(str(path), workloads.ROLES, cli._rule_columns(workloads.analyze_config(path)))
+    assert read[0] is not None and data.n1 > 0
+    assert calls and all(kwargs.get("converters") is None for kwargs in calls)
 
 
 def test_load_dataset_reads_only_the_named_columns(tmp_path):
@@ -627,6 +655,12 @@ MALFORMED = {
         "analyze bad rows", {"variance": "bootstrap", "bootstrap_reps": 50}),
     "analyze seed negative before rows": ("analyze bad rows", {"variance": "bootstrap", "seed": -1}),
     "analyze known_propensity text": ("analyze", {"known_propensity": "x"}),
+    # the known propensity and the extrapolation block's type are refused
+    # before a bad last row is read
+    "analyze known_propensity text before rows": ("analyze bad rows", {"known_propensity": "x"}),
+    "analyze known_propensity above one before rows": ("analyze bad rows", {"known_propensity": 1.5}),
+    "analyze extrapolation number before rows": (
+        "analyze bad rows", {"sensitivity": {**_config("")["sensitivity"], "extrapolation": 7}}),
     "analyze outcome_family list": ("analyze", {"outcome_family": ["gaussian"]}),
     "sensitivity k1_grid text": ("sensitivity", {"k1_grid": "abc"}),
     "sensitivity k1_grid number": ("sensitivity", {"k1_grid": 5}),
@@ -675,6 +709,9 @@ NAMED = {
     "analyze bootstrap_reps below 100 before rows": "bootstrap needs at least 100 replicates",
     "analyze seed negative before rows": "seed must be a non-negative integer, got -1",
     "analyze seed bool": "'seed' has a malformed value True",
+    "analyze known_propensity text before rows": "known_propensity must be null or a number in (0, 1), got 'x'",
+    "analyze known_propensity above one before rows": "known_propensity must be null or a number in (0, 1), got 1.5",
+    "analyze extrapolation number before rows": "sensitivity.extrapolation 7 is not an object of trial filters",
     "simulate seed fraction": "'seed' has a malformed value 1.9",
     "simulate replications fraction": "'replications' has a malformed value 2.9",
     "simulate sizes fraction": "'sizes' has a malformed value [20000.7]",

@@ -1,6 +1,7 @@
 """The package imports only the standard library, numpy and scipy, never
 loads scipy.optimize, catches no exception more broadly than by its
-class, and evaluates inverse logits only through ``glm.expit``."""
+class, evaluates inverse logits only through ``glm.expit``, and gathers
+and builds design matrices only in ``data``."""
 
 import ast
 import json
@@ -107,6 +108,44 @@ def test_scalar_logistic_kernels_are_found():
         "y = expit(x)\n"
     )
     assert _scalar_logistic_kernels(tree) == [1, 3, 4]
+
+
+def _row_major_design_code(tree: ast.AST) -> list[int]:
+    """The lines that gather rows with an axis-0 ``take`` or ``compress``,
+    as method or numpy function, or build a matrix with ``column_stack``:
+    each gives a row-major design, where ``data.take_rows`` and the
+    loader keep the column-major one."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        axis0 = any(k.arg == "axis" and isinstance(k.value, ast.Constant) and k.value.value == 0
+                    for k in node.keywords)
+        if name == "column_stack" or (name in ("take", "compress") and axis0):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "data.py"], ids=lambda path: path.name)
+def test_design_rows_are_gathered_only_in_data(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = _row_major_design_code(tree)
+    assert not found, f"{path.name} gathers design rows or stacks a design outside data.take_rows at lines {found}"
+
+
+def test_row_major_design_code_is_found():
+    tree = ast.parse(
+        "xt = x.take(idx, axis=0)\n"
+        "xt = x.compress(mask, axis=0)\n"
+        "xt = np.take(x, idx, axis=0)\n"
+        "v = hs.compress(mask)\n"
+        "x = np.column_stack([np.ones(n), z])\n"
+        "xt = x.T.take(idx, axis=1).T\n"
+        "xt = take_rows(x, idx)\n"
+    )
+    assert _row_major_design_code(tree) == [1, 2, 3, 5]
 
 
 def test_simulate_never_loads_scipy_optimize(tmp_path):

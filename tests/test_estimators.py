@@ -36,6 +36,7 @@ from extval import (
     trimmed_ipw,
 )
 from extval import estimators, glm
+from extval.data import take_rows
 from extval.estimators import _hajek
 
 BERN = GlmFamily.BERNOULLI_LOGIT
@@ -575,7 +576,7 @@ def test_scores_held_by_the_fits_equal_those_evaluated_again():
     r1 = truth.excluded[data.target_mask]
     sampling, propensity = fit_sampling_score(data), fit_propensity_score(data)
     outcome = fit_outcome_models(data, GAUSS)
-    x_t = data.x.compress(data.target_mask, axis=0)
+    x_t = take_rows(data.x, data.target_mask)
     held = predict_mean(sampling, data.x).compress(data.target_mask)
     assert held.tobytes() == glm.expit(x_t @ sampling.coefficients).tobytes()
     part = partition_population(data, sampling, propensity, r1, 0.8)
