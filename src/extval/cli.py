@@ -3,18 +3,20 @@
 Subcommands: ``analyze`` (fit, partition, estimate), ``sensitivity``
 (grid sweep from an analysis report), ``simulate`` (replication study),
 and ``calibrate`` (participation-intercept solver). Configuration is
-JSON with ``"schema_version": 1``; tabular outputs are CSV; integer
-values (sizes, counts, draws, seeds) must be whole numbers. All
-randomness flows from explicit seeds in the configuration; a missing
-seed where one is needed is a configuration error, never a silent
-clock seed.
+JSON with ``"schema_version": 1``; tabular outputs are CSV; a number is
+a JSON number, never a string or a bool, and integer values (sizes,
+counts, draws, seeds) must be whole numbers. All randomness flows from
+explicit seeds in the configuration; a missing seed where one is needed
+is a configuration error, never a silent clock seed.
 
 Exclusion rules (``exclusion_rules``) and the extrapolation filters
 (``sensitivity.extrapolation.r{1,2}_trial_filter``) are clause lists over
-named CSV columns, evaluated column-wise by ``evaluate_raw_rules``; the
-partition receives the resulting target-row mask. ``load_dataset`` parses
-the role columns and the columns that the rules and filters name, all of
-which the header must hold, and no others, into float arrays, with
+named CSV columns. ``analyze`` parses all three sets (``_rule_sets``), as
+it reads every other value, before any row; ``evaluate_raw_rules`` then
+evaluates a parsed set column-wise, and the partition receives the
+resulting target-row mask. ``load_dataset`` parses the role columns and
+the columns that the rules and filters name, all of which the header
+must hold, and no others, into float arrays, with
 numpy's C reader where it reads the file as the block parser would and
 with the block parser otherwise. Each method name maps to its estimator
 in one table, which serves both the full-sample estimate and every
@@ -34,7 +36,7 @@ import gc
 import json
 import sys
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -356,38 +358,70 @@ _COMPARATORS = {
 }
 
 
-def evaluate_raw_rules(rules: list, columns: CsvColumns, mask_rows) -> np.ndarray:
-    """Evaluate clause lists on the rows ``mask_rows`` selects.
+def _rule_sets(config: dict) -> tuple[dict, dict]:
+    """The rule sets of ``config`` parsed, by config key (the exclusion
+    rules and ``sensitivity.extrapolation.r{1,2}_trial_filter``), and the
+    columns they name, each mapped to the key of the first set naming it.
 
-    ``columns`` are a CSV's columns as ``load_dataset`` returns them. Each
-    clause is a list of {"var": column name, "op": comparator,
-    "value": number, or a list of numbers for "in"}; a row matches when
-    every predicate of at least one clause holds. Cells compare
-    numerically and an empty cell reads as NaN, which satisfies only "!=".
-    A rule set or clause that is not a list, an unknown column or
-    comparator, or a value of the wrong type, is a ConfigError; a
-    non-numeric cell in a selected row of a rule column is a DataError
-    naming its file line.
+    A set is a list of clauses, each a list of predicates {"var": column
+    name, "op": comparator, "value": number, or for "in" a list of
+    numbers}; it is parsed into clauses of (column, comparison, constant)
+    triples, an absent or null set into none. A set that is not well
+    formed, or an extrapolation block that is not an object, is a
+    ConfigError naming its key.
     """
-    if not isinstance(rules, list):
-        raise ConfigError(f"rules {rules!r} are not a list of clauses")
+    filters = _value(config, "sensitivity", _object, {}).get("extrapolation", {})
+    if not isinstance(filters, dict):
+        raise ConfigError(f"sensitivity.extrapolation {filters!r} is not an object of trial filters")
+    given = {"exclusion_rules": config.get("exclusion_rules")}
+    given.update((f"sensitivity.extrapolation.r{g}_trial_filter", filters.get(f"r{g}_trial_filter"))
+                 for g in (1, 2))
+    sets, named = {}, {}
+    for where, rules in given.items():
+        try:
+            clauses = _list([] if rules is None else rules)
+            sets[where] = [[_predicate(pred) for pred in _list(clause)] for clause in clauses]
+        except TypeError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        for var, _, _ in chain(*sets[where]):
+            named.setdefault(var, where)
+    return sets, named
+
+
+def _predicate(pred) -> tuple:
+    """A rule predicate as a (column, comparison, constant) triple; one
+    that is not well formed is a TypeError."""
+    if not isinstance(pred, dict) or not isinstance(pred.get("var"), str):
+        raise TypeError(f"rule predicate {pred!r} is not an object that names a column")
+    var, op, value = pred["var"], pred.get("op"), pred.get("value")
+    if not (isinstance(op, str) and op in _COMPARATORS):
+        raise TypeError(f"unknown comparator {op!r} in rule")
+    try:
+        constant = _number_list(value) if op == "in" else _number(value)
+    except TypeError:
+        kind = "a list of numbers" if op == "in" else "a number"
+        raise TypeError(f"rule {var!r} {op} needs {kind}, got {value!r}") from None
+    return var, _COMPARATORS[op], np.asarray(constant, dtype=float)
+
+
+def evaluate_raw_rules(rules: list, columns: CsvColumns, mask_rows) -> np.ndarray:
+    """Evaluate a rule set, as ``_rule_sets`` parses it, on the rows
+    ``mask_rows`` selects: a row matches when every predicate of at least
+    one clause holds.
+
+    ``columns`` are a CSV's columns as ``load_dataset`` returns them, and
+    hold every column the set names. Cells compare numerically and an
+    empty cell reads as NaN, which satisfies only "!=". A non-numeric cell
+    in a selected row of a rule column is a DataError naming its file
+    line.
+    """
     selected = np.asarray(mask_rows, dtype=bool)
     rows = np.flatnonzero(selected)
     values: dict[str, np.ndarray] = {}
     out = np.zeros(rows.size, dtype=bool)
     for clause in rules:
-        if not isinstance(clause, list):
-            raise ConfigError(f"rule clause {clause!r} is not a list of predicates")
         match = np.ones(rows.size, dtype=bool)
-        for pred in clause:
-            if not isinstance(pred, dict):
-                raise ConfigError(f"rule predicate {pred!r} is not an object")
-            var, op, value = pred.get("var"), pred.get("op"), pred.get("value")
-            if op not in _COMPARATORS:
-                raise ConfigError(f"unknown comparator {op!r} in rule")
-            if var not in columns:
-                raise ConfigError(f"rule references unknown column {var!r}")
-            constant = _rule_constant(var, op, value)
+        for var, compare, constant in clause:
             if var not in values:
                 bad = min((i for i in columns.text.get(var, ()) if selected[i]), default=None)
                 with _naming_lines(columns.path, columns.lines):
@@ -395,19 +429,9 @@ def evaluate_raw_rules(rules: list, columns: CsvColumns, mask_rows) -> np.ndarra
                         cell = columns.text[var][bad]
                         raise DataError(f"non-numeric value {cell!r} in column {var!r}", row=bad)
                 values[var] = columns[var][rows]
-            match &= _COMPARATORS[op](values[var], constant)
+            match &= compare(values[var], constant)
         out |= match
     return out
-
-
-def _rule_constant(var: str, op: str, value) -> np.ndarray:
-    """A predicate's constant: a number, or for "in" a list of numbers."""
-    items = value if op == "in" and isinstance(value, list) else [value]
-    numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items)
-    if not numeric or (op == "in") != isinstance(value, list):
-        kind = "a list of numbers" if op == "in" else "a number"
-        raise ConfigError(f"rule {var!r} {op} needs {kind}, got {value!r}")
-    return np.asarray(value, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -433,18 +457,17 @@ def _value(config: dict, key: str, convert, *default):
 
 
 def _number(value):
-    """``value`` itself if it is an int or a float (a bool is an int), else
-    a TypeError."""
-    if isinstance(value, (int, float)):
+    """``value`` itself if it is an int or a float, and not a bool, else a
+    TypeError."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return value
     raise TypeError(f"{value!r} is not a number")
 
 
 def _whole(value) -> int:
-    """``value`` as an int if it is an int or a float with no fraction (JSON
-    may write 1e5 as a float), else a TypeError; a bool is neither."""
-    whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not whole:
+    """``value`` as an int if it is a number (``_number``) with no fraction
+    (JSON may write 1e5 as a float), else a TypeError."""
+    if isinstance(_number(value), float) and not value.is_integer():
         raise TypeError(f"{value!r} is not a whole number")
     return int(value)
 
@@ -454,6 +477,14 @@ def _list(values) -> list:
     if isinstance(values, list):
         return values
     raise TypeError(f"{values!r} is not a list")
+
+
+def _object(value) -> dict:
+    """``value`` if it is a JSON object, else a TypeError (a list of pairs
+    is no object)."""
+    if isinstance(value, dict):
+        return value
+    raise TypeError(f"{value!r} is not an object")
 
 
 def _number_list(values, count=None) -> list:
@@ -505,39 +536,42 @@ def _stage(label: str):
 def cmd_analyze(config: dict) -> dict:
     """Run the fit / partition / estimate pipeline, returning the report."""
     _check_schema(config)
-    path, roles = _require(config, "input"), _value(config, "roles", dict)
+    path, roles = _require(config, "input"), _value(config, "roles", _object)
+    if not isinstance(path, str):
+        raise ConfigError(f"input must be a file name, got {path!r}")
     family = _family(config.get("outcome_family", "gaussian"))
-    methods = _value(config, "methods", list, ["trimmed_aipw"])
+    methods = _value(config, "methods", _list, ["trimmed_aipw"])
     for m in methods:
         if not isinstance(m, str) or m not in _METHODS:
             raise ConfigError(f"unknown method {m!r}; choose from {tuple(_METHODS)}")
     variance_method = config.get("variance", "sandwich")
     if variance_method not in ("sandwich", "bootstrap"):
         raise ConfigError("variance must be 'sandwich' or 'bootstrap'")
-    p3_star = config.get("p3_star")
-    epsilon = _value(config, "epsilon", float, DEFAULT_EPSILON)
+    # every value, the rule sets included, is checked before any row is read
+    epsilon = float(_value(config, "epsilon", _number, DEFAULT_EPSILON))
     if not 0.0 < epsilon < np.inf:
         raise ConfigError(f"epsilon must be positive and finite, got {epsilon!r}")
+    p3_star, known = (None if config.get(key) is None else _value(config, key, _number)
+                      for key in ("p3_star", "known_propensity"))
     needs_partition = any(m.startswith("trimmed") for m in methods)
     if needs_partition and p3_star is None:
         raise ConfigError("trimmed methods require p3_star")
-    if p3_star is not None and not (isinstance(p3_star, (int, float)) and 0.0 < p3_star <= 1.0):
+    if p3_star is not None and not 0.0 < p3_star <= 1.0:
         raise ConfigError(f"p3_star must be a number in (0, 1], got {p3_star!r}")
-    known = config.get("known_propensity")
-    if known is not None and not (isinstance(known, (int, float)) and 0.0 < known < 1.0):
+    if known is not None and not 0.0 < known < 1.0:
         raise ConfigError(f"known_propensity must be null or a number in (0, 1), got {known!r}")
-    # the bootstrap's replicates and seed are checked before any row is read
     bootstrap = None
     if variance_method == "bootstrap":
         if config.get("seed") is None:
             raise ConfigError("bootstrap variance requires an explicit seed")
         reps = _value(config, "bootstrap_reps", _whole, 500)
         bootstrap = reps, _bootstrap_seed(reps, _value(config, "seed", _whole))
+    rules, named = _rule_sets(config)
 
-    data, columns = load_dataset(path, roles, _rule_columns(config))
+    data, columns = load_dataset(path, roles, named)
     r1_mask = None
-    if config.get("exclusion_rules"):
-        r1_mask = _rule_mask("exclusion_rules", config["exclusion_rules"], columns, data.target_mask)
+    if rules["exclusion_rules"]:
+        r1_mask = evaluate_raw_rules(rules["exclusion_rules"], columns, data.target_mask)
     sampling, propensity, outcome, partition = _fit_components(
         data, known, family, any("aipw" in m for m in methods), r1_mask,
         (p3_star, epsilon) if needs_partition else None,
@@ -581,7 +615,7 @@ def cmd_analyze(config: dict) -> dict:
             )
 
     if outcome is not None and partition is not None:
-        zeta = _extrapolations(config, data, columns, family, outcome, partition)
+        zeta = _extrapolations(rules, data, columns, family, outcome, partition)
         if zeta is not None:
             report["zeta"] = zeta
     return report
@@ -638,48 +672,9 @@ def _run_method(
     )
 
 
-def _rule_columns(config: dict) -> dict:
-    """The column names that the predicates of the exclusion rules and of
-    the extrapolation filters name, each mapped to the config key of the
-    first rule set that names it. An extrapolation block that is not an
-    object is a ConfigError (``_filters``); other parts that are not well
-    formed name none, and ``evaluate_raw_rules`` rejects them when it
-    reads them."""
-    filters = _filters(config)
-    rule_sets = {"exclusion_rules": config.get("exclusion_rules")}
-    rule_sets.update((f"sensitivity.extrapolation.r{g}_trial_filter", filters.get(f"r{g}_trial_filter"))
-                     for g in (1, 2))
-    named: dict = {}
-    for where, rules in rule_sets.items():
-        for clause in rules if isinstance(rules, list) else ():
-            for pred in clause if isinstance(clause, list) else ():
-                if isinstance(pred, dict) and isinstance(pred.get("var"), str):
-                    named.setdefault(pred["var"], where)
-    return named
-
-
-def _rule_mask(where: str, rules, columns, rows) -> np.ndarray:
-    """``evaluate_raw_rules`` on the rule set at config key ``where``, whose
-    ConfigError names that key."""
-    try:
-        return evaluate_raw_rules(rules, columns, rows)
-    except ConfigError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-
-
-def _filters(config) -> dict:
-    """The ``sensitivity.extrapolation`` block of trial filters, if any; a
-    block that is not an object is a ConfigError."""
-    sens = config.get("sensitivity", {})
-    filters = sens.get("extrapolation", {}) if isinstance(sens, dict) else {}
-    if not isinstance(filters, dict):
-        raise ConfigError(f"sensitivity.extrapolation {filters!r} is not an object of trial filters")
-    return filters
-
-
-def _extrapolations(config, data, columns, family, outcome, partition):
-    """Group extrapolations for EPD; surrogate-stratum refits optional."""
-    filters = _filters(config)
+def _extrapolations(rules, data, columns, family, outcome, partition):
+    """Group extrapolations for EPD; surrogate-stratum refits optional,
+    on the trial rows that the filters of ``rules`` (``_rule_sets``) pick."""
     x_target = take_rows(data.x, data.target_mask)
     zeta = {}
     for group, label in ((1, "zeta1"), (2, "zeta2")):
@@ -687,10 +682,9 @@ def _extrapolations(config, data, columns, family, outcome, partition):
         if rows.shape[0] == 0:
             return None
         fits = outcome
-        filt = filters.get(f"r{group}_trial_filter")
+        filt = rules[f"sensitivity.extrapolation.r{group}_trial_filter"]
         if filt:
-            where = f"sensitivity.extrapolation.r{group}_trial_filter"
-            trial_mask = _rule_mask(where, filt, columns, data.trial_mask)
+            trial_mask = evaluate_raw_rules(filt, columns, data.trial_mask)
             idx = np.flatnonzero(data.trial_mask)[trial_mask]
             if idx.size == 0:
                 raise DataError(f"extrapolation filter for group {group} matches no trial rows")
@@ -709,11 +703,11 @@ def cmd_sensitivity(config: dict, report: dict) -> str:
     the configured method: Wald under the sandwich, the percentile
     interval under the bootstrap."""
     _check_schema(config)
-    sens = _value(config, "sensitivity", dict)
+    sens = _value(config, "sensitivity", _object)
     assumption = _require(sens, "assumption")
     method = sens.get("method", "aipw")
     entry = next(
-        (e for e in _value(report, "estimates", list, [])
+        (e for e in _value(report, "estimates", _list, [])
          if isinstance(e, dict) and e.get("method") == method and e.get("trimmed")),
         None,
     )
@@ -722,7 +716,7 @@ def cmd_sensitivity(config: dict, report: dict) -> str:
             f"analysis report has no trimmed {method} estimate; rerun analyze "
             "with the matching method"
         )
-    zeta = _value(report, "zeta", dict, {})
+    zeta = _value(report, "zeta", _object, {})
     inp = SensitivityInput(
         _value(entry, "estimate", _number),
         tuple(_value(entry, "ci", partial(_number_list, count=2))),

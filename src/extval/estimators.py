@@ -116,9 +116,9 @@ class EstimateReport:
 class StackedSystem:
     """Estimating-function system evaluated around a plug-in solution.
 
-    ``psi`` maps a parameter vector to the (n, dim) matrix of per-row
+    ``psi`` maps a parameter vector to the (n, xi.size) matrix of per-row
     estimating-function values; ``eta`` is the contrast whose variance
-    is wanted; ``jacobian`` is the (dim, dim) Jacobian of the mean
+    is wanted; ``jacobian`` is the square Jacobian of the mean
     estimating function at ``xi``. A system with an estimated threshold
     (label ``"threshold"``) also carries ``bandwidth``, the smoothing
     scale of the threshold membership at which ``jacobian`` is taken,
@@ -141,10 +141,6 @@ class StackedSystem:
     bandwidth: float | None = None
     # the pipeline, its rows at xi and that xi, from build_stacked_system
     _fitted: tuple | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def dim(self) -> int:
-        return self.xi.shape[0]
 
 
 def _hajek(values: np.ndarray, weights: np.ndarray, what: str) -> float:

@@ -320,12 +320,6 @@ class StudyReport:
             )
         return "\n".join(lines) + "\n"
 
-    def cell(self, proportion: float, method: str, assumption: str) -> StudyCell:
-        for c in self.cells:
-            if (c.proportion, c.method, c.assumption) == (proportion, method, assumption):
-                return c
-        raise KeyError((proportion, method, assumption))
-
 
 def _group_truths(cate_target: np.ndarray, labels: np.ndarray) -> tuple[float, float, float]:
     out = []

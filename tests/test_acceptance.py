@@ -98,6 +98,12 @@ def _study(family, reps, seed, methods=("aipw",), assumptions=("epd",), p3=(0.8,
     return run_study(cfg, n_jobs=N_JOBS)
 
 
+def _cell(report, proportion, method, assumption):
+    """The study cell of ``report`` at (p3*, method, assumption)."""
+    return next(c for c in report.cells
+                if (c.proportion, c.method, c.assumption) == (proportion, method, assumption))
+
+
 def _population_threshold(config, p3_star, mc_draws=2_000_000, seed=820_050):
     """Threshold at which a p3* share of the target population (the
     nonparticipants) is non-excluded with min score product above it,
@@ -154,8 +160,8 @@ def _attains(sd, oracle_sd, lo=0.85, hi=1.15):
 
 
 def test_1_replication_study_continuous():
-    full = _study(GAUSS, 1000, seed=820_100).cell(0.8, "aipw", "epd")
-    smoke = _study(GAUSS, 200, seed=820_200).cell(0.8, "aipw", "epd")
+    full = _cell(_study(GAUSS, 1000, seed=820_100), 0.8, "aipw", "epd")
+    smoke = _cell(_study(GAUSS, 200, seed=820_200), 0.8, "aipw", "epd")
     clauses = {
         "bias": _band(abs(full.bias), 0.0, 0.04),
         "sd": _attains(full.sd, _oracle_sd(GAUSS, 1000, seed=820_100)),
@@ -175,14 +181,14 @@ def test_2_mse_ordering_aipw_below_ipw():
     clauses = {}
     for p3 in (0.8, 0.9):
         for assumption in ("gpd", "epd"):
-            a = report.cell(p3, "aipw", assumption).mse
-            i = report.cell(p3, "ipw", assumption).mse
+            a = _cell(report, p3, "aipw", assumption).mse
+            i = _cell(report, p3, "ipw", assumption).mse
             clauses[f"p3*={p3} {assumption}"] = (a < i, f"aipw {a:.3f} < ipw {i:.3f}")
     _report(2, "AIPW MSE below IPW MSE in every matched cell", clauses)
 
 
 def test_3_replication_study_binary():
-    full = _study(BERN, 1000, seed=820_400).cell(0.8, "aipw", "epd")
+    full = _cell(_study(BERN, 1000, seed=820_400), 0.8, "aipw", "epd")
     clauses = {
         "bias": _band(abs(full.bias), 0.0, 0.01),
         "sd": _attains(full.sd, _oracle_sd(BERN, 1000, seed=820_400)),
@@ -289,7 +295,7 @@ def test_7_sandwich_agrees_with_bootstrap_and_covers():
         ratio_checks[f"dataset {ds_seed}"] = _band(ratio, 0.75, 1.25)
 
     coverage_report = _study(GAUSS, 500, seed=820_720, n_total=50_000)
-    cov = coverage_report.cell(0.8, "aipw", "epd").coverage
+    cov = _cell(coverage_report, 0.8, "aipw", "epd").coverage
     clauses = dict(ratio_checks)
     clauses["sandwich CI coverage"] = _band(cov, 0.91, 0.97)
     _report(7, "sandwich SE vs 500-replicate bootstrap (n1~500, n2~5000)", clauses)

@@ -78,6 +78,11 @@ def _config(input_path, **overrides):
     return cfg
 
 
+def _parsed(rules):
+    # a rule set as analyze parses it, given as the exclusion rules
+    return cli._rule_sets({"exclusion_rules": rules})[0]["exclusion_rules"]
+
+
 @pytest.fixture()
 def fixture_csv(tmp_path):
     return _write_fixture(tmp_path / "cohort.csv")
@@ -189,7 +194,7 @@ def test_rule_ignores_non_numeric_cell_in_unselected_row(tmp_path):
     path = tmp_path / "rules.csv"
     path.write_text("s,a,y,x1,flag\n1,1,2.0,0.1,n/a\n0,,,0.2,0\n0,,,0.3,1\n")
     data, columns = load_dataset(str(path), {"s": "s", "a": "a", "y": "y", "covariates": ["x1"]}, {"flag": "exclusion_rules"})
-    mask = evaluate_raw_rules([[{"var": "flag", "op": "==", "value": 1}]], columns, data.target_mask)
+    mask = evaluate_raw_rules(_parsed([[{"var": "flag", "op": "==", "value": 1}]]), columns, data.target_mask)
     assert mask.tolist() == [False, True]
 
 
@@ -198,7 +203,7 @@ def test_rule_error_names_file_line_past_blank_line(tmp_path):
     path.write_text("s,a,y,x1,flag\n1,1,2.0,0.1,0\n0,,,0.2,0\n\n0,,,0.3,abc\n")
     data, columns = load_dataset(str(path), {"s": "s", "a": "a", "y": "y", "covariates": ["x1"]}, {"flag": "exclusion_rules"})
     with pytest.raises(DataError) as exc:
-        evaluate_raw_rules([[{"var": "flag", "op": "==", "value": 1}]], columns, data.target_mask)
+        evaluate_raw_rules(_parsed([[{"var": "flag", "op": "==", "value": 1}]]), columns, data.target_mask)
     assert "line 5:" in str(exc.value)
 
 
@@ -209,7 +214,7 @@ def test_rule_reads_spelled_out_nan_only_in_selected_rows(tmp_path):
     path = tmp_path / "nan.csv"
     path.write_text("s,a,y,x1,flag\n1,1,2.0,0.1,nan\n0,,,0.2,1\n\n0,,,0.3,NaN\n")
     data, columns = load_dataset(str(path), {"s": "s", "a": "a", "y": "y", "covariates": ["x1"]}, {"flag": "exclusion_rules"})
-    rule = [[{"var": "flag", "op": "==", "value": 1}]]
+    rule = _parsed([[{"var": "flag", "op": "==", "value": 1}]])
     assert evaluate_raw_rules(rule, columns, np.array([False, True, False])).tolist() == [True]
     for rows, line, cell in ((data.target_mask, 5, "NaN"), (data.trial_mask, 2, "nan")):
         with pytest.raises(DataError) as exc:
@@ -411,7 +416,7 @@ def test_numpy_reader_parses_the_bench_csv_without_converters(tmp_path, monkeypa
     monkeypatch.setattr(np, "loadtxt",
                         lambda *args, **kwargs: calls.append(kwargs) or real_loadtxt(*args, **kwargs))
     monkeypatch.setattr(cli, "_read_fast", lambda *args: read.append(real_read_fast(*args)) or read[-1])
-    data, _ = load_dataset(str(path), workloads.ROLES, cli._rule_columns(workloads.analyze_config(path)))
+    data, _ = load_dataset(str(path), workloads.ROLES, cli._rule_sets(workloads.analyze_config(path))[1])
     assert read[0] is not None and data.n1 > 0
     assert calls and all(kwargs.get("converters") is None for kwargs in calls)
 
@@ -518,7 +523,7 @@ def test_load_dataset_memory_ignores_columns_no_rule_names(tmp_path):
     # 40 columns of codes that no rule names cost the load nothing to keep
     path = _registry_csv(tmp_path / "wide.csv", 20_000, codes=40)
     config = _config(path, exclusion_rules=[[{"var": "ineligible", "op": "==", "value": 1}]])
-    peak, arrays = _load_peak(path, cli._rule_columns(config))
+    peak, arrays = _load_peak(path, cli._rule_sets(config)[1])
     assert peak <= 4 * arrays, f"peak {peak} bytes against {arrays} bytes of arrays"
 
 
@@ -629,6 +634,13 @@ def _roles(**change):
     return {"roles": {**_config("")["roles"], **change}}
 
 
+def _filters(**filters):
+    return {"sensitivity": {**_config("")["sensitivity"], "extrapolation": filters}}
+
+
+_BAD_PREDICATE = {"var": "ineligible", "op": "in", "value": 1}
+
+
 MALFORMED = {
     "analyze roles covariates number": ("analyze", _roles(covariates=5)),
     "analyze roles covariates text": ("analyze", _roles(covariates="x1")),
@@ -662,10 +674,37 @@ MALFORMED = {
     "analyze extrapolation number before rows": (
         "analyze bad rows", {"sensitivity": {**_config("")["sensitivity"], "extrapolation": 7}}),
     "analyze outcome_family list": ("analyze", {"outcome_family": ["gaussian"]}),
+    # a number would name an open file descriptor, not a file
+    "analyze input number before rows": ("analyze bad rows", {"input": 5}),
+    "analyze sensitivity list before rows": ("analyze bad rows", {"sensitivity": [1]}),
+    # a list of pairs is no object, and a string no list
+    "analyze roles pairs before rows": ("analyze bad rows", {"roles": [["s", "selected"], ["a", "treat"]]}),
+    "analyze methods text before rows": ("analyze bad rows", {"methods": "ipw"}),
+    # every rule set, and every number, is refused before a bad last row is
+    # read, a filter that no estimate would evaluate included
+    "analyze exclusion comparator before rows": (
+        "analyze bad rows", {"exclusion_rules": [[{"var": "ineligible", "op": "~=", "value": 1}]]}),
+    "analyze exclusion comparator list before rows": (
+        "analyze bad rows", {"exclusion_rules": [[{"var": "ineligible", "op": ["=="], "value": 1}]]}),
+    "analyze r2 filter without aipw before rows": (
+        "analyze bad rows", {"methods": ["trimmed_ipw"], **_filters(r2_trial_filter=[[_BAD_PREDICATE]])}),
+    "analyze r1 filter object before rows": (
+        "analyze bad rows", _filters(r1_trial_filter={"var": "ineligible", "op": "==", "value": 0})),
+    "analyze r2 filter with group 1 empty before rows": (
+        "analyze bad rows", {"exclusion_rules": [], **_filters(r2_trial_filter=[[_BAD_PREDICATE]])}),
+    "analyze bootstrap r1 filter text before rows": (
+        "analyze bad rows", {"variance": "bootstrap", **_filters(r1_trial_filter="1")}),
+    "analyze bootstrap r1 filter value text before rows": ("analyze bad rows", {
+        "variance": "bootstrap", **_filters(r1_trial_filter=[[{"var": "ineligible", "op": "==", "value": "1"}]])}),
+    "analyze epsilon number text before rows": ("analyze bad rows", {"epsilon": "1e-8"}),
+    "analyze epsilon bool before rows": ("analyze bad rows", {"epsilon": True}),
+    "analyze p3_star bool before rows": ("analyze bad rows", {"p3_star": True}),
     "sensitivity k1_grid text": ("sensitivity", {"k1_grid": "abc"}),
     "sensitivity k1_grid number": ("sensitivity", {"k1_grid": 5}),
     "sensitivity k1_grid of text": ("sensitivity", {"k1_grid": ["1"]}),
+    "sensitivity k1_grid with a bool": ("sensitivity", {"k1_grid": [True, 2]}),
     "sensitivity block number": ("sensitivity", 5),
+    "sensitivity block pairs": ("sensitivity", [["assumption", "gpd"], ["method", "aipw"]]),
     "report record empty": ("report", lambda report: {"estimates": [{}]}),
     "report record without estimate": ("report", lambda report: _without(report, "estimate")),
     "report estimates number": ("report", lambda report: {"estimates": 5}),
@@ -679,6 +718,7 @@ MALFORMED = {
     "simulate p3_star number": ("simulate", {"p3_star": 0.8}),
     "simulate p3_star text": ("simulate", {"p3_star": "x"}),
     "simulate p3_star above one": ("simulate", {"p3_star": [1.5]}),
+    "simulate p3_star bool": ("simulate", {"p3_star": [True]}),
     "simulate sizes negative": ("simulate", {"sizes": [-5]}),
     "simulate sizes negative second": ("simulate", {"sizes": [20000, -5]}),
     "simulate sizes text": ("simulate", {"sizes": "20000"}),
@@ -709,9 +749,27 @@ NAMED = {
     "analyze bootstrap_reps below 100 before rows": "bootstrap needs at least 100 replicates",
     "analyze seed negative before rows": "seed must be a non-negative integer, got -1",
     "analyze seed bool": "'seed' has a malformed value True",
-    "analyze known_propensity text before rows": "known_propensity must be null or a number in (0, 1), got 'x'",
+    "analyze known_propensity text before rows": "'known_propensity' has a malformed value 'x'",
     "analyze known_propensity above one before rows": "known_propensity must be null or a number in (0, 1), got 1.5",
     "analyze extrapolation number before rows": "sensitivity.extrapolation 7 is not an object of trial filters",
+    "analyze input number before rows": "input must be a file name, got 5",
+    "analyze sensitivity list before rows": "'sensitivity' has a malformed value [1]",
+    "analyze roles pairs before rows": "'roles' has a malformed value [['s', 'selected'], ['a', 'treat']]",
+    "analyze methods text before rows": "'methods' has a malformed value 'ipw'",
+    "sensitivity block pairs": "'sensitivity' has a malformed value [['assumption', 'gpd'], ['method', 'aipw']]",
+    "analyze exclusion comparator before rows": "exclusion_rules: unknown comparator '~=' in rule",
+    "analyze exclusion comparator list before rows": "exclusion_rules: unknown comparator ['=='] in rule",
+    "analyze r2 filter without aipw before rows": "sensitivity.extrapolation.r2_trial_filter: rule 'ineligible' in",
+    "analyze r1 filter object before rows": "sensitivity.extrapolation.r1_trial_filter: {",
+    "analyze r2 filter with group 1 empty before rows": "sensitivity.extrapolation.r2_trial_filter: rule 'ineligible' in",
+    "analyze bootstrap r1 filter text before rows": "sensitivity.extrapolation.r1_trial_filter: '1' is not a list",
+    "analyze bootstrap r1 filter value text before rows":
+        "sensitivity.extrapolation.r1_trial_filter: rule 'ineligible' == needs a number, got '1'",
+    "analyze epsilon number text before rows": "'epsilon' has a malformed value '1e-8'",
+    "analyze epsilon bool before rows": "'epsilon' has a malformed value True",
+    "analyze p3_star bool before rows": "'p3_star' has a malformed value True",
+    "sensitivity k1_grid with a bool": "'k1_grid' has a malformed value [True, 2]",
+    "simulate p3_star bool": "'p3_star' has a malformed value [True]",
     "simulate seed fraction": "'seed' has a malformed value 1.9",
     "simulate replications fraction": "'replications' has a malformed value 2.9",
     "simulate sizes fraction": "'sizes' has a malformed value [20000.7]",
@@ -721,10 +779,16 @@ NAMED = {
 
 
 @pytest.mark.parametrize("case", MALFORMED)
-def test_main_rejects_malformed_value(tmp_path, fixture_csv, capsys, case):
+def test_main_rejects_malformed_value(tmp_path, fixture_csv, capsys, monkeypatch, case):
     kind, change = MALFORMED[case]
     cfg = _config(fixture_csv)
     cfg_path, report_path = tmp_path / "cfg.json", tmp_path / "report.json"
+    entered = []
+
+    def never(*args, **kwargs):
+        entered.append(args)
+        raise AssertionError("a malformed value is refused before this is entered")
+
     if kind.startswith("analyze"):
         args = ["analyze", "--config", cfg_path]
         cfg.update(change)
@@ -732,9 +796,11 @@ def test_main_rejects_malformed_value(tmp_path, fixture_csv, capsys, case):
             # a non-numeric role cell, which would exit 3 once read
             with open(fixture_csv, "a") as fh:
                 fh.write("0,,,abc,0.1,0\n")
+            monkeypatch.setattr(cli, "load_dataset", never)
     elif kind == "simulate":
         args = ["simulate", "--config", cfg_path]
         cfg = {"schema_version": 1, "sizes": [20000], "replications": 2, "seed": 5, **change}
+        monkeypatch.setattr(cli, "run_study", never)
     elif kind == "calibrate":
         args = ["calibrate", "--target", "0.5", "--seed", "3", *change]
     else:
@@ -752,6 +818,7 @@ def test_main_rejects_malformed_value(tmp_path, fixture_csv, capsys, case):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert NAMED.get(case, "") in err[0]
+    assert not entered
 
 
 def test_load_dataset_names_a_column_given_two_roles(fixture_csv):
@@ -858,7 +925,7 @@ def test_rules_read_named_columns(fixture_csv):
         (float(r["ineligible"]) in (1.0,) and float(r["x1"]) < 0.5) or float(r["x2"]) >= 1.0
         for r in raw
     ]
-    mask = evaluate_raw_rules(rules, columns, data.target_mask)
+    mask = evaluate_raw_rules(_parsed(rules), columns, data.target_mask)
     assert mask.tolist() == expected
     assert mask.any() and not mask.all()
 

@@ -1,7 +1,8 @@
 """The package imports only the standard library, numpy and scipy, never
 loads scipy.optimize, catches no exception more broadly than by its
-class, evaluates inverse logits only through ``glm.expit``, and gathers
-and builds design matrices only in ``data``."""
+class, evaluates inverse logits only through ``glm.expit``, gathers and
+builds design matrices only in ``data``, and reads no config value with
+a converting constructor (``float``, ``int``, ``dict`` or ``list``)."""
 
 import ast
 import json
@@ -146,6 +147,40 @@ def test_row_major_design_code_is_found():
         "xt = take_rows(x, idx)\n"
     )
     assert _row_major_design_code(tree) == [1, 2, 3, 5]
+
+
+def _loose_reads(tree: ast.AST) -> list[int]:
+    """The lines that call ``_value`` with ``float``, ``int``, ``dict`` or
+    ``list`` as its converter. Each converts what it should refuse:
+    ``float`` the string "1e-8", ``float`` and ``int`` a bool, ``dict`` a
+    list of pairs and ``list`` a string. Numbers go through ``_number``,
+    ``_whole`` or ``_number_list``, objects through ``_object`` and lists
+    through ``_list``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_value":
+            convert = node.args[2:3] + [k.value for k in node.keywords if k.arg == "convert"]
+            if any(isinstance(c, ast.Name) and c.id in ("float", "int", "dict", "list") for c in convert):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_config_values_are_read_strictly():
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    found = _loose_reads(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, f"cli.py reads a config value with a converting constructor at lines {found}"
+
+
+def test_loose_reads_are_found():
+    tree = ast.parse(
+        'epsilon = _value(config, "epsilon", float, 1e-8)\n'
+        'reps = _value(config, "bootstrap_reps", convert=int)\n'
+        'epsilon = _value(config, "epsilon", _number, 1e-8)\n'
+        'epsilon = float(_value(config, "epsilon", _number, 1e-8))\n'
+        'roles = _value(config, "roles", dict)\n'
+        'methods = _value(config, "methods", _list)\n'
+    )
+    assert _loose_reads(tree) == [1, 2, 5]
 
 
 def test_simulate_never_loads_scipy_optimize(tmp_path):

@@ -180,7 +180,7 @@ def test_stacked_dimensions_and_contrast_ipw():
     system = build_stacked_system(data, sampling, propensity, partition=part)
     # the weighting estimator is the augmented one with outcome models
     # fixed at zero: no outcome block, and a v3 row whose mean is exactly 0
-    assert system.dim == 5 + 5 + 1 + 3 == 14
+    assert system.xi.size == 5 + 5 + 1 + 3 == 14
     assert not any(label.startswith("outcome") for label in system.labels)
     assert system.labels[-3:] == ("v1", "v2", "v3")
     assert system.xi[-1] == 0.0
@@ -193,7 +193,7 @@ def test_stacked_dimensions_and_contrast_aipw():
     data, sampling, propensity, outcome = _moderate_pipeline(q=5)
     part = partition_population(data, sampling, propensity, None, 0.8)
     system = build_stacked_system(data, sampling, propensity, outcome, part)
-    assert system.dim == 4 * 5 + 1 + 3 == 24
+    assert system.xi.size == 4 * 5 + 1 + 3 == 24
     assert system.eta[-3:].tolist() == [1.0, -1.0, 1.0]
     assert np.all(system.eta[:-3] == 0.0)
 
@@ -218,7 +218,7 @@ def test_stacked_fixed_propensity_omits_its_block():
     fixed = fit_propensity_score(data, known_probability=0.5)
     part = partition_population(data, sampling, fixed, None, 0.8)
     system = build_stacked_system(data, sampling, fixed, partition=part)
-    assert system.dim == 3 + 1 + 3
+    assert system.xi.size == 3 + 1 + 3
 
 
 def test_stacked_stationarity_at_plugin():
@@ -274,7 +274,7 @@ def _difference_jacobian(system, rel_step=1e-5):
     steps = np.maximum(rel_step * np.abs(xi), 1e-7)
     if system.bandwidth is not None:
         steps[system.labels.index("threshold")] = 1e-3 * system.bandwidth
-    jac = np.empty((system.dim, system.dim))
+    jac = np.empty((system.xi.size, system.xi.size))
     for j, h in enumerate(steps):
         up, dn = xi.copy(), xi.copy()
         up[j] += h
@@ -452,10 +452,10 @@ def _traced_peak(call) -> int:
 
 def test_sandwich_memory_stays_below_the_matrix_of_rows(registry_system):
     system = registry_system
-    assert system.dim == 24
+    assert system.xi.size == 24
     peak = _traced_peak(lambda: sandwich_variance(system))
     # the rows as one (n, dim) matrix would take this much on their own
-    assert peak < system._fitted[0].data.n * system.dim * 8
+    assert peak < system._fitted[0].data.n * system.xi.size * 8
 
 
 def test_jacobian_memory_sums_each_block_over_its_rows(registry_system):

@@ -16,7 +16,7 @@ from extval import (
     predict_mean,
     solve_threshold,
 )
-from extval import partition
+from extval import cli, partition
 from extval.cli import CsvColumns, evaluate_raw_rules, load_dataset
 from extval.partition import MEAN_TOL, _membership, _saturation, _smooth_k
 
@@ -25,6 +25,11 @@ RULE_E_OR_X4 = [
     [{"var": "flag", "op": "==", "value": 1}],
     [{"var": "x4", "op": ">=", "value": 3.0}],
 ]
+
+
+def _evaluate(rules, columns, rows):
+    # a rule set parsed as analyze parses the exclusion rules, then evaluated
+    return evaluate_raw_rules(cli._rule_sets({"exclusion_rules": rules})[0]["exclusion_rules"], columns, rows)
 
 
 def _columns(x, names):
@@ -45,7 +50,7 @@ def test_exclusion_rule_matches_direct_mask():
     m = 500
     x = np.column_stack([np.ones(m), rng.standard_normal((m, 4)), (rng.random(m) < 0.2).astype(float)])
     columns = _columns(x, ["one", "x1", "x2", "x3", "x4", "flag"])
-    mask = evaluate_raw_rules(RULE_E_OR_X4, columns, np.ones(m, dtype=bool))
+    mask = _evaluate(RULE_E_OR_X4, columns, np.ones(m, dtype=bool))
     expected = (x[:, 5] == 1.0) | (x[:, 4] >= 3.0)
     assert np.array_equal(mask, expected)
     assert mask.any()
@@ -71,14 +76,14 @@ def test_rule_engine_on_loaded_columns_matches_direct_mask(tmp_path):
     roles = {"s": "s", "a": "a", "y": "y", "covariates": ["x1", "x2", "x3", "x4"]}
     data, loaded = load_dataset(str(path), roles, {"flag": "exclusion_rules"})
     for rows in (data.target_mask, data.trial_mask):
-        mask = evaluate_raw_rules(RULE_E_OR_X4, loaded, rows)
+        mask = _evaluate(RULE_E_OR_X4, loaded, rows)
         assert np.array_equal(mask, ((x[:, 5] == 1.0) | (x[:, 4] >= 3.0))[rows])
-    assert evaluate_raw_rules(RULE_E_OR_X4, loaded, data.target_mask).any()
+    assert _evaluate(RULE_E_OR_X4, loaded, data.target_mask).any()
 
 
 def test_empty_rule_excludes_nothing():
     columns = _columns(np.ones((10, 2)), ["one", "x1"])
-    assert not evaluate_raw_rules([], columns, np.ones(10, dtype=bool)).any()
+    assert not _evaluate([], columns, np.ones(10, dtype=bool)).any()
     data = _target_only_dataset(np.column_stack([np.ones(10), np.arange(10.0)]))
     sampling, propensity = _fits_for(2)
     assert not partition_population(data, sampling, propensity, None, 0.5).r1_mask.any()
@@ -87,7 +92,7 @@ def test_empty_rule_excludes_nothing():
 def test_conjunction_within_clause():
     x = np.array([[1.0, 2.0, 5.0], [1.0, 2.0, 1.0], [1.0, 0.0, 5.0]])
     rule = [[{"var": "x1", "op": "==", "value": 2.0}, {"var": "x2", "op": ">", "value": 3.0}]]
-    mask = evaluate_raw_rules(rule, _columns(x, ["one", "x1", "x2"]), np.ones(3, dtype=bool))
+    mask = _evaluate(rule, _columns(x, ["one", "x1", "x2"]), np.ones(3, dtype=bool))
     assert mask.tolist() == [True, False, False]
 
 
@@ -95,9 +100,7 @@ def test_rule_error_paths():
     columns = _columns(np.ones((4, 2)), ["one", "x1"])
     rows = np.ones(4, dtype=bool)
     with pytest.raises(ConfigError):
-        evaluate_raw_rules([[{"var": "x9", "op": "==", "value": 1.0}]], columns, rows)
-    with pytest.raises(ConfigError):
-        evaluate_raw_rules([[{"var": "one", "op": "~=", "value": 1.0}]], columns, rows)
+        _evaluate([[{"var": "one", "op": "~=", "value": 1.0}]], columns, rows)
     data = _target_only_dataset(np.ones((4, 2)))
     sampling, propensity = _fits_for(2)
     with pytest.raises(DimensionError):
@@ -110,7 +113,7 @@ def test_rule_error_paths():
 def test_rule_set_membership():
     x = np.array([[1.0, 2.0], [1.0, 5.0], [1.0, 7.0]])
     rule = [[{"var": "x1", "op": "in", "value": [2.0, 7.0]}]]
-    mask = evaluate_raw_rules(rule, _columns(x, ["one", "x1"]), np.ones(3, dtype=bool))
+    mask = _evaluate(rule, _columns(x, ["one", "x1"]), np.ones(3, dtype=bool))
     assert mask.tolist() == [True, False, True]
 
 
