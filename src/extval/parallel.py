@@ -6,10 +6,10 @@ one contiguous share per process: the calling process runs the first
 share itself while forked worker processes run the others. A forked
 worker inherits the task, closures and data included, from the parent's
 memory, so only the items and the results are pickled. On a 2-CPU
-machine a forked worker starts in about 16 ms, where a spawned one
-re-imports numpy, scipy and the package in about 0.6 s, as long as the
-whole bootstrap of one 5k-row cohort. Forked workers also inherit the
-parent's BLAS thread setting (``OPENBLAS_NUM_THREADS``).
+machine a forked worker starts in about 5 ms, where a spawned one
+re-imports numpy and the package in about 0.16 s, about as long as a
+100-replicate bootstrap of one 5k-row cohort. Forked workers also
+inherit the parent's BLAS thread setting (``OPENBLAS_NUM_THREADS``).
 """
 
 from __future__ import annotations

@@ -22,10 +22,10 @@ both for the membership weights and inside the threshold solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .data import Dataset, take_rows
 from .errors import (
@@ -39,8 +39,9 @@ from .glm import GlmFit, predict_mean
 
 DEFAULT_EPSILON = 1e-8
 MEAN_TOL = 1e-6
-# |u| beyond which ndtr(u) is exactly 1.0 or 0.0 in double precision
+# |u| beyond which normal_cdf(u) is exactly 1.0 or 0.0 in double precision
 SATURATED = 40.0
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -72,17 +73,38 @@ class PartitionResult:
         return tuple(int(np.sum(self.labels == g)) for g in (1, 2, 3))
 
 
+def _cdf(u: float) -> float:
+    """The standard normal CDF at one float."""
+    return 0.5 * math.erfc(u * -_SQRT_HALF)
+
+
+def normal_cdf(u):
+    """``_cdf`` elementwise, bit for bit, over an array or a scalar (as a
+    0-d array). From u = 9 on it is exactly 1.0, and erfc is not called;
+    below about -38.5 it is exactly 0.0, and NaN stays NaN."""
+    u = np.asarray(u, dtype=float)
+    flat = u.ravel()
+    live = np.flatnonzero(~(flat >= 9.0))
+    x = flat[live]
+    x *= -_SQRT_HALF
+    values = np.fromiter(map(math.erfc, memoryview(x)), float, live.size)
+    values *= 0.5
+    out = np.ones(flat.shape)
+    out[live] = values
+    return out.reshape(u.shape)
+
+
 def _smooth_k(prod1, prod0, delta: float, epsilon: float):
-    return ndtr((prod1 - delta) / epsilon) * ndtr((prod0 - delta) / epsilon)
+    return normal_cdf((prod1 - delta) / epsilon) * normal_cdf((prod0 - delta) / epsilon)
 
 
 def _saturation(min_prods, lo: float, hi: float, epsilon: float):
     """The weights that are exactly 1 for every delta in [lo, hi], and the
     indices of the rows that must be smoothed there.
 
-    ndtr(u) is exactly 1.0 for u >= 40 and exactly 0.0 for u <= -40, and
-    (p - delta) / epsilon is monotone in p and in delta, so the smaller
-    product decides. A row with (min product - hi) / epsilon >= 40 weighs
+    normal_cdf(u) is exactly 1.0 for u >= 40 and exactly 0.0 for
+    u <= -40, and (p - delta) / epsilon is monotone in p and in delta, so
+    the smaller product decides. A row with (min product - hi) / epsilon >= 40 weighs
     exactly 1 on the whole interval and one with (min product - lo) /
     epsilon <= -40 exactly 0; the rest, NaN included, are smoothed. The
     caller writes them into the returned buffer, whose sum then adds the
@@ -93,11 +115,18 @@ def _saturation(min_prods, lo: float, hi: float, epsilon: float):
     return ones.astype(float), window
 
 
+def _smooth_pairs(pairs, delta: float, epsilon: float) -> list:
+    """``_smooth_k`` over an iterable of (prod1, prod0) pairs of floats, bit
+    for bit: the same operations one float at a time, which on the few
+    rows of a window cost less than numpy's calls."""
+    return [_cdf((a - delta) / epsilon) * _cdf((b - delta) / epsilon) for a, b in pairs]
+
+
 def _membership(prod1, prod0, delta: float, epsilon: float) -> np.ndarray:
     """``_smooth_k(prod1, prod0, delta, epsilon)``, bit for bit, smoothing only
     the rows that ``_saturation`` leaves unsaturated at delta."""
     k, window = _saturation(np.minimum(prod1, prod0), delta, delta, epsilon)
-    k[window] = _smooth_k(prod1[window], prod0[window], delta, epsilon)
+    k[window] = _smooth_pairs(zip(prod1[window].tolist(), prod0[window].tolist()), delta, epsilon)
     return k
 
 
@@ -166,14 +195,14 @@ def solve_threshold(
     q = float(np.partition(min_prods, at)[at])
     lo, hi = q - 10.0 * epsilon, q + 10.0 * epsilon
     weights, window = _saturation(min_prods, lo, hi, epsilon)
-    p1, p0 = prod1[window], prod0[window]
+    pairs = list(zip(prod1[window].tolist(), prod0[window].tolist()))
 
     def excess(delta: float) -> float:
-        weights[window] = _smooth_k(p1, p0, delta, epsilon)
+        weights[window] = _smooth_pairs(pairs, delta, epsilon)
         return float(np.sum(weights)) - count
 
     # regula falsi keeps every iterate in [lo, hi] up to a rounding of
-    # hi - lo, far inside the margin by which ndtr saturates before +-40
+    # hi - lo, far inside the margin that _saturation leaves before +-40
     f_lo = excess(lo)
     delta = hi
     f_hi = f = excess(hi)

@@ -1,8 +1,10 @@
-"""The package imports only the standard library, numpy and scipy, never
-loads scipy.optimize, catches no exception more broadly than by its
-class, evaluates inverse logits only through ``glm.expit``, gathers and
-builds design matrices only in ``data``, and reads no config value with
-a converting constructor (``float``, ``int``, ``dict`` or ``list``)."""
+"""The package imports only the standard library and numpy, loads no
+scipy module in a run and runs where scipy cannot be imported, catches
+no exception more broadly than by its class, evaluates inverse logits
+only through ``glm.expit``, gathers and builds design matrices only in
+``data``, and reads no config value with a converting constructor
+(``float``, ``int``, ``dict`` or ``list``). The tests themselves use
+scipy as a reference."""
 
 import ast
 import json
@@ -12,9 +14,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_cli import _config, _write_fixture
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "extval").glob("*.py"))
-ALLOWED = set(sys.stdlib_module_names) | {"numpy", "scipy"}
+ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
 
 
 def _imported_packages(tree: ast.AST) -> list[str]:
@@ -33,7 +36,7 @@ def test_sources_found():
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
-def test_imports_are_stdlib_numpy_scipy_or_relative(path):
+def test_imports_are_stdlib_numpy_or_relative(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     foreign = sorted(set(_imported_packages(tree)) - ALLOWED)
     assert not foreign, f"{path.name} imports {foreign}"
@@ -183,21 +186,55 @@ def test_loose_reads_are_found():
     assert _loose_reads(tree) == [1, 2, 5]
 
 
-def test_simulate_never_loads_scipy_optimize(tmp_path):
-    # scipy.optimize adds tens of MB of peak RSS and a quarter second to
-    # every process that imports it; the package must not pull it in
-    config = tmp_path / "simulate.json"
-    config.write_text(json.dumps({
-        "schema_version": 1, "seed": 3, "sizes": [20_000], "replications": 1,
-        "p3_star": [0.8], "methods": ["ipw"], "assumptions": ["epd"], "oracle_draws": 1_000,
-    }))
-    script = (
-        "import json, sys\n"
-        "import extval, extval.cli\n"
-        f"extval.cli.cmd_simulate(json.load(open({str(config)!r})))\n"
-        "print('scipy.optimize' in sys.modules)\n"
-    )
+def _run_configs(tmp_path, prelude: str, body: str) -> str:
+    """Run ``body`` in a fresh interpreter after ``prelude``, with ``analyze``,
+    ``bootstrap`` and ``simulate`` naming config files: the CLI tests'
+    fixture under the sandwich and under a bootstrap, and a small study.
+    Returns its standard output."""
+    csv_path = _write_fixture(tmp_path / "cohort.csv")
+    paths = {}
+    for name, config in (
+        ("analyze", _config(csv_path)),
+        ("bootstrap", _config(csv_path, variance="bootstrap", bootstrap_reps=100, methods=["trimmed_aipw"])),
+        ("simulate", {
+            "schema_version": 1, "seed": 3, "sizes": [20_000], "replications": 1,
+            "p3_star": [0.8], "methods": ["ipw", "aipw"], "assumptions": ["epd"], "oracle_draws": 1_000,
+        }),
+    ):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(config))
+    script = prelude + "".join(f"{name} = {str(path)!r}\n" for name, path in paths.items()) + body
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          cwd=tmp_path, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_runs_load_no_scipy_module(tmp_path):
+    # importing scipy.special adds about 20 MB of peak RSS and a tenth of a
+    # second to every process; the package needs numpy alone
+    out = _run_configs(tmp_path, "import json, sys\nfrom extval import cli\n", (
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "cli.cmd_analyze(json.load(open(analyze)))\n"
+        "print('analyze', loaded())\n"
+        "cli.cmd_simulate(json.load(open(simulate)))\n"
+        "print('simulate', loaded())\n"
+    ))
+    assert out.splitlines() == ["analyze []", "simulate []"]
+
+
+def test_runs_where_scipy_cannot_be_imported(tmp_path):
+    # None in sys.modules makes every import of scipy raise ImportError, as
+    # on a machine without it
+    out = _run_configs(tmp_path, "import sys\nsys.modules['scipy'] = None\nfrom extval import cli\n", (
+        "for args in (['analyze', '--config', analyze, '--output', 'sandwich.json'],\n"
+        "             ['analyze', '--config', bootstrap, '--output', 'bootstrap.json'],\n"
+        "             ['simulate', '--config', simulate, '--output', 'study.csv']):\n"
+        "    print(args[0], cli.main(args))\n"
+    ))
+    assert [line for line in out.splitlines() if line.startswith(("analyze ", "simulate "))] == [
+        "analyze 0", "analyze 0", "simulate 0",
+    ]

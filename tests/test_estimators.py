@@ -6,7 +6,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import expit, logit
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import expit, logit, ndtri
 
 from extval import (
     ConfigError,
@@ -512,6 +515,48 @@ def test_threshold_bandwidth_is_half_the_order_statistic_gap():
     b = estimators.threshold_bandwidth(prods, 0.6, 0.2, 1e-8)
     assert b == pytest.approx(0.5 * (0.318 - 0.183), rel=1e-12)
     assert estimators.threshold_bandwidth(np.full(50, 0.3), 0.5, 0.0, 1e-8) == 1e-8
+
+
+def _scipy_bandwidth(min_prods, p3_star, p1_hat, epsilon):
+    # threshold_bandwidth as written on scipy's ndtri and numpy's quantile
+    level = 1.0 - p3_star / (1.0 - p1_hat)
+    z = ndtri(level)
+    density = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+    h = (
+        min_prods.size ** (-1.0 / 3.0)
+        * ndtri(0.975) ** (2.0 / 3.0)
+        * (1.5 * density ** 2 / (2.0 * z * z + 1.0)) ** (1.0 / 3.0)
+    )
+    lo, hi = np.quantile(min_prods, np.clip([level - h, level + h], 0.0, 1.0), method="inverted_cdf")
+    return max(0.5 * float(hi - lo), epsilon)
+
+
+@pytest.mark.parametrize("n_total, seed", [(300_000, [1, 0]), (50_000, [1, 1, 0]), (50_000, [1, 1, 1])])
+def test_threshold_bandwidth_matches_scipy_on_the_bench_cohorts(n_total, seed):
+    # the analyze workloads' cohorts and exclusions (bench/workloads.py), at
+    # their p3* and at others
+    data, truth = generate_cohort(DgpConfig(n_total=n_total), seed)
+    target = data.target_mask
+    excluded = (truth.e_flag | (data.x[:, 4] >= 3.0))[target]
+    sampling, propensity = fit_sampling_score(data), fit_propensity_score(data)
+    hs = predict_mean(sampling, data.x)[target][~excluded]
+    e1 = predict_mean(propensity, take_rows(data.x, target))[~excluded]
+    min_prods = hs * np.minimum(e1, 1.0 - e1)
+    p1_hat = float(np.mean(excluded))
+    for p3_star in (0.5, 0.8, 0.9, 0.95):
+        got = estimators.threshold_bandwidth(min_prods, p3_star, p1_hat, 1e-8)
+        assert got == _scipy_bandwidth(min_prods, p3_star, p1_hat, 1e-8)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(
+    hnp.arrays(np.float64, st.integers(1, 50), elements=st.integers(0, 6).map(float)
+               | st.floats(0.0, 1.0)),
+    st.floats(0.0, 1.0) | st.integers(0, 50).map(lambda k: k / 50.0),
+)
+def test_order_statistic_is_numpys_inverted_cdf_quantile(values, p):
+    expected = float(np.quantile(values, p, method="inverted_cdf"))
+    assert estimators._order_statistic(values, p) == expected
 
 
 def test_zero_weight_arm_raises():

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import ndtr
 
 from extval import (
     ConfigError,
@@ -18,7 +20,16 @@ from extval import (
 )
 from extval import cli, partition
 from extval.cli import CsvColumns, evaluate_raw_rules, load_dataset
-from extval.partition import MEAN_TOL, _membership, _saturation, _smooth_k
+from extval.partition import (
+    MEAN_TOL,
+    SATURATED,
+    _cdf,
+    _membership,
+    _saturation,
+    _smooth_k,
+    _smooth_pairs,
+    normal_cdf,
+)
 
 # the generating process's exclusion over named columns: the flag or x4 at its cut
 RULE_E_OR_X4 = [
@@ -117,6 +128,58 @@ def test_rule_set_membership():
     assert mask.tolist() == [True, False, True]
 
 
+def test_normal_cdf_is_within_one_rounding_of_scipy():
+    # scipy's ndtr is the reference here only; the package does not load scipy
+    u = np.linspace(-45.0, 45.0, 360_001)
+    assert np.max(np.abs(normal_cdf(u) - ndtr(u))) <= 2.3e-16
+
+
+def test_normal_cdf_saturates_exactly():
+    # 1.0 from 9 on, where normal_cdf does not call erfc and the formula
+    # gives 1.0 as well; 0.0 from -SATURATED down, as _saturation assumes
+    above = np.linspace(9.0, 80.0, 20_001)
+    assert np.all(normal_cdf(above) == 1.0)
+    assert all(_cdf(v) == 1.0 for v in above.tolist())
+    below = np.linspace(-SATURATED - 40.0, -SATURATED, 20_001)
+    assert np.all(normal_cdf(below) == 0.0)
+
+
+def test_normal_cdf_maps_nan_and_infinities_as_scipy_does():
+    special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0])
+    np.testing.assert_array_equal(normal_cdf(special), ndtr(special))
+    assert [_cdf(v) for v in special[1:].tolist()] == ndtr(special[1:]).tolist()
+    assert np.isnan(_cdf(float("nan")))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    hnp.arrays(np.float64, st.integers(1, 40), elements=st.one_of(
+        st.floats(-50.0, 50.0), st.sampled_from([np.nan, np.inf, -np.inf, 9.0, -SATURATED]),
+    )),
+    st.integers(0, 39),
+)
+def test_normal_cdf_value_depends_on_its_element_alone(values, at):
+    # whatever the array's length or the element's position, each value is
+    # _cdf of its element, bit for bit; a 2-d array gives the same values
+    at %= values.size
+    whole = normal_cdf(values)
+    alone = [_cdf(v) for v in values.tolist()]
+    assert whole.tobytes() == np.array(alone).tobytes()
+    assert normal_cdf(values[at:]).tobytes() == whole[at:].tobytes()
+    assert normal_cdf(values[at]).tobytes() == whole[at].tobytes()
+    assert normal_cdf(np.stack((values, values[::-1]))).tobytes() == np.stack((whole, whole[::-1])).tobytes()
+
+
+def test_smooth_pairs_is_smooth_k_bit_for_bit():
+    rng = np.random.default_rng(12)
+    delta, eps = 0.3, 1e-8
+    prod1 = delta + rng.uniform(-60.0, 60.0, 500) * eps
+    prod0 = np.concatenate([delta + rng.uniform(-60.0, 60.0, 497) * eps, [np.nan, np.inf, -np.inf]])
+    pairs = zip(prod1.tolist(), prod0.tolist())
+    got = np.array(_smooth_pairs(pairs, delta, eps))
+    assert got.tobytes() == _smooth_k(prod1, prod0, delta, eps).tobytes()
+
+
 def test_smooth_inclusion_trivial_values():
     # membership of a row whose two score products are (hs*e1, hs*e0)
     assert _smooth_k(0.5, 0.5, 0.01, 1e-8) == pytest.approx(1.0, abs=1e-12)
@@ -150,8 +213,8 @@ def test_membership_is_smooth_k_bit_for_bit():
 
 
 def test_saturation_window_smooths_rows_short_of_saturation():
-    # min products 5 to 8 scales outside either end of a bracket, where ndtr
-    # is not yet exactly 0 or 1 at that end: _saturation must leave them to
+    # min products 5 to 8 scales outside either end of a bracket, where
+    # normal_cdf is not yet exactly 0 or 1 at that end: _saturation must leave them to
     # be smoothed, so that its weights equal _smooth_k over all rows
     rng = np.random.default_rng(10)
     q, eps = 0.3, 1e-8
