@@ -16,9 +16,9 @@ it reads every other value, before any row; ``evaluate_raw_rules`` then
 evaluates a parsed set column-wise, and the partition receives the
 resulting target-row mask. ``load_dataset`` parses the role columns and
 the columns that the rules and filters name, all of which the header
-must hold, and no others, into float arrays, with
-numpy's C reader where it reads the file as the block parser would and
-with the block parser otherwise. Each method name maps to its estimator
+must hold, and no others, into float arrays, in one pass: numpy's C
+reader reads each batch of lines, and the csv module the batches numpy
+cannot read as it would. Each method name maps to its estimator
 in one table, which serves both the full-sample estimate and every
 bootstrap replicate.
 
@@ -36,7 +36,7 @@ import gc
 import json
 import sys
 from functools import partial
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -103,10 +103,11 @@ class CsvColumns(dict):
         self.lines, self.text, self.path = lines, text, path
 
 
-# data rows read at a time by the block parser; their text lives that long
-BLOCK_ROWS = 4096
+# the bytes of lines read at a time: a batch ends with the line that takes it
+# past this many
+BATCH_BYTES = 1 << 16
 # bytes of the field that numpy's reader reads a treatment or outcome cell
-# into; a cell that fills it goes to the block parser
+# into; a batch with a cell that fills it goes to the csv module
 CELL_BYTES = 32
 
 
@@ -117,24 +118,23 @@ def load_dataset(path: str, roles: dict, names: dict | None = None) -> tuple[Dat
     "covariates": [columns...]}: column names as strings, the covariates
     distinct and no column in two roles, else a ConfigError names the
     role, or the column and its two roles. The file is read as UTF-8,
-    after an optional byte-order mark. Cells are read as numbers, an empty
-    cell as NaN, and the Dataset checks the role columns: treatment and
-    outcome must be empty exactly on target rows. Returns the dataset and
-    the columns by name (``CsvColumns``) so that exclusion rules may
-    reference non-model columns: the role columns and those in ``names``,
-    and no others. ``names`` maps each column that a rule names to the
-    config key of the rule set that names it. Before any row is read, a
-    role column the header lacks or a name it repeats is a DataError, and
-    a column of ``names`` that it lacks a ConfigError naming that key.
-    Blank lines are skipped; every other row must
-    have as many fields as the header.
+    after an optional byte-order mark; other text is a DataError. Cells
+    are read as numbers, an empty cell as NaN, and the Dataset checks the
+    role columns: treatment and outcome must be empty exactly on target
+    rows. Returns the dataset and the columns by name (``CsvColumns``) so
+    that exclusion rules may reference non-model columns: the role columns
+    and those in ``names``, and no others. ``names`` maps each column that
+    a rule names to the config key of the rule set that names it. Before
+    any row is read, a role column the header lacks or a name it repeats
+    is a DataError, and a column of ``names`` that it lacks a ConfigError
+    naming that key. Blank lines are skipped; every other row must have as
+    many fields as the header.
 
-    numpy's C reader parses the file when it can (``_read_fast``), and
-    otherwise the block parser, ``BLOCK_ROWS`` rows at a time
-    (``_read_blocks``); both give the same numbers, bit for bit. An error
-    in a row names its line in the file: of several faulty rows the first,
-    and in that row a wrong field count before a non-numeric role cell,
-    whose columns are checked in header order.
+    The file is opened once and its rows read in one pass
+    (``_read_rows``). An error in a row names its line in the file: of
+    several faulty rows the first, and in that row a wrong field count
+    before a non-numeric role cell, whose columns are checked in header
+    order.
     """
     role_of: dict = {}
     for key in ("s", "a", "y", "covariates"):
@@ -170,21 +170,17 @@ def load_dataset(path: str, roles: dict, names: dict | None = None) -> tuple[Dat
                 if name not in header:
                     raise ConfigError(f"{where}: rule references unknown column {name!r}")
             wanted = [c for c in header if c in needed or c in names]
-            loaded = _read_fast(fh, reader.line_num + 1, header, wanted, (roles["a"], roles["y"]))
-        if loaded is None:
-            with open(path, newline="", encoding="utf-8-sig") as fh:
-                reader = csv.reader(fh)
-                next(reader)
-                loaded = _read_blocks(reader, path, header, wanted, needed)
+            blocks, lines, text = _read_rows(fh, reader.line_num + 1, path, header, wanted, needed)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text ({exc.reason})") from None
     finally:
         if collecting:
             gc.enable()
     # each column's batches are joined once, a covariate's straight into its
     # column of the column-major design, which its entry then views; each
     # column's batches are let go before the next column is joined
-    blocks, lines, text = loaded
     covariates = roles["covariates"]
     x = np.empty((lines.size, 1 + len(covariates)), order="F")
     x[:, 0] = 1.0
@@ -197,97 +193,85 @@ def load_dataset(path: str, roles: dict, names: dict | None = None) -> tuple[Dat
         return Dataset(*(columns[roles[k]] for k in ("s", "a", "y")), x), columns
 
 
-def _read_fast(fh, first_line: int, header: list, names: list, blank_ok: tuple):
-    """The rest of ``fh`` as numpy's C reader parses it, one batch of lines
-    (``_checked_batches``) at a time: each of the columns ``names`` as a
-    list of float arrays, one per batch, the file line of each data row
-    and no cell text; or None where the block parser must read the file
-    instead, since numpy may read it otherwise or cannot name the faulty
-    row.
+def _read_rows(fh, number: int, path: str, header: list, names: list, roles: list):
+    """The rest of ``fh``, whose first line is file line ``number``, in one
+    pass of ``BATCH_BYTES`` batches of lines: each of the columns ``names``
+    as a list of float arrays, one per batch; the file line of each data
+    row; and the text of the cells outside the ``roles`` columns that are
+    no number.
 
-    The ``blank_ok`` columns (treatment and outcome), blank on target rows,
-    are read as byte fields of ``CELL_BYTES`` bytes and cast to float once
-    per batch; a blank cell, or one of spaces alone, reads as NaN. The file
-    goes to the block parser when a line holds a quote character, a NUL or
-    a wrong field count, when the reader refuses a cell (a blank one
-    outside the ``blank_ok`` columns, ``1_000`` or non-ASCII digits among
-    them), when a cell spells out NaN, when a ``blank_ok`` cell fills its
-    byte field (it may have been cut short), and when there is no data row.
-    ``first_line`` is the file line that ``fh`` is at.
+    numpy's C reader reads a batch with no Python call per cell. Treatment
+    and outcome (``roles[1:3]``), blank on target rows, are read as byte
+    fields of ``CELL_BYTES`` bytes and cast to float; a blank cell, or one
+    of spaces alone, reads as NaN. The csv module reads a batch that holds
+    a quote character, a NUL or a wrong field count, in which numpy
+    refuses a cell (a blank one outside treatment and outcome, ``1_000`` or
+    non-ASCII digits among them), a cell spells out NaN, or a treatment or
+    outcome cell fills its byte field (it may have been cut short); it
+    reads on past the batch to the end of a quoted cell. Both read the
+    same numbers, bit for bit, and only the csv module names a faulty row.
     """
     last = len(header) - 1
-    # numpy refuses a row without the last field, and each batch of lines
-    # holds as many commas as its rows need, so every row has all fields;
-    # a last column that no name asks for is kept as one character of text
+    # numpy refuses a row without the last field, and a batch it reads holds
+    # as many commas as its rows need, so every row has all fields; a last
+    # column that no name asks for is kept as one character of text
     usecols = sorted({header.index(name) for name in names} | {last})
-    # one field per column read, named by its index in the header
+    blank_ok = roles[1:3]
     kinds = {name: float for name in names} | {name: f"S{CELL_BYTES}" for name in blank_ok}
     dtype = np.dtype([(str(j), kinds.get(header[j], "U1")) for j in usecols])
-    parts: dict[str, list] = {name: [] for name in names}
-    blank: list[int] = []
-    try:
-        for batch in _checked_batches(fh, first_line, last, blank):
+    parts = {name: (header.index(name), []) for name in names}
+    lines, text, rows = [], {}, 0
+    for batch in iter(partial(fh.readlines, BATCH_BYTES), []):
+        empty = batch.count("\n") + batch.count("\r\n") + batch.count("\r")
+        if empty == len(batch):
+            number += empty
+            continue
+        # a batch's columns are kept only once numpy has read all of them
+        read = []
+        try:
+            joined = "".join(batch)
+            if '"' in joined or "\0" in joined or joined.count(",") != last * (len(batch) - empty):
+                raise ValueError("a batch for the csv module")
             table = np.loadtxt(batch, delimiter=",", comments=None, quotechar=None, ndmin=1,
                                usecols=usecols, dtype=dtype)
-            for name in names:
-                cells, filled = table[str(header.index(name))], slice(None)
+            for name, (j, _) in parts.items():
+                cells, filled = table[str(j)], slice(None)
                 if name in blank_ok:
                     if (np.char.str_len(cells) == CELL_BYTES).any():
-                        return None
+                        raise ValueError("a cell that fills its byte field")
                     filled = (cells != b"") & ~np.char.isspace(cells)
                     values = np.full(cells.size, np.nan)
                     values[filled] = cells[filled].astype(float)
                 else:
                     values = cells.copy()  # contiguous, which lets the table go
-                if np.isnan(values[filled]).any():  # a cell that spells out NaN
-                    return None
-                parts[name].append(values)
-    except ValueError:
-        return None
-    n = sum(map(len, parts[names[0]]))
-    if n == 0:
-        return None
-    lines = np.arange(first_line, first_line + n + len(blank))
-    return parts, np.delete(lines, np.array(blank, int) - first_line), {}
-
-
-def _checked_batches(fh, number: int, commas: int, blank: list):
-    """The lines of ``fh`` in batches that hold a data row, the first line
-    being file line ``number``; each blank line's number goes to ``blank``.
-    A batch with a quote character or a NUL, or with other than ``commas``
-    commas for each line that is not blank, is a ValueError."""
-    for batch in iter(partial(fh.readlines, 1 << 16), []):
-        text = "".join(batch)
-        empty = batch.count("\n") + batch.count("\r\n") + batch.count("\r")
-        if '"' in text or "\0" in text or text.count(",") != commas * (len(batch) - empty):
-            raise ValueError(f"the lines from line {number} on need the block parser")
-        if empty:
-            blank.extend(number + i for i, line in enumerate(batch) if line[0] in "\r\n")
-        number += len(batch)
-        if empty < len(batch):
-            yield batch
-
-
-def _read_blocks(reader, path: str, header: list, names: list, roles: list):
-    """The rows of ``reader`` parsed ``BLOCK_ROWS`` at a time: each of the
-    columns ``names`` as a list of float arrays, one per block, the file
-    line of each data row, and the text of the cells outside the ``roles``
-    columns that are no number."""
-    parts = {name: (header.index(name), []) for name in names}
-    text: dict[str, dict[int, str]] = {}
-    lines = []
-    numbered = ((reader.line_num, row) for row in reader if row)
-    # each block's rows are dropped before the next is read
-    while block := list(islice(numbered, BLOCK_ROWS)):
-        at, rows = zip(*block)
-        del block
-        lines.append(np.array(at))
-        with _naming_lines(path, lines[-1]):
-            _parse_block(rows, len(header), parts, roles, text, sum(map(len, lines[:-1])))
-        del rows
-    if not lines:
+                if np.isnan(values[filled]).any():
+                    raise ValueError("a cell that spells out NaN")
+                read.append(values)
+        except ValueError:
+            read = None
+        if read is None:
+            reader = csv.reader(chain(batch, fh))
+            block, at = [], []
+            for row in reader:
+                if row:
+                    block.append(row)
+                    at.append(reader.line_num)
+                if reader.line_num >= len(batch):
+                    break
+            lines.append(np.array(at) + (number - 1))
+            with _naming_lines(path, lines[-1]):
+                _parse_block(block, len(header), parts, roles, text, rows)
+            number += reader.line_num
+        else:
+            at = np.arange(number, number + len(batch))
+            lines.append(np.delete(at, [i for i, line in enumerate(batch) if line[0] in "\r\n"]) if empty else at)
+            for (_, batches), values in zip(parts.values(), read):
+                batches.append(values)
+            number += len(batch)
+        rows += lines[-1].size
+    if not rows:
         raise DataError(f"{path}: no data rows")
-    return {name: blocks for name, (_, blocks) in parts.items()}, np.concatenate(lines), text
+    return {name: batches for name, (_, batches) in parts.items()}, np.concatenate(lines), text
 
 
 def _parse_block(rows, width: int, parts: dict, roles: list, text: dict, start: int):
@@ -802,10 +786,12 @@ def cmd_calibrate(args) -> dict:
 
 def _read_json(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):

@@ -222,9 +222,10 @@ def test_rule_reads_spelled_out_nan_only_in_selected_rows(tmp_path):
         assert str(exc.value) == f"{path} line {line}: non-numeric value {cell!r} in column 'flag'"
 
 
-# -- block-wise ingest --------------------------------------------------------
+# -- batch-wise ingest --------------------------------------------------------
 
-BLOCK_SIZES = [1, 3, cli.BLOCK_ROWS]
+# a line per batch, a few lines per batch, and the default
+BATCH_SIZES = [1, 40, cli.BATCH_BYTES]
 _NUMBER = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-10**12, 10**12).map(str),
@@ -243,10 +244,10 @@ def _bits(values):
     return np.asarray(values, dtype=float).tobytes()
 
 
-@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("batch", BATCH_SIZES)
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(rows=st.lists(_ROW, min_size=1, max_size=10))
-def test_load_dataset_parses_like_float_bit_for_bit(tmp_path_factory, block, rows):
+def test_load_dataset_parses_like_float_bit_for_bit(tmp_path_factory, batch, rows):
     path = tmp_path_factory.mktemp("blocks") / "cells.csv"
     text, lines, line = ["s,a,y,x1,note"], [], 1
     for blank, trial, space, y, x1, note in rows:
@@ -258,7 +259,7 @@ def test_load_dataset_parses_like_float_bit_for_bit(tmp_path_factory, block, row
         lines.append(line)
     path.write_text("\n".join(text) + "\n")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "BLOCK_ROWS", block)
+        mp.setattr(cli, "BATCH_BYTES", batch)
         data, columns = load_dataset(str(path), {"s": "s", "a": "a", "y": "y", "covariates": ["x1"]}, {"note": "exclusion_rules"})
     trial = [r[1] for r in rows]
     assert columns.lines.tolist() == lines
@@ -270,27 +271,28 @@ def test_load_dataset_parses_like_float_bit_for_bit(tmp_path_factory, block, row
     assert columns.text == {}
 
 
-@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("batch", BATCH_SIZES)
 @pytest.mark.parametrize("fault, message", [
     ("0,,,0.5", "the header has 5 fields"),
     ("0,,,0.5,0.6,0.7", "the header has 5 fields"),
     ("0,,,0.5,abc", "non-numeric value 'abc' in column 'x2'"),
     ("0,,, nan ,0.6", "non-numeric value 'nan' in column 'x1'"),
 ])
-def test_load_dataset_fault_past_first_block_names_its_line(tmp_path, monkeypatch, block, fault, message):
-    # one block and one row of good rows, a blank line, a good row, then
-    # the fault: the blank line and the fault both lie past the first block
+def test_load_dataset_fault_past_first_batch_names_its_line(tmp_path, monkeypatch, batch, fault, message):
+    # a batch and more of good rows, a blank line, a good row, then the
+    # fault: the blank line and the fault both lie past the first batch
     path = tmp_path / "late.csv"
     good = "0,,,0.3,0.4\n"
-    path.write_text("s,a,y,x1,x2\n1,1,2.0,0.1,0.2\n" + good * block + "\n" + good + fault + "\n" + good)
-    line = block + 5
-    monkeypatch.setattr(cli, "BLOCK_ROWS", block)
+    rows = batch // len(good) + 1
+    path.write_text("s,a,y,x1,x2\n1,1,2.0,0.1,0.2\n" + good * rows + "\n" + good + fault + "\n" + good)
+    line = rows + 5
+    monkeypatch.setattr(cli, "BATCH_BYTES", batch)
     with pytest.raises(DataError) as exc:
         load_dataset(str(path), {"s": "s", "a": "a", "y": "y", "covariates": ["x1", "x2"]})
     assert str(exc.value) == f"{path} line {line}: {message}"
 
 
-@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("batch", BATCH_SIZES)
 @pytest.mark.parametrize("faults, line, message", [
     # the first faulty row in file order, whatever its kind
     (["0,,,0.5,abc", "0,,,0.5"], 5, "non-numeric value 'abc' in column 'x2'"),
@@ -300,18 +302,21 @@ def test_load_dataset_fault_past_first_block_names_its_line(tmp_path, monkeypatc
     (["0,,,abc", "0,,,0.5"], 5, "the header has 5 fields"),
     (["0,,,abc,def", "0,,,0.5"], 5, "non-numeric value 'abc' in column 'x1'"),
     (["0,,,0.5,0.6", "0,,,abc,def"], 6, "non-numeric value 'abc' in column 'x1'"),
+    # past a quoted cell that spans two lines, across a batch boundary at 1
+    # and 40 bytes
+    (['0,,,0.5,"0.6\n"', "0,,,abc,0.6"], 7, "non-numeric value 'abc' in column 'x1'"),
 ])
-def test_load_dataset_reports_first_fault(tmp_path, monkeypatch, block, faults, line, message):
+def test_load_dataset_reports_first_fault(tmp_path, monkeypatch, batch, faults, line, message):
     path = tmp_path / "faults.csv"
     path.write_text("s,a,y,x1,x2\n1,1,2.0,0.1,0.2\n0,,,0.3,0.4\n\n" + "\n".join(faults) + "\n")
-    monkeypatch.setattr(cli, "BLOCK_ROWS", block)
+    monkeypatch.setattr(cli, "BATCH_BYTES", batch)
     with pytest.raises(DataError) as exc:
         load_dataset(str(path), {"s": "s", "a": "a", "y": "y", "covariates": ["x1", "x2"]})
     assert str(exc.value) == f"{path} line {line}: {message}"
 
 
-# cells that numpy's reader reads otherwise than the block parser, or that
-# only the block parser can name as faults
+# cells that numpy's reader reads otherwise than the csv module, or that
+# only the csv module can name as faults
 _ODD_CELL = st.sampled_from(['"1.5"', '" 2"', '"1,5"', " NaN", "1_000", "\u0661\u0662", "#5", "", " ", "abc"])
 # in a row: an odd cell in field 1 to 4, a spelled-out nan as its treatment
 # or outcome, a quoted note that holds a line of its own, a field short or
@@ -332,7 +337,8 @@ def _csv_file(draw):
         rows.append(["1", "1", y, x1, note] if trial else ["0", space, space, x1, note])
     oddities = draw(st.lists(_ODDITY, max_size=2)) if rows else []
     before = [""] * len(rows)
-    for kind, i, field, cell in oddities:
+    # cells are set before any row is cut short or made long
+    for kind, i, field, cell in sorted(oddities, key=lambda oddity: oddity[0] in ("short", "long", "both")):
         row, after = rows[i % len(rows)], rows[(i + 1) % len(rows)]
         if kind == "cell":
             row[field] = cell
@@ -356,52 +362,103 @@ def _csv_file(draw):
     return text.replace("\n", newline).encode(), bool(rows) and not oddities
 
 
-real_read_fast = cli._read_fast
+real_parse_block = cli._parse_block
 
 
-def _loaded(path, names, fast: bool):
-    """What ``load_dataset`` gives with numpy's reader allowed or not: the
-    arrays' bits, the cells' text and lines, or the error's text; and
-    whether numpy's reader gave the rows."""
-    read = []
+def _refuse(*args, **kwargs):
+    raise ValueError("numpy's reader is off")
+
+
+def _loaded(path, names, numpy: bool = True):
+    """What ``load_dataset`` gives, with numpy's reader on or off: the
+    arrays' bits, the cells' text and lines, or the error's text; and how
+    many batches the csv module read."""
+    parsed = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_read_fast", lambda *args: read.append(real_read_fast(*args) if fast else None) or read[-1])
+        if not numpy:
+            mp.setattr(np, "loadtxt", _refuse)
+        mp.setattr(cli, "_parse_block", lambda *args: parsed.append(args) or real_parse_block(*args))
         try:
             data, columns = load_dataset(str(path), _FIVE_COLUMNS, names)
         except DataError as exc:
-            return str(exc), bool(read) and read[0] is not None
+            return str(exc), len(parsed)
     arrays = {name: _bits(values) for name, values in columns.items()}
-    return (arrays, _bits(data.x), columns.text, columns.lines.tolist()), read[0] is not None
+    return (arrays, _bits(data.x), columns.text, columns.lines.tolist()), len(parsed)
 
+
+# a quoted note that holds a line of its own, on the fourth line of the first
+# 40-byte batch, so the csv module reads on into the next batch's lines
+_STRADDLE = b"s,a,y,x1,note\n" + b"0,,,0.5,1\n" * 3 + b'0,,,0.5,"1\n0,,,0.5,2"\n'
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
-@given(file=_csv_file(), names=st.sampled_from([{}, {"note": "exclusion_rules"}]), block=st.sampled_from(BLOCK_SIZES))
+@given(file=_csv_file(), names=st.sampled_from([{}, {"note": "exclusion_rules"}]), batch=st.sampled_from(BATCH_SIZES))
 # rows a field short and a field long, whose commas add up, past a column
 # that is not read
-@example(file=(b"s,a,y,x1,note\n0,,,0.5\n0,,,0.5,1,9\n", False), names={}, block=1)
+@example(file=(b"s,a,y,x1,note\n0,,,0.5\n0,,,0.5,1,9\n", False), names={}, batch=1)
 # an outcome cell longer than numpy's byte field for it
 @example(file=(b"s,a,y,x1,note\n1,1,+" + b"0" * cli.CELL_BYTES + b"1.5,0.5,1\n0,,,0.5,2\n", False),
-         names={}, block=1)
+         names={}, batch=1)
 # treatment and outcome cells of spaces alone on target rows, which numpy
 # still reads
 @example(file=(b"s,a,y,x1,note\n1,1,2.5,0.5,1\n0, ,  ,0.5,2\n0,\t, \t,0.25,3\n", True),
-         names={"note": "exclusion_rules"}, block=1)
+         names={"note": "exclusion_rules"}, batch=1)
 # a spelled-out nan outcome
-@example(file=(b"s,a,y,x1,note\n0,,,0.5,2\n1,1,nan,0.5,1\n", False), names={}, block=3)
-def test_numpy_reader_agrees_with_block_parser(tmp_path_factory, file, names, block):
-    # the block parser is the reference: on every file the load gives the
-    # same arrays, text and lines bit for bit, or the same error
+@example(file=(b"s,a,y,x1,note\n0,,,0.5,2\n1,1,nan,0.5,1\n", False), names={}, batch=40)
+# a quoted cell that straddles two batches, then a numpy batch
+@example(file=(_STRADDLE + b"0,,,0.5,3\n1,1,2.5,0.5,4\n", False), names={"note": "exclusion_rules"}, batch=40)
+# a fault past that cell, in the next batch
+@example(file=(_STRADDLE + b"0,,,0.5,3\n0,,,abc,4\n", False), names={}, batch=40)
+# a batch whose last column numpy refuses, once every column before it has
+# been read, between batches that numpy reads
+@example(file=(b"s,a,y,x1,note\n1,1,2.5,0.5,1\n0,,,0.25,nan\n0,,,0.75,3\n", False),
+         names={"note": "exclusion_rules"}, batch=1)
+def test_numpy_reader_agrees_with_the_csv_module(tmp_path_factory, file, names, batch):
+    # the reference is the csv module alone, on one default batch: on every
+    # file the load gives the same arrays, text and lines bit for bit, or
+    # the same error
     content, plain = file
     path = tmp_path_factory.mktemp("differential") / "cells.csv"
     path.write_bytes(content)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "BLOCK_ROWS", block)
-        got, fast = _loaded(path, names, fast=True)
-        reference, _ = _loaded(path, names, fast=False)
+        mp.setattr(cli, "BATCH_BYTES", batch)
+        got, parsed = _loaded(path, names)
+    reference, _ = _loaded(path, names, numpy=False)
     assert got == reference
     # a plain file is numpy's to read, whether or not it loads
-    assert fast or not plain
+    assert parsed == 0 or not plain
+
+
+def test_load_dataset_reads_a_late_quote_in_one_pass(tmp_path, monkeypatch):
+    # the file's only quote is in its last row: the file is opened once,
+    # numpy reads every batch before the last, and the csv module the last
+    path = tmp_path / "late_quote.csv"
+    path.write_text("s,a,y,x1,note\n1,1,2.5,0.5,0\n" + "".join(f"0,,,0.{i},{i}\n" for i in range(1, 10))
+                    + '0,,,0.25,"7"\n')
+    opened, loaded, parsed = [], [], []
+    real_loadtxt = np.loadtxt
+    monkeypatch.setattr(cli, "BATCH_BYTES", 40)
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: opened.append(args[0]) or open(*args, **kwargs),
+                        raising=False)
+    monkeypatch.setattr(np, "loadtxt", lambda batch, **kwargs: loaded.append(len(batch)) or real_loadtxt(batch, **kwargs))
+    monkeypatch.setattr(cli, "_parse_block", lambda rows, *args: parsed.append(len(rows)) or real_parse_block(rows, *args))
+    data, columns = load_dataset(str(path), _FIVE_COLUMNS, {"note": "exclusion_rules"})
+    assert opened == [str(path)]
+    # a batch ends with the line that takes it past 40 bytes: a 14-byte line
+    # and three 10-byte ones, five 10-byte lines, then the last two lines
+    assert loaded == [4, 5] and parsed == [2]
+    assert columns.lines.tolist() == list(range(2, 13))
+    assert columns["note"].tolist() == [0.0, *range(1, 10), 7.0]
+
+
+@pytest.mark.parametrize("batch", BATCH_SIZES)
+def test_header_and_blank_lines_alone_hold_no_data_rows(tmp_path, monkeypatch, batch):
+    path = tmp_path / "blank.csv"
+    path.write_text("s,a,y,x1\n\n\r\n\n", newline="")
+    monkeypatch.setattr(cli, "BATCH_BYTES", batch)
+    with pytest.raises(DataError) as exc:
+        load_dataset(str(path), _FIVE_COLUMNS)
+    assert str(exc.value) == f"{path}: no data rows"
 
 
 def test_numpy_reader_parses_the_bench_csv_without_converters(tmp_path, monkeypatch):
@@ -411,13 +468,13 @@ def test_numpy_reader_parses_the_bench_csv_without_converters(tmp_path, monkeypa
     workloads = importlib.import_module("workloads")
     path = tmp_path / "cohort.csv"
     workloads.write_cohort_csv(path, workloads.SMALL["analyze-registry"].n_total, [1, 0])
-    calls, read = [], []
+    calls, parsed = [], []
     real_loadtxt = np.loadtxt
     monkeypatch.setattr(np, "loadtxt",
                         lambda *args, **kwargs: calls.append(kwargs) or real_loadtxt(*args, **kwargs))
-    monkeypatch.setattr(cli, "_read_fast", lambda *args: read.append(real_read_fast(*args)) or read[-1])
+    monkeypatch.setattr(cli, "_parse_block", lambda *args: parsed.append(args) or real_parse_block(*args))
     data, _ = load_dataset(str(path), workloads.ROLES, cli._rule_sets(workloads.analyze_config(path))[1])
-    assert read[0] is not None and data.n1 > 0
+    assert not parsed and data.n1 > 0
     assert calls and all(kwargs.get("converters") is None for kwargs in calls)
 
 
@@ -426,11 +483,11 @@ def test_load_dataset_reads_only_the_named_columns(tmp_path):
     # still reads the file
     path = tmp_path / "named.csv"
     path.write_text("s,a,y,x1,comment,flag\n1,1,2.0,0.1,first visit,0\n0,,,0.2,n/a,1\n")
-    read = []
+    parsed = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_read_fast", lambda *args: read.append(real_read_fast(*args)) or read[-1])
+        mp.setattr(cli, "_parse_block", lambda *args: parsed.append(args) or real_parse_block(*args))
         data, columns = load_dataset(str(path), _FIVE_COLUMNS, {"flag": "exclusion_rules"})
-    assert read[0] is not None
+    assert not parsed
     assert set(columns) == {"s", "a", "y", "x1", "flag"}
     assert columns["flag"].tolist() == [0.0, 1.0]
 
@@ -859,6 +916,31 @@ def test_main_exit_codes(tmp_path, fixture_csv):
     del cfg["seed"]
     missing_seed.write_text(json.dumps(cfg))
     assert _run_main(["analyze", "--config", missing_seed]) == 2
+
+
+@pytest.mark.parametrize("where", ["header", "row"])
+def test_main_rejects_a_csv_that_is_not_utf8(tmp_path, fixture_csv, capsys, where):
+    # a Latin-1 byte in the header or in a data row is a data error that
+    # names the file
+    path = tmp_path / "latin1.csv"
+    text = Path(fixture_csv).read_bytes()
+    path.write_bytes(text.replace(b"x1", b"x1\xff", 1) if where == "header" else text + b"0,,,0.5\xff,0.1,0\n")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_config(path)))
+    assert _run_main(["analyze", "--config", cfg_path]) == 3
+    assert capsys.readouterr().err == f"error: {path} is not UTF-8 text (invalid start byte)\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "sensitivity"])
+def test_main_rejects_json_that_is_not_utf8(tmp_path, fixture_csv, capsys, command):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"schema_version": 1, "note": "\xff"}')
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_config(fixture_csv)))
+    args = ["analyze", "--config", latin1] if command == "analyze" else \
+        ["sensitivity", "--config", cfg_path, "--report", latin1]
+    assert _run_main(args) == 2
+    assert capsys.readouterr().err == f"error: {latin1} is not UTF-8 text (invalid start byte)\n"
 
 
 @pytest.mark.parametrize("command", ["analyze", "sensitivity"])
