@@ -157,7 +157,10 @@ def load_dataset(path: str, roles: dict, names: dict | None = None) -> tuple[Dat
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
+            try:
+                header = next(reader, None)
+            except csv.Error as exc:
+                raise DataError(f"{path} line 1: {exc}") from None
             if header is None:
                 raise DataError(f"{path}: missing header row")
             missing = [c for c in needed if c not in header]
@@ -251,13 +254,18 @@ def _read_rows(fh, number: int, path: str, header: list, names: list, roles: lis
             read = None
         if read is None:
             reader = csv.reader(chain(batch, fh))
-            block, at = [], []
-            for row in reader:
-                if row:
-                    block.append(row)
-                    at.append(reader.line_num)
-                if reader.line_num >= len(batch):
-                    break
+            block, at, end = [], [], 0
+            try:
+                for row in reader:
+                    if row:
+                        block.append(row)
+                        at.append(reader.line_num)
+                    end = reader.line_num
+                    if end >= len(batch):
+                        break
+            except csv.Error as exc:
+                # a cell past the field limit, or a quote never closed
+                raise DataError(f"{path} line {number + end}: {exc}") from None
             lines.append(np.array(at) + (number - 1))
             with _naming_lines(path, lines[-1]):
                 _parse_block(block, len(header), parts, roles, text, rows)
@@ -728,8 +736,10 @@ def cmd_sensitivity(config: dict, report: dict) -> str:
 # simulate / calibrate
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(config: dict, threads: int = 1) -> str:
-    """Run the replication study; returns the report CSV."""
+def cmd_simulate(config: dict, threads: int | None = None) -> str:
+    """Run the replication study; returns the report CSV. Each size's
+    study runs on at most ``threads`` processes, by default one per CPU
+    in this process's affinity mask (``simulation.run_study``)."""
     _check_schema(config)
     if "seed" not in config:
         raise ConfigError("simulate requires an explicit seed")
@@ -754,7 +764,7 @@ def cmd_simulate(config: dict, threads: int = 1) -> str:
     # the truth does not read n_total, so the first size's serves them all
     true_tau = None
     for study in studies:
-        report = run_study(study, n_jobs=max(1, threads), true_tau=true_tau)
+        report = run_study(study, n_jobs=threads, true_tau=true_tau)
         true_tau = report.true_tau
         print(
             f"simulate n_total={study.dgp.n_total}: "
@@ -830,7 +840,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the replication study")
     p.add_argument("--config", required=True)
     p.add_argument("--output", default=None, help="study CSV path (default stdout)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=None,
+                   help="at most this many processes (default one per CPU)")
 
     p = sub.add_parser("calibrate", help="solve the participation-model intercept")
     p.add_argument("--slopes", required=True, help="comma-separated non-intercept slopes")

@@ -50,7 +50,6 @@ scale.
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
@@ -710,7 +709,7 @@ def bootstrap_ci(
         np.flatnonzero(data.trial_mask), np.flatnonzero(data.target_mask),
         None if r1_mask is None else np.asarray(r1_mask, dtype=bool),
     )
-    outcomes = ordered_map(replicate, range(reps), _cpu_count())
+    outcomes = ordered_map(replicate, range(reps))
     estimates = np.array([v if isinstance(v, float) else np.nan for v in outcomes])
     failures = Counter(
         v if isinstance(v, str) else "non-finite estimate"
@@ -738,13 +737,6 @@ def _replicate(estimator, data, seed, idx_trial, idx_target, r1_mask, r: int) ->
         return float(estimator(data.subset(bi), sub_mask))
     except (ExtvalError, np.linalg.LinAlgError) as exc:
         return type(exc).__name__
-
-
-def _cpu_count() -> int:
-    """CPUs in this process's affinity mask, which ``taskset`` sets."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _bootstrap_seed(reps, seed) -> int:

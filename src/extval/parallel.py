@@ -1,20 +1,22 @@
 """An ordered map over worker processes, the calling process among them.
 
-Bootstrap replicates and study replications are independent tasks whose
-results are combined in index order. ``ordered_map`` splits the items into
-one contiguous share per process: the calling process runs the first
-share itself while forked worker processes run the others. A forked
-worker inherits the task, closures and data included, from the parent's
-memory, so only the items and the results are pickled. On a 2-CPU
-machine a forked worker starts in about 5 ms, where a spawned one
-re-imports numpy and the package in about 0.16 s, about as long as a
-100-replicate bootstrap of one 5k-row cohort. Forked workers also
+Bootstrap replicates, and a study's replications and Monte Carlo truths,
+are independent tasks whose results are combined in index order.
+``ordered_map`` splits the items into one contiguous share per process,
+by default one process per CPU: the calling process runs the first share
+itself while forked worker processes run the others. A forked worker
+inherits the task, closures and data included, from the parent's memory,
+so only the items and the results are pickled. On a 2-CPU Xeon VM a pool
+of one forked worker starts, runs a trivial task and exits in about 8 ms,
+where a spawned one re-imports numpy and the package in about 0.25 s,
+longer than a 1M-draw Monte Carlo truth (0.09 s). Forked workers also
 inherit the parent's BLAS thread setting (``OPENBLAS_NUM_THREADS``).
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -36,15 +38,28 @@ def _run(item):
     return _task(item)
 
 
+def _cpu_count() -> int:
+    """CPUs in this process's affinity mask, which ``taskset`` sets."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _safe_fork() -> bool:
+    """Whether the platform has fork and it is safe: not on macOS, whose
+    system frameworks (the Accelerate BLAS among them) may crash in a
+    forked child."""
+    return "fork" in multiprocessing.get_all_start_methods() and sys.platform != "darwin"
+
+
 def _context(task: Callable):
     """The start method for workers running ``task``, or None for none.
 
-    Fork, where the platform has it and it is safe: not on macOS, whose
-    system frameworks (the Accelerate BLAS among them) may crash in a
-    forked child. Elsewhere the platform's default method, which pickles
-    the task, so a task that does not pickle runs in this process alone.
+    Fork, where it is safe (``_safe_fork``). Elsewhere the platform's
+    default method, which pickles the task, so a task that does not
+    pickle runs in this process alone.
     """
-    if "fork" in multiprocessing.get_all_start_methods() and sys.platform != "darwin":
+    if _safe_fork():
         return multiprocessing.get_context("fork")
     try:
         pickle.dumps(task)
@@ -53,22 +68,25 @@ def _context(task: Callable):
     return multiprocessing.get_context()
 
 
-def ordered_map(task: Callable, items: Iterable, workers: int) -> list:
+def ordered_map(task: Callable, items: Iterable, workers: int | None = None) -> list:
     """``[task(item) for item in items]`` on up to ``workers`` processes.
 
-    The items are split into ``workers`` contiguous shares; this process
-    runs the first and a pool of ``workers - 1`` worker processes the
-    rest. The results come back in item order, so they do not depend on
-    the worker count when ``task`` is deterministic per item. The plain
-    loop runs, with no pool, when one process would do, when no start
-    method can carry ``task`` (``_context``), when this process is itself
-    a multiprocessing child, or while it runs its share of an outer map,
-    so pools never nest. An exception that escapes ``task`` is raised here
-    with its own class once every worker has exited; no worker outlives
-    the call.
+    ``workers`` None is one per CPU in this process's affinity mask
+    (``_cpu_count``) where fork is safe, and one elsewhere. The items are
+    split into ``workers`` contiguous shares; this process runs the first
+    and a pool of ``workers - 1`` worker processes the rest. The results
+    come back in item order, so they do not depend on the worker count
+    when ``task`` is deterministic per item. The plain loop runs, with no
+    pool, when one process would do, when no start method can carry
+    ``task`` (``_context``), when this process is itself a multiprocessing
+    child, or while it runs its share of an outer map, so pools never
+    nest. An exception that escapes ``task`` is raised here with its own
+    class once every worker has exited; no worker outlives the call.
     """
     global _sharing
     items = list(items)
+    if workers is None:
+        workers = _cpu_count() if _safe_fork() else 1
     workers = min(workers, len(items))
     context = None
     if workers > 1 and not _sharing and multiprocessing.parent_process() is None:

@@ -263,6 +263,8 @@ class StudyConfig:
             raise ConfigError("study needs at least one replication")
         if self.master_seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.master_seed!r}")
+        if self.oracle_draws < 1:
+            raise ConfigError(f"oracle_draws must be at least 1, got {self.oracle_draws!r}")
         for p in self.p3_stars:
             if not 0.0 < p <= 1.0:
                 raise ConfigError(f"p3_star must lie in (0, 1], got {p!r}")
@@ -383,20 +385,36 @@ def _replication(config: StudyConfig, rep: int):
         return exc
 
 
-def run_study(config: StudyConfig, n_jobs: int = 1, true_tau: float | None = None) -> StudyReport:
+def _study_task(config: StudyConfig, task: int):
+    """Task ``task`` of a study: replication ``task``, then the nominal
+    trial size, then the truth."""
+    if task < config.replications:
+        return _replication(config, task)
+    if task == config.replications:
+        return _nominal_trial_size(config.dgp)
+    return true_tau_oracle(config.dgp, config.oracle_draws)
+
+
+def run_study(config: StudyConfig, n_jobs: int | None = None, true_tau: float | None = None) -> StudyReport:
     """Replicate the pipeline and score it against the Monte Carlo truth.
 
     Deterministic for a fixed master seed: replication r always draws
     from default_rng([master_seed, r]) and aggregation is ordered by r,
-    so the worker count cannot change the report. Replications run on
-    ``n_jobs`` processes, this one and forked workers; without a safe fork
-    (Windows, macOS) the workers are spawned (``parallel.ordered_map``).
-    ``true_tau`` is the truth ``true_tau_oracle(config.dgp,
-    config.oracle_draws)`` when the caller already has it, computed when None.
+    so the worker count cannot change the report. The replications, then
+    the nominal trial size and the truth ``true_tau_oracle(config.dgp,
+    config.oracle_draws)``, are the tasks of one ``parallel.ordered_map``,
+    so the two Monte Carlo tasks run in the last process's share beside
+    the replications; ``true_tau`` is the truth when the caller already
+    has it. The tasks run on up to ``n_jobs`` processes, this one and
+    forked workers; without a safe fork (Windows, macOS) the workers are
+    spawned. ``n_jobs`` None is one per CPU in this process's affinity
+    mask, and one without a safe fork.
     """
+    tasks = range(config.replications + 1 + (true_tau is None))
+    results = ordered_map(partial(_study_task, config), tasks, n_jobs)
     if true_tau is None:
-        true_tau = true_tau_oracle(config.dgp, config.oracle_draws)
-    results = ordered_map(partial(_replication, config), range(config.replications), n_jobs)
+        true_tau = results.pop()
+    nominal_n1 = results.pop()
 
     failures = sum(1 for r in results if isinstance(r, Exception))
     if failures > MAX_FAILURE_SHARE * config.replications:
@@ -406,7 +424,6 @@ def run_study(config: StudyConfig, n_jobs: int = 1, true_tau: float | None = Non
         )
     good = [r for r in results if not isinstance(r, Exception)]
 
-    nominal_n1 = _nominal_trial_size(config.dgp)
     nominal_n2 = int(round((config.dgp.n_total - nominal_n1) * config.dgp.subsample_rate))
     cells = []
     for p3s, method, assumption in config.cells:

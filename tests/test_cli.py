@@ -21,7 +21,7 @@ from extval import (
     partition_population,
     trimmed_aipw,
 )
-from extval import cli
+from extval import cli, parallel, simulation
 from extval.cli import cmd_analyze, cmd_sensitivity, evaluate_raw_rules, load_dataset, main
 
 
@@ -931,6 +931,39 @@ def test_main_rejects_a_csv_that_is_not_utf8(tmp_path, fixture_csv, capsys, wher
     assert capsys.readouterr().err == f"error: {path} is not UTF-8 text (invalid start byte)\n"
 
 
+@pytest.mark.parametrize("batch", BATCH_SIZES)
+@pytest.mark.parametrize("fault", ["long cell", "unclosed quote"])
+def test_main_names_the_record_past_the_csv_field_limit(tmp_path, fixture_csv, capsys, monkeypatch, fault, batch):
+    # the csv module refuses a field longer than its limit (131,072
+    # characters): a long quoted cell, or a quote that is never closed, which
+    # makes the rest of a large file one cell; the error names the line where
+    # the record starts, and the process-wide limit stays as it was
+    monkeypatch.setattr(cli, "BATCH_BYTES", batch)
+    lines = Path(fixture_csv).read_text().splitlines(True)
+    if fault == "long cell":
+        lines.insert(5, '0,,,"' + "7" * 140_000 + '",0.1,0\n')
+    else:
+        lines.insert(5, '0,,,"0.3,0.1,0\n')
+        lines += ["0,,,0.5,0.1,0\n"] * 12_000
+    path = tmp_path / "quoted.csv"
+    path.write_text("".join(lines))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_config(path)))
+    assert _run_main(["analyze", "--config", cfg_path]) == 3
+    assert capsys.readouterr().err == f"error: {path} line 6: field larger than field limit (131072)\n"
+    assert csv.field_size_limit() == 131_072
+
+
+def test_main_names_a_header_past_the_csv_field_limit(tmp_path, fixture_csv, capsys):
+    text = Path(fixture_csv).read_text().replace("x2", '"x2', 1)
+    path = tmp_path / "quoted.csv"
+    path.write_text(text + "0,,,0.5,0.1,0\n" * 12_000)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_config(path)))
+    assert _run_main(["analyze", "--config", cfg_path]) == 3
+    assert capsys.readouterr().err == f"error: {path} line 1: field larger than field limit (131072)\n"
+
+
 @pytest.mark.parametrize("command", ["analyze", "sensitivity"])
 def test_main_rejects_json_that_is_not_utf8(tmp_path, fixture_csv, capsys, command):
     latin1 = tmp_path / "latin1.json"
@@ -1061,8 +1094,6 @@ def test_main_simulate_reports_failures_per_size(tmp_path, capsys, monkeypatch):
 def test_simulate_computes_the_truth_once_for_all_sizes(monkeypatch):
     # the Monte Carlo truth does not read n_total: one oracle call serves
     # every size, and the CSV equals that of one call per size
-    from extval import simulation
-
     oracle = simulation.true_tau_oracle
     calls = []
 
@@ -1076,11 +1107,47 @@ def test_simulate_computes_the_truth_once_for_all_sizes(monkeypatch):
         "assumptions": ["epd"], "seed": 77, "oracle_draws": 100_000,
     }
     sizes = [20000, 30000, 40000]
-    text = cli.cmd_simulate(dict(cfg, sizes=sizes))
+    # one process, so that the calls are counted here
+    text = cli.cmd_simulate(dict(cfg, sizes=sizes), threads=1)
     assert len(calls) == 1
-    per_size = [cli.cmd_simulate(dict(cfg, sizes=[n])).splitlines(True) for n in sizes]
+    per_size = [cli.cmd_simulate(dict(cfg, sizes=[n]), threads=1).splitlines(True) for n in sizes]
     assert len(calls) == 4
     assert text == "".join(per_size[0] + [line for lines in per_size[1:] for line in lines[1:]])
+
+
+@pytest.mark.parametrize("cpus, pools", [(1, []), (3, [2])])
+def test_simulate_takes_its_worker_count_from_the_cpu_count(monkeypatch, cpus, pools):
+    # three replications and the two Monte Carlo truths: on one CPU no pool,
+    # on three CPUs shares of 2, 2 and 1 tasks, two of them in a pool
+    built = []
+    pool = parallel.ProcessPoolExecutor
+
+    def recorded(workers, **kwargs):
+        built.append(workers)
+        return pool(workers, **kwargs)
+
+    monkeypatch.setattr(parallel, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", recorded)
+    cfg = {
+        "schema_version": 1, "replications": 3, "p3_star": [0.8], "methods": ["aipw"],
+        "assumptions": ["epd"], "seed": 77, "sizes": [20000], "oracle_draws": 100_000,
+    }
+    text = cli.cmd_simulate(cfg)
+    assert built == pools
+    assert text == cli.cmd_simulate(cfg, threads=1)
+
+
+def test_main_simulate_rejects_no_oracle_draws_before_any_replication(tmp_path, capsys, monkeypatch):
+    def replication(config, rep):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(simulation, "_replication", replication)
+    cfg_path = tmp_path / "study.json"
+    cfg_path.write_text(json.dumps({
+        "schema_version": 1, "sizes": [20000], "replications": 2, "seed": 1, "oracle_draws": 0,
+    }))
+    assert _run_main(["simulate", "--config", cfg_path]) == 2
+    assert capsys.readouterr().err == "error: oracle_draws must be at least 1, got 0\n"
 
 
 def test_main_simulate_requires_seed(tmp_path):

@@ -38,7 +38,7 @@ from extval import (
     trimmed_aipw,
     trimmed_ipw,
 )
-from extval import estimators, glm
+from extval import estimators, glm, parallel
 from extval.data import take_rows
 from extval.estimators import _hajek
 
@@ -684,7 +684,7 @@ def test_bootstrap_draw_contract(monkeypatch):
     # row indices, from default_rng([seed, r]), and the r1 flags of its target rows;
     # one worker, so the draws recorded here are those the replicates saw
     # (test_bootstrap_identical_at_one_and_two_workers carries the contract over)
-    monkeypatch.setattr(estimators, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(parallel, "_cpu_count", lambda: 1)
     rng = np.random.default_rng(45)
     n = 60
     s = (rng.random(n) < 0.4).astype(float)
@@ -737,7 +737,7 @@ def test_bootstrap_identical_at_one_and_two_workers(monkeypatch):
 
     results, messages = {}, {}
     for workers in (1, 2):
-        monkeypatch.setattr(estimators, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(parallel, "_cpu_count", lambda: workers)
         calls.clear()
         monkeypatch.setattr(estimators, "MAX_ERROR_SHARE", 0.5)
         results[workers] = bootstrap_ci(estimator, data, 120, seed=17, r1_mask=r1)
@@ -754,7 +754,7 @@ def test_bootstrap_identical_at_one_and_two_workers(monkeypatch):
 
 
 def test_bootstrap_counts_failures_by_class(monkeypatch):
-    monkeypatch.setattr(estimators, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(parallel, "_cpu_count", lambda: 1)
     data, _ = _draw_data()
 
     def estimator(ds, _mask):
@@ -777,7 +777,7 @@ def test_bootstrap_counts_failures_by_class(monkeypatch):
 
 
 def test_bootstrap_bug_in_a_worker_propagates_and_leaves_no_worker(monkeypatch):
-    monkeypatch.setattr(estimators, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(parallel, "_cpu_count", lambda: 2)
     data, r1 = _draw_data()
 
     def buggy(ds, mask):
@@ -798,7 +798,7 @@ def test_bootstrap_bug_in_a_worker_propagates_and_leaves_no_worker(monkeypatch):
 def test_bootstrap_runs_serially_inside_a_study_worker(monkeypatch, tmp_path):
     from extval import simulation
 
-    monkeypatch.setattr(estimators, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(parallel, "_cpu_count", lambda: 2)
     data, _ = _draw_data()
 
     def replication(config, rep):
@@ -809,15 +809,17 @@ def test_bootstrap_runs_serially_inside_a_study_worker(monkeypatch, tmp_path):
 
     monkeypatch.setattr(simulation, "_one_replication", replication)
     cfg = simulation.StudyConfig(
-        dgp=DgpConfig(n_total=20_000), replications=2, p3_stars=(0.8,), methods=("ipw",),
+        dgp=DgpConfig(n_total=20_000), replications=4, p3_stars=(0.8,), methods=("ipw",),
         assumptions=("gpd",), oracle_draws=1_000,
     )
     assert simulation.run_study(cfg, n_jobs=2).failures == 0
-    # replication 0 ran in this process next to the pool, replication 1 in
-    # the study's forked worker; neither started a pool of its own
+    # six tasks, the two Monte Carlo truths last: replications 0-2 ran in this
+    # process next to the pool, replication 3 in the study's forked worker;
+    # none started a pool of its own
     pids = []
-    for rep in range(2):
+    for rep in range(4):
         pid, lo, hi = (tmp_path / f"{rep}.txt").read_text().split()
         assert float(lo) == float(hi) == float(pid)
         pids.append(int(pid))
-    assert pids[0] == os.getpid() != pids[1]
+    assert pids[:3] == [os.getpid()] * 3
+    assert pids[3] != os.getpid()

@@ -35,3 +35,22 @@ def test_ordered_map_on_spawned_workers(monkeypatch):
     monkeypatch.setattr(parallel, "_context", lambda task: multiprocessing.get_context("spawn"))
     assert ordered_map(partial(pow, 3), range(5), 2) == [3 ** i for i in range(5)]
     assert multiprocessing.active_children() == []
+
+
+def test_ordered_map_defaults_to_one_process_per_cpu_where_fork_is_safe(monkeypatch):
+    built = []
+    pool = parallel.ProcessPoolExecutor
+
+    def recorded(workers, **kwargs):
+        built.append(workers)
+        return pool(workers, **kwargs)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", recorded)
+    monkeypatch.setattr(parallel, "_cpu_count", lambda: 3)
+    want = [3 ** i for i in range(6)]
+    assert ordered_map(partial(pow, 3), range(6)) == want
+    assert built == [2]
+    # without a safe fork the default is this process alone
+    monkeypatch.setattr(parallel.sys, "platform", "darwin")
+    assert ordered_map(partial(pow, 3), range(6)) == want
+    assert built == [2]

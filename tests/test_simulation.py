@@ -1,4 +1,6 @@
 import functools
+import multiprocessing
+import os
 import tracemalloc
 import warnings
 
@@ -165,6 +167,38 @@ def test_run_study_parallel_determinism():
     seq = _smoke_study(n_jobs=1)
     par = _smoke_study(n_jobs=2)
     assert seq == par
+
+
+@pytest.mark.parametrize("given", [False, True])
+@pytest.mark.parametrize("reps", [1, 3])
+def test_run_study_is_bit_identical_at_any_worker_count(reps, given):
+    # the truths are the last tasks: at two and three processes they run in
+    # a forked worker's share, alone or beside a replication
+    cfg = StudyConfig(
+        dgp=DgpConfig(n_total=20_000), replications=reps, p3_stars=(0.8,),
+        methods=("ipw", "aipw"), assumptions=("gpd", "epd"), master_seed=27, oracle_draws=200_000,
+    )
+    true_tau = -0.25 if given else None
+    reports = [repr(run_study(cfg, n_jobs=n, true_tau=true_tau)) for n in (1, 2, 3)]
+    assert reports[0] == reports[1] == reports[2]
+    want = true_tau if given else true_tau_oracle(cfg.dgp, cfg.oracle_draws)
+    assert f"true_tau={want!r}," in reports[0]
+
+
+def test_an_error_in_the_truth_reaches_the_caller_with_its_class(monkeypatch):
+    def failing(config, draws):
+        raise SingularSystemError(f"in process {os.getpid()}")
+
+    monkeypatch.setattr(simulation, "true_tau_oracle", failing)
+    cfg = StudyConfig(
+        dgp=DgpConfig(n_total=20_000), replications=1, p3_stars=(0.8,), methods=("ipw",),
+        assumptions=("gpd",), master_seed=2, oracle_draws=1_000,
+    )
+    with pytest.raises(SingularSystemError) as err:
+        run_study(cfg, n_jobs=2)
+    # three tasks on two processes: the truth ran alone in the forked worker
+    assert int(str(err.value).split()[-1]) != os.getpid()
+    assert multiprocessing.active_children() == []
 
 
 def test_run_study_single_replication_flags_undefined_sd():
