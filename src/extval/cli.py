@@ -44,6 +44,7 @@ from .data import Dataset, take_rows
 from .errors import ConfigError, DataError, ExtvalError
 from .estimators import (
     EstimateReport,
+    _Core,
     _bootstrap_seed,
     augmented_ipw,
     bootstrap_ci,
@@ -74,14 +75,17 @@ _FAMILIES = {
 }
 
 # method name -> its estimator, called with the dataset, the sampling,
-# propensity and outcome fits, the partition and the variance method. The
-# lambdas look the estimator names up at call time, so a wrapper bound
-# over a module name (as bench/tracing.py binds them) sees every call.
+# propensity and outcome fits, the partition, the variance method and, as
+# ``_core``, the ``estimators._Core`` that the methods of one analysis
+# share, so that each computes only its own outcome rows, weighted means
+# and sandwich. The lambdas look the estimator names up at call time, so a
+# wrapper bound over a module name (as bench/tracing.py binds them) sees
+# every call.
 _METHODS = {
-    "ipw": lambda ds, sf, pf, of, part, v: hajek_ipw(ds, sf, pf, variance=v),
-    "aipw": lambda ds, sf, pf, of, part, v: augmented_ipw(ds, sf, pf, of, variance=v),
-    "trimmed_ipw": lambda ds, sf, pf, of, part, v: trimmed_ipw(ds, sf, pf, part, variance=v),
-    "trimmed_aipw": lambda ds, sf, pf, of, part, v: trimmed_aipw(ds, sf, pf, of, part, variance=v),
+    "ipw": lambda ds, sf, pf, of, part, v, **kw: hajek_ipw(ds, sf, pf, variance=v, **kw),
+    "aipw": lambda ds, sf, pf, of, part, v, **kw: augmented_ipw(ds, sf, pf, of, variance=v, **kw),
+    "trimmed_ipw": lambda ds, sf, pf, of, part, v, **kw: trimmed_ipw(ds, sf, pf, part, variance=v, **kw),
+    "trimmed_aipw": lambda ds, sf, pf, of, part, v, **kw: trimmed_aipw(ds, sf, pf, of, part, variance=v, **kw),
 }
 
 
@@ -598,11 +602,13 @@ def cmd_analyze(config: dict) -> dict:
         }
 
     with _stage("estimate"):
+        # a bootstrap refits every replicate, so only the sandwich shares
+        core = _Core(data, sampling, propensity, partition) if bootstrap is None else None
         for m in methods:
             report["estimates"].append(
                 _run_method(
                     m, data, (sampling, propensity, outcome, partition),
-                    bootstrap, known, family, r1_mask,
+                    bootstrap, known, family, r1_mask, core,
                 ).to_dict()
             )
 
@@ -637,16 +643,18 @@ def _fit_components(data, known, family, outcome: bool, r1_mask, threshold, star
 
 
 def _run_method(
-    method, data, components, bootstrap, known, family, r1_mask,
+    method, data, components, bootstrap, known, family, r1_mask, core,
 ) -> EstimateReport:
     """One method's report; ``components`` are the full-sample fits and
-    partition, and ``known`` the known propensity or None. ``bootstrap``
+    partition, ``core`` the ``_Core`` that the sandwich methods of the
+    analysis share on them (None under a bootstrap), and ``known`` the
+    known propensity or None. ``bootstrap``
     is None for the sandwich variance, else the replicates and the seed of
     a bootstrap, which refits the components on every replicate, the
     sampling and propensity models starting from their full-sample
     coefficients."""
     run = _METHODS[method]
-    rep = run(data, *components, "sandwich" if bootstrap is None else "none")
+    rep = run(data, *components, "sandwich" if bootstrap is None else "none", _core=core)
     if bootstrap is None:
         return rep
 
@@ -841,7 +849,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--output", default=None, help="study CSV path (default stdout)")
     p.add_argument("--threads", type=int, default=None,
-                   help="at most this many processes (default one per CPU)")
+                   help="at most this many processes, at least 1 (default one per CPU)")
 
     p = sub.add_parser("calibrate", help="solve the participation-model intercept")
     p.add_argument("--slopes", required=True, help="comma-separated non-intercept slopes")
@@ -858,6 +866,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "threads", None) is not None and args.threads < 1:
+        parser.error(f"argument --threads: must be at least 1, got {args.threads}")
     try:
         if args.command == "analyze":
             report = cmd_analyze(_read_json(args.config))

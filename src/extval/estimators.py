@@ -9,14 +9,19 @@ inference enter as weighted-mean residual rows. The asymptotic variance
 of the contrast eta'xi is eta' A^-1 B A^-T eta / n with A the Jacobian
 of the mean estimating function and B its second moment.
 
-One core computes the per-row quantities (sampling score, propensity,
-transport weights, threshold membership, outcome means and the AIPW
-residual) at a stacked parameter vector. The four public estimators are
-thin wrappers over one estimate function that reads that core at the
-component fits; its weighted means are the plug-in solution of the
-stacked system, whose estimating functions read the same core at other
-parameter vectors. The weighting estimators are the augmented ones
-with outcome models fixed at zero, so every system has one layout.
+One pipeline computes the per-row quantities (sampling score,
+propensity, transport weights, threshold membership, outcome means and
+the AIPW residual) at a stacked parameter vector. The four public
+estimators are thin wrappers over one estimate function that reads that
+pipeline at the component fits; its weighted means are the plug-in
+solution of the stacked system, whose estimating functions read the
+same pipeline at other parameter vectors. The weighting estimators are
+the augmented ones with outcome models fixed at zero, so every system
+has one layout. The methods of one analysis share what does not depend
+on the outcome models (``_Core``): the per-row quantities at the fits
+other than the outcome rows, the sampling and propensity blocks of the
+Jacobian and, per partition, the membership's slopes. Each method adds
+its outcome rows, its weighted means and its sandwich.
 The sandwich reads the per-row quantities that the plug-in solution was
 computed from, so the stacked rows are evaluated once, and it works
 block by block without building the (n, dim) matrix of rows. Each block
@@ -52,7 +57,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from statistics import NormalDist
 from typing import Callable, NamedTuple
 
@@ -190,6 +195,141 @@ class _Rows(NamedTuple):
     means: list                     # (weights, values) of each weighted-mean row
 
 
+def _gram(c: np.ndarray, design: np.ndarray, n: int) -> np.ndarray:
+    """A GLM block of the Jacobian, -X'diag(c)X/n over the rows of ``design``."""
+    return -(design.T @ (c[:, None] * design)) / n
+
+
+class _Core:
+    """What every method on one dataset and one pair of sampling and
+    propensity fits shares, each part computed once: the trial rows, a and
+    y zero-filled off them and the two arms; ``scores``; ``grams``, the
+    sampling and propensity Gram blocks of the Jacobian; and a ``_Trim``
+    per partition. ``partition`` lends the target rows' propensity scores
+    that it holds (``_propensity``). An analysis hands one core, built on
+    its data and score fits, to each of its methods, which add their
+    outcome rows, weighted means and sandwich.
+    """
+
+    def __init__(self, data, sampling_fit, propensity_fit, partition=None):
+        self.data, self.fits, self.partition = data, (sampling_fit, propensity_fit), partition
+        self.a, self.y = (np.where(data.trial_mask, v, 0.0) for v in (data.a, data.y))
+        # the rows the trial-only blocks live on
+        self.trial = np.flatnonzero(data.trial_mask)
+        self.treated = data.trial_mask & (self.a == 1)
+        self.control = data.trial_mask & (self.a == 0)
+        self._trims: dict = {}
+
+    def transport(self, hs: np.ndarray, e1: np.ndarray):
+        """The transport weights w1 and w0 at the scores hs and e1."""
+        base = np.where(self.data.trial_mask, (1.0 - hs) / hs, 0.0)
+        return np.where(self.treated, base / e1, 0.0), np.where(self.control, base / (1.0 - e1), 0.0)
+
+    @cached_property
+    def scores(self):
+        """hs, e1, w1 and w0 at the fits. A score of 0 or 1 on a trial row,
+        or a non-finite weight, is a ZeroWeightError."""
+        data, (sf, pf) = self.data, self.fits
+        hs = predict_mean(sf, data.x)
+        e1 = predict_mean(pf, data.x) if pf.fixed else _propensity(data, pf, self.partition)
+        w1, w0 = self.transport(hs, e1)
+        hs_t, e1_t = hs[self.trial], e1[self.trial]
+        if np.any(hs_t <= 0.0) or np.any(e1_t <= 0.0) or np.any(e1_t >= 1.0):
+            raise ZeroWeightError("sampling or propensity score is numerically 0/1 on a trial row")
+        if not (np.all(np.isfinite(w1)) and np.all(np.isfinite(w0))):
+            raise ZeroWeightError("non-finite transport weight")
+        return hs, e1, w1, w0
+
+    @cached_property
+    def grams(self) -> dict:
+        """The sampling block's, c = hs(1 - hs) over all rows, and the
+        propensity block's, c = e1 e0 over the trial rows (none for a fixed
+        propensity)."""
+        hs, e1 = self.scores[0], self.scores[1][self.trial]
+        grams = {"sampling": _gram(hs * (1.0 - hs), self.data.x, self.data.n)}
+        if not self.fits[1].fixed:
+            grams["propensity"] = _gram(e1 * (1.0 - e1), self.data.x_trial, self.data.n)
+        return grams
+
+    def trim(self, partition: PartitionResult) -> _Trim:
+        """The ``_Trim`` of ``partition``, built on the first call. It holds
+        the partition, so the id is not reused."""
+        if id(partition) not in self._trims:
+            self._trims[id(partition)] = _Trim(self, partition)
+        return self._trims[id(partition)]
+
+
+class _Trim:
+    """What every trimmed method on one partition of a ``_Core`` shares:
+    the rows r1 it excludes, the membership k at the fits and the
+    partition's epsilon, and ``slopes``."""
+
+    def __init__(self, core: _Core, partition: PartitionResult):
+        # the core's data and scores, not the core itself: with a reference
+        # cycle each bootstrap replicate's arrays would stay until the
+        # garbage collector ran
+        self.data, self.scores, self.partition = core.data, core.scores, partition
+        # exclusions force k to 0 on target rows only; trial rows are
+        # study-eligible by construction
+        self.r1 = np.zeros(self.data.n, dtype=bool)
+        self.r1[np.flatnonzero(self.data.target_mask)[partition.r1_mask]] = True
+        self.k = self.membership(*self.scores[:2], partition.delta_star)
+
+    def membership(self, hs: np.ndarray, e1: np.ndarray, delta: float, scale: float | None = None):
+        """The k of ``membership_slopes`` without its slopes. At the
+        partition's epsilon (the default ``scale``) the window is a few rows,
+        which ``partition._membership`` smooths one float at a time: the
+        slopes' numpy calls would add about 80 us to a bootstrap replicate."""
+        k = _membership(hs * e1, hs * (1.0 - e1), delta, scale or self.partition.epsilon)
+        return np.where(self.r1, 0.0, k)
+
+    @cached_property
+    def slopes(self):
+        """The Jacobian's bandwidth: ``threshold_bandwidth`` on the
+        non-excluded target rows, or None for a pinned threshold, whose
+        membership keeps its epsilon; and ``membership_slopes`` at the fits
+        and that bandwidth."""
+        part, (hs, e1) = self.partition, self.scores[:2]
+        bandwidth = None
+        if part.delta_star > 0.0:
+            keep = self.data.target_mask & ~self.r1
+            min_prods = hs[keep] * np.minimum(e1[keep], 1.0 - e1[keep])
+            bandwidth = threshold_bandwidth(min_prods, part.p3_star, part.p_hat[0], part.epsilon)
+        return bandwidth, self.membership_slopes(hs, e1, part.delta_star, bandwidth)
+
+    def membership_slopes(self, hs: np.ndarray, e1: np.ndarray, delta: float, scale: float | None = None):
+        """The membership k at the scores hs and e1 and the threshold
+        delta, smoothed at ``scale``, at full length, and its derivatives on
+        the window: the indices of the rows that ``_saturation`` leaves
+        unsaturated, and on those rows {block: per-row multiplier of x} for
+        the score coefficients and per-row values for the threshold.
+
+        With k = Phi(u1) Phi(u0), u1 = (hs e1 - delta)/h and
+        u0 = (hs e0 - delta)/h, write g1 = phi(u1) Phi(u0)/h and
+        g0 = Phi(u1) phi(u0)/h, both 0 on excluded rows. Only the window is
+        smoothed; on the other rows k is exactly 0 or 1 and g1 and g0 are
+        exactly 0, so every derivative of k is 0 there.
+        """
+        h = scale or self.partition.epsilon
+        # hs min(e1, e0) is min(hs e1, hs e0) bit for bit: rounding is monotone
+        k, window = _saturation(hs * np.minimum(e1, 1.0 - e1), delta, delta, h)
+        hs, e1 = hs[window], e1[window]
+        e0 = 1.0 - e1
+        # u1 and u0 as the rows of one array, for one call of normal_cdf
+        u = (hs * np.stack((e1, e0)) - delta) / h
+        u1, u0 = u
+        c1, c0 = normal_cdf(u)
+        k[window] = c1 * c0
+        excluded = self.r1[window]
+        g1 = np.where(excluded, 0.0, _normal_pdf(u1) * c0 / h)
+        g0 = np.where(excluded, 0.0, c1 * _normal_pdf(u0) / h)
+        return np.where(self.r1, 0.0, k), window, {
+            "sampling": (g1 * e1 + g0 * e0) * hs * (1.0 - hs),
+            "propensity": (g1 - g0) * hs * e1 * e0,
+            "threshold": -(g1 + g0),
+        }
+
+
 class _Pipeline:
     """One estimator's data, component fits and threshold, laid out as the
     parameter vector of its stacked system.
@@ -200,34 +340,22 @@ class _Pipeline:
     threshold (trimmed with a positive threshold only), then the weighted
     means v1, v2, v3 whose contrast v1 - v2 + v3 is the treatment effect.
     ``nuisance`` is the vector up to the weighted means, at the fits.
+    ``core`` is the ``_Core`` it shares with the other methods of its
+    analysis, on the same data and score fits; it builds its own when
+    ``core`` is None.
     """
 
     tail = ("v1", "v2", "v3")
 
-    def __init__(self, data, sampling_fit, propensity_fit, outcome_fits, partition):
+    def __init__(self, data, sampling_fit, propensity_fit, outcome_fits, partition, core=None):
         data.require_both_samples()
         _check_fits(sampling_fit, propensity_fit, *(outcome_fits or ()))
-        self.data, self.partition = data, partition
-        self.a = np.where(data.trial_mask, data.a, 0.0)
-        self.y = np.where(data.trial_mask, data.y, 0.0)
-        # the rows the trial-only blocks live on, and their design rows
-        self.trial = np.flatnonzero(data.trial_mask)
-        self.x_trial = data.x_trial
-        self.treated = data.trial_mask & (self.a == 1)
-        self.control = data.trial_mask & (self.a == 0)
-        # exclusions force k to 0 on target rows only; trial rows are
-        # study-eligible by construction
-        self.r1 = np.zeros(data.n, dtype=bool)
-        if partition is not None:
-            self.r1[np.flatnonzero(data.target_mask)[partition.r1_mask]] = True
+        core = core or _Core(data, sampling_fit, propensity_fit, partition)
+        self.core, self.data, self.partition = core, data, partition
+        self.a, self.y, self.trial, self.x_trial = core.a, core.y, core.trial, data.x_trial
         # a boundary threshold (p3* at the attainable mass) is pinned, not
         # estimated: its equation holds identically and carries no noise
         self.estimate_delta = partition is not None and partition.delta_star > 0.0
-        self.fixed_e1 = predict_mean(propensity_fit, data.x) if propensity_fit.fixed else None
-        self.at_fits = (
-            predict_mean(sampling_fit, data.x),
-            self.fixed_e1 if propensity_fit.fixed else _propensity(data, propensity_fit, partition),
-        )
         self.link, self.link_slope = (
             _outcome_link(outcome_fits) if outcome_fits is not None else (None, None)
         )
@@ -236,6 +364,9 @@ class _Pipeline:
         if outcome_fits is None:
             zero = np.zeros(data.n)
             self.fixed_m = (zero, zero, self.y)
+        # the untrimmed methods share no trim: k is 1.0 and no row is excluded
+        self.trim = core.trim(partition) if partition is not None else None
+        self.fixed_e1 = core.scores[1] if propensity_fit.fixed else None
 
         blocks = [("sampling", sampling_fit.coefficients)]
         if not propensity_fit.fixed:
@@ -262,26 +393,23 @@ class _Pipeline:
         """hs, e1, the transport weights, k, m1/m0 and the weighted-mean
         rows at ``xi``; ``scale`` smooths the threshold membership (the
         partition's epsilon by default, see threshold_bandwidth). At
-        ``nuisance`` itself hs and e1 are ``at_fits``, the scores the fits
-        and the partition hold."""
+        ``nuisance`` itself, at that default, all but the outcome rows are
+        the core's and its trim's, from the scores the fits and the
+        partition hold."""
         x, s, a = self.data.x, self.data.s, self.a
-        if xi is self.nuisance:
-            hs, e1 = self.at_fits
+        if xi is self.nuisance and scale is None:
+            hs, e1, w1, w0 = self.core.scores
+            k = self.trim.k if self.trim is not None else 1.0
         else:
             hs = expit(x @ xi[self.slices["sampling"]])
             e1 = self.fixed_e1
             if e1 is None:
                 e1 = expit(x @ xi[self.slices["propensity"]])
-        e0 = 1.0 - e1
-        base = np.where(self.data.trial_mask, (1.0 - hs) / hs, 0.0)
-        w1 = np.where(self.treated, base / e1, 0.0)
-        w0 = np.where(self.control, base / e0, 0.0)
-        k = 1.0
-        if self.partition is not None:
-            part = self.partition
-            delta = xi[self.slices["threshold"]][0] if self.estimate_delta else part.delta_star
-            k = _membership(hs * e1, hs * e0, delta, scale or part.epsilon)
-            k = np.where(self.r1, 0.0, k)
+            w1, w0 = self.core.transport(hs, e1)
+            k = 1.0
+            if self.partition is not None:
+                delta = xi[self.slices["threshold"]][0] if self.estimate_delta else self.partition.delta_star
+                k = self.trim.membership(hs, e1, delta, scale)
         if self.fixed_m is None:
             m1 = self.link(x @ xi[self.slices["outcome1"]])
             m0 = self.link(x @ xi[self.slices["outcome0"]])
@@ -294,11 +422,6 @@ class _Pipeline:
     def weighted_means(self, fitted: _Rows) -> list[float]:
         """The weighted means at the component fits: the point estimate's
         terms and the plug-in solution of the stacked system."""
-        hs, e1 = fitted.hs[self.data.trial_mask], fitted.e1[self.data.trial_mask]
-        if np.any(hs <= 0.0) or np.any(e1 <= 0.0) or np.any(e1 >= 1.0):
-            raise ZeroWeightError("sampling or propensity score is numerically 0/1 on a trial row")
-        if not (np.all(np.isfinite(fitted.w1)) and np.all(np.isfinite(fitted.w0))):
-            raise ZeroWeightError("non-finite transport weight")
         return [_hajek(v, w, name) for (w, v), name in zip(fitted.means, self.tail)]
 
     def estimating_functions(self, xi: np.ndarray, r: _Rows) -> list:
@@ -332,43 +455,11 @@ class _Pipeline:
             out[rows, sl] = m[:, None] * design
         return out
 
-    def membership_slopes(self, r: _Rows, xi: np.ndarray, scale: float | None = None):
-        """The threshold membership k at ``xi`` smoothed at ``scale``, at
-        full length, and its derivatives on the window: the indices of the
-        rows that ``_saturation`` leaves unsaturated, and on those rows
-        {block: per-row multiplier of x} for the score coefficients and
-        per-row values for the threshold.
-
-        With k = Phi(u1) Phi(u0), u1 = (hs e1 - delta)/h and
-        u0 = (hs e0 - delta)/h, write g1 = phi(u1) Phi(u0)/h and
-        g0 = Phi(u1) phi(u0)/h, both 0 on excluded rows. Only the window is
-        smoothed; on the other rows k is exactly 0 or 1 and g1 and g0 are
-        exactly 0, so every derivative of k is 0 there.
-        """
-        part = self.partition
-        delta = xi[self.slices["threshold"]][0] if self.estimate_delta else part.delta_star
-        h = scale or part.epsilon
-        # hs min(e1, e0) is min(hs e1, hs e0) bit for bit: rounding is monotone
-        k, window = _saturation(r.hs * np.minimum(r.e1, 1.0 - r.e1), delta, delta, h)
-        hs, e1 = r.hs[window], r.e1[window]
-        e0 = 1.0 - e1
-        # u1 and u0 as the rows of one array, for one call of normal_cdf
-        u = (hs * np.stack((e1, e0)) - delta) / h
-        u1, u0 = u
-        c1, c0 = normal_cdf(u)
-        k[window] = c1 * c0
-        excluded = self.r1[window]
-        g1 = np.where(excluded, 0.0, _normal_pdf(u1) * c0 / h)
-        g0 = np.where(excluded, 0.0, c1 * _normal_pdf(u0) / h)
-        return np.where(self.r1, 0.0, k), window, {
-            "sampling": (g1 * e1 + g0 * e0) * hs * (1.0 - hs),
-            "propensity": (g1 - g0) * hs * e1 * e0,
-            "threshold": -(g1 + g0),
-        }
-
-    def jacobian(self, xi: np.ndarray, r: _Rows, scale: float | None = None) -> np.ndarray:
-        """The (dim, dim) Jacobian of the mean of ``psi(., scale)`` at ``xi``,
-        in closed form from the per-row quantities ``r`` at ``xi``.
+    def jacobian(self, xi: np.ndarray, r: _Rows) -> np.ndarray:
+        """The (dim, dim) Jacobian of the mean of ``psi(., bandwidth)`` at
+        ``xi``, in closed form from the per-row quantities ``r`` at the fits
+        (``rows(nuisance)``), the membership smoothed at the trim's
+        bandwidth (``_Trim.slopes``).
 
         Each GLM block is -X'diag(c)X/n, with c = hs(1 - hs) over all rows
         and e1 e0, a m1' and (1 - a) m0' over the trial rows. Each
@@ -380,17 +471,16 @@ class _Pipeline:
         is -mean(w). The terms in omega's and v's derivatives are summed
         over the trial rows for v1 and v2 (omega is 0 elsewhere) and over
         all rows for v3; the terms in k's derivatives, and the threshold
-        row, over the window of ``membership_slopes`` alone.
+        row, over the window of ``membership_slopes`` alone. The sampling
+        and propensity Gram blocks are the core's and the membership slopes
+        its trim's, which every method of one analysis shares.
         """
         x, xt, t, s = self.data.x, self.x_trial, self.trial, self.data.s
         n = x.shape[0]
         sl = self.slices
         jac = np.zeros((self.dim, self.dim))
-
-        def gram(block: str, c: np.ndarray, design: np.ndarray = xt):
-            jac[sl[block], sl[block]] = -(design.T @ (c[:, None] * design)) / n
-
-        gram("sampling", r.hs * (1.0 - r.hs), x)
+        for block, gram in self.core.grams.items():
+            jac[sl[block], sl[block]] = gram
         e1 = r.e1[t]
         e0 = 1.0 - e1
         # per block, the derivatives of log omega on the trial rows (v1, v2)
@@ -398,11 +488,10 @@ class _Pipeline:
         log_slopes = {"sampling": (-1.0, -1.0)}
         value_slopes = {}
         if self.fixed_e1 is None:
-            gram("propensity", e1 * e0)
             log_slopes["propensity"] = (-e0, e1)
         k = np.broadcast_to(1.0, n)  # untrimmed: a length-n view of one 1.0
         if self.partition is not None:
-            k, window, k_slopes = self.membership_slopes(r, xi, scale)
+            k, window, k_slopes = self.trim.slopes[1]
             xw, omegas = take_rows(x, window), (r.w1[window], r.w0[window], 1.0 - s[window])
             # each row's factor of d k: omega (v - v_j) for the means and
             # 1 - s for the threshold
@@ -422,8 +511,8 @@ class _Pipeline:
         if self.fixed_m is None:
             dm1, dm0 = self.link_slope(r.m1), self.link_slope(r.m0)
             d1, d0 = self.a[t] * dm1[t], (1.0 - self.a[t]) * dm0[t]
-            gram("outcome1", d1)
-            gram("outcome0", d0)
+            jac[sl["outcome1"], sl["outcome1"]] = _gram(d1, xt, n)
+            jac[sl["outcome0"], sl["outcome0"]] = _gram(d0, xt, n)
             value_slopes = {"outcome1": (-d1, -d1, dm1), "outcome0": (-d0, -d0, -dm0)}
 
         blocks = zip(self.tail, (t, t, slice(None)), (r.w1[t], r.w0[t], 1.0 - s), (xt, xt, x))
@@ -464,9 +553,10 @@ def hajek_ipw(
     sampling_fit: GlmFit,
     propensity_fit: GlmFit,
     variance: str = "sandwich",
+    *, _core: _Core | None = None,
 ) -> EstimateReport:
     """Self-normalized weighting estimator of the target-population ATE."""
-    return _estimate(data, sampling_fit, propensity_fit, None, None, variance)
+    return _estimate(data, sampling_fit, propensity_fit, None, None, variance, _core=_core)
 
 
 def trimmed_ipw(
@@ -475,9 +565,10 @@ def trimmed_ipw(
     propensity_fit: GlmFit,
     partition: PartitionResult,
     variance: str = "sandwich",
+    *, _core: _Core | None = None,
 ) -> EstimateReport:
     """Weighting estimator for the well-represented group."""
-    return _estimate(data, sampling_fit, propensity_fit, None, partition, variance)
+    return _estimate(data, sampling_fit, propensity_fit, None, partition, variance, _core=_core)
 
 
 def augmented_ipw(
@@ -486,10 +577,11 @@ def augmented_ipw(
     propensity_fit: GlmFit,
     outcome_fits: tuple[GlmFit, GlmFit],
     variance: str = "sandwich",
+    *, _core: _Core | None = None,
 ) -> EstimateReport:
     """Doubly robust estimator: weighted residuals plus an outcome-model
     projection averaged over all target rows."""
-    return _estimate(data, sampling_fit, propensity_fit, outcome_fits, None, variance)
+    return _estimate(data, sampling_fit, propensity_fit, outcome_fits, None, variance, _core=_core)
 
 
 def trimmed_aipw(
@@ -499,24 +591,26 @@ def trimmed_aipw(
     outcome_fits: tuple[GlmFit, GlmFit],
     partition: PartitionResult,
     variance: str = "sandwich",
+    *, _core: _Core | None = None,
 ) -> EstimateReport:
     """Augmented weighting estimator for the well-represented group."""
-    return _estimate(data, sampling_fit, propensity_fit, outcome_fits, partition, variance)
+    return _estimate(data, sampling_fit, propensity_fit, outcome_fits, partition, variance, _core=_core)
 
 
 def _estimate(
-    data, sampling_fit, propensity_fit, outcome_fits, partition, variance,
+    data, sampling_fit, propensity_fit, outcome_fits, partition, variance, *, _core=None,
 ) -> EstimateReport:
     """v1 - v2 + v3, with its sandwich variance unless ``variance`` is
     "none"; the weighting estimator ("ipw") when ``outcome_fits`` is None.
     Under the sandwich, the weighted means are read off the stacked
-    system's plug-in solution, so the pipeline is built once."""
+    system's plug-in solution, so the pipeline is built once. ``_core`` is
+    the ``_Core`` that the methods of one analysis share, or None."""
     if variance == "sandwich":
-        system = build_stacked_system(data, sampling_fit, propensity_fit, outcome_fits, partition)
+        system = build_stacked_system(data, sampling_fit, propensity_fit, outcome_fits, partition, _core=_core)
         v1, v2, v3 = system.xi[-3:].tolist()
         var = sandwich_variance(system)
     elif variance == "none":
-        pipeline = _Pipeline(data, sampling_fit, propensity_fit, outcome_fits, partition)
+        pipeline = _Pipeline(data, sampling_fit, propensity_fit, outcome_fits, partition, _core)
         v1, v2, v3 = pipeline.weighted_means(pipeline.rows(pipeline.nuisance))
         var = float("nan")
     else:
@@ -543,6 +637,7 @@ def build_stacked_system(
     propensity_fit: GlmFit,
     outcome_fits: tuple[GlmFit, GlmFit] | None = None,
     partition: PartitionResult | None = None,
+    *, _core: _Core | None = None,
 ) -> StackedSystem:
     """Stack the estimating functions of the full pipeline.
 
@@ -558,27 +653,22 @@ def build_stacked_system(
     that do not belong together raise StationarityError there. The
     Jacobian is taken in closed form at the plug-in solution, with the
     threshold membership smoothed at ``bandwidth`` (see
-    threshold_bandwidth) when the threshold is estimated.
+    threshold_bandwidth) when the threshold is estimated. ``_core`` is the
+    ``_Core`` that the methods of one analysis share; one is built when it
+    is None.
     """
-    pipeline = _Pipeline(data, sampling_fit, propensity_fit, outcome_fits, partition)
+    pipeline = _Pipeline(data, sampling_fit, propensity_fit, outcome_fits, partition, _core)
     # the per-row quantities read only the nuisance block, so these are
     # also the rows at the plug-in solution
     fitted = pipeline.rows(pipeline.nuisance)
     xi_hat = np.concatenate([pipeline.nuisance, pipeline.weighted_means(fitted)])
     eta = np.zeros(pipeline.dim)
     eta[-3:] = (1.0, -1.0, 1.0)
-    jacobian_psi = bandwidth = None
-    if pipeline.estimate_delta:
-        keep = data.target_mask & ~pipeline.r1
-        hs, e1 = fitted.hs[keep], fitted.e1[keep]
-        min_prods = hs * np.minimum(e1, 1.0 - e1)
-        bandwidth = threshold_bandwidth(
-            min_prods, partition.p3_star, partition.p_hat[0], partition.epsilon
-        )
-        jacobian_psi = partial(pipeline.psi, scale=bandwidth)
+    bandwidth = pipeline.trim.slopes[0] if pipeline.estimate_delta else None
+    jacobian_psi = partial(pipeline.psi, scale=bandwidth) if pipeline.estimate_delta else None
     return StackedSystem(
         xi=xi_hat, eta=eta, psi=pipeline.psi,
-        jacobian=pipeline.jacobian(xi_hat, fitted, bandwidth),
+        jacobian=pipeline.jacobian(xi_hat, fitted),
         labels=tuple(pipeline.labels), jacobian_psi=jacobian_psi, bandwidth=bandwidth,
         _fitted=(pipeline, fitted, xi_hat),
     )

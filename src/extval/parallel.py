@@ -19,7 +19,6 @@ import multiprocessing
 import os
 import pickle
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable
 
 # the task of this worker process, set by _install when the worker starts
@@ -93,6 +92,10 @@ def ordered_map(task: Callable, items: Iterable, workers: int | None = None) -> 
         context = _context(task)
     if context is None:
         return [task(item) for item in items]
+    # imported only where a pool is built: loading it would cost a process
+    # that maps serially (a sandwich analysis) 10-15 ms
+    from concurrent.futures import ProcessPoolExecutor
+
     share = -(-len(items) // workers)
     workers = -(-len(items) // share)
     with ProcessPoolExecutor(workers - 1, mp_context=context,

@@ -30,7 +30,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, ExtvalError, NumericalError
-from .estimators import trimmed_aipw, trimmed_ipw
+from .estimators import _Core, trimmed_aipw, trimmed_ipw
 from .glm import GlmFamily, expit, fit_outcome_models, fit_propensity_score, fit_sampling_score
 from .parallel import ordered_map
 from .partition import partition_population
@@ -347,14 +347,17 @@ def _one_replication(config: StudyConfig, rep: int) -> dict:
     cate_t = truth.cate[data.target_mask]
     r1 = truth.excluded[data.target_mask]
     out: dict = {}
+    # the trimmed IPW and AIPW of each p3* share their per-row arrays and
+    # membership slopes
+    core = _Core(data, sampling, propensity)
     for p3s in config.p3_stars:
         part = partition_population(data, sampling, propensity, r1, p3s)
         t1, t2, t3 = _group_truths(cate_t, part.labels)
         for method in config.methods:
             if method == "ipw":
-                rep_est = trimmed_ipw(data, sampling, propensity, part)
+                rep_est = trimmed_ipw(data, sampling, propensity, part, _core=core)
             else:
-                rep_est = trimmed_aipw(data, sampling, propensity, outcome, part)
+                rep_est = trimmed_aipw(data, sampling, propensity, outcome, part, _core=core)
             inp = SensitivityInput(
                 tau3=rep_est.estimate,
                 tau3_ci=(rep_est.ci_low, rep_est.ci_high),
@@ -408,8 +411,10 @@ def run_study(config: StudyConfig, n_jobs: int | None = None, true_tau: float | 
     has it. The tasks run on up to ``n_jobs`` processes, this one and
     forked workers; without a safe fork (Windows, macOS) the workers are
     spawned. ``n_jobs`` None is one per CPU in this process's affinity
-    mask, and one without a safe fork.
+    mask, and one without a safe fork; below 1 it is a ConfigError.
     """
+    if n_jobs is not None and n_jobs < 1:
+        raise ConfigError(f"n_jobs must be at least 1, got {n_jobs!r}")
     tasks = range(config.replications + 1 + (true_tau is None))
     results = ordered_map(partial(_study_task, config), tasks, n_jobs)
     if true_tau is None:

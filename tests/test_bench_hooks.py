@@ -6,6 +6,8 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,8 @@ from extval import (
     partition_population,
     sandwich_variance,
 )
+from extval import cli, simulation
+from test_cli import _config, _write_fixture
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -96,3 +100,42 @@ def test_sandwich_survives_the_counting_wrappers_and_rereads_a_replaced_xi():
     moved[0] += 0.1  # the sampling intercept
     with pytest.raises(StationarityError):
         sandwich_variance(dataclasses.replace(system, xi=moved))
+
+
+def _count_calls(monkeypatch, names) -> Counter:
+    """Count the calls of each ``module.function`` in ``names``, replacing it
+    wherever an ``extval`` module binds it, as the tracer does."""
+    calls = Counter()
+    for name in names:
+        module, attr = name.split(".")
+        original = getattr(importlib.import_module(f"extval.{module}"), attr)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for key, mod in list(sys.modules.items()):
+            if key.startswith("extval") and getattr(mod, attr, None) is original:
+                monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_each_sandwich_method_builds_and_solves_its_own_system(tmp_path, monkeypatch):
+    # the methods of one analysis share a core, but each still builds its
+    # stacked system and its sandwich, the spans the tracer times
+    names = ["estimators.build_stacked_system", "estimators.sandwich_variance"]
+    calls = _count_calls(monkeypatch, names)
+    config = _config(_write_fixture(tmp_path / "cohort.csv"),
+                     methods=["ipw", "aipw", "trimmed_ipw", "trimmed_aipw"])
+    report = cli.cmd_analyze(config)
+    assert len(report["estimates"]) == 4
+    assert calls == {name: 4 for name in names}
+
+
+def test_a_replication_calls_the_trimmed_estimators_by_name(monkeypatch):
+    names = ["estimators.trimmed_ipw", "estimators.trimmed_aipw"]
+    calls = _count_calls(monkeypatch, names)
+    study = simulation.StudyConfig(dgp=DgpConfig(n_total=20_000), replications=1, p3_stars=(0.8, 0.9),
+                                   methods=("ipw", "aipw"), oracle_draws=1_000)
+    assert len(simulation._one_replication(study, 0)) == 8
+    assert calls == {name: 2 for name in names}

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import gc
 import importlib
@@ -23,6 +24,8 @@ from extval import (
 )
 from extval import cli, parallel, simulation
 from extval.cli import cmd_analyze, cmd_sensitivity, evaluate_raw_rules, load_dataset, main
+from extval.glm import predict_mean
+from extval.partition import _membership
 
 
 def _write_fixture(path, n1=120, n2=300, seed=91, flag_share=0.05):
@@ -76,6 +79,29 @@ def _config(input_path, **overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def _write_cohort(path, family="gaussian", seed=(23, 5)):
+    """A generated cohort of about 2,200 rows as an analyst would export it:
+    s, a, y, four covariates and the eligibility flag, every digit kept."""
+    dgp = simulation.DgpConfig(n_total=20_000, outcome_family=cli._FAMILIES[family])
+    data, truth = simulation.generate_cohort(dgp, list(seed))
+    lines = ["s,a,y,x1,x2,x3,x4,ineligible"]
+    for i in range(data.n):
+        ay = f"{int(data.a[i])},{float(data.y[i])!r}" if data.trial_mask[i] else ","
+        covariates = ",".join(repr(float(v)) for v in data.x[i, 1:])
+        lines.append(f"{int(data.s[i])},{ay},{covariates},{int(truth.e_flag[i])}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _cohort_config(input_path, **overrides):
+    return _config(input_path, **{
+        "roles": {"s": "s", "a": "a", "y": "y", "covariates": ["x1", "x2", "x3", "x4"]},
+        "p3_star": 0.8,
+        "exclusion_rules": [[{"var": "ineligible", "op": "==", "value": 1}], [{"var": "x4", "op": ">=", "value": 3.0}]],
+        **overrides,
+    })
 
 
 def _parsed(rules):
@@ -887,6 +913,41 @@ def _run_main(args):
     return main([str(a) for a in args])
 
 
+def _attainable_mass(cfg) -> float:
+    """The smoothed share of the target rows at delta = 0 under the config's
+    fits, without exclusions: at this p3* the threshold is pinned at 0."""
+    data, _ = load_dataset(cfg["input"], cfg["roles"])
+    family = cli._family(cfg["outcome_family"])
+    sampling, propensity, _, _ = cli._fit_components(data, cfg.get("known_propensity"), family, False, None, None)
+    hs, e1 = (predict_mean(fit, data.x)[data.target_mask] for fit in (sampling, propensity))
+    return float(np.mean(_membership(hs * e1, hs * (1.0 - e1), 0.0, cfg["epsilon"])))
+
+
+@pytest.mark.parametrize("case", ["gaussian", "binary", "known_propensity", "attainable_mass"])
+def test_method_entries_do_not_depend_on_the_order_or_company_of_methods(tmp_path, case):
+    # the methods of one analysis share their per-row arrays, Gram blocks
+    # and membership slopes; what each reports must not depend on which
+    # method computed them first, or on whether the others ran at all
+    family = "binary" if case == "binary" else "gaussian"
+    cfg = _cohort_config(_write_cohort(tmp_path / "cohort.csv", family), outcome_family=family)
+    if case == "known_propensity":
+        cfg["known_propensity"] = 0.5
+    if case == "attainable_mass":
+        cfg.update(exclusion_rules=[], p3_star=_attainable_mass(cfg))
+
+    def entries(methods):
+        report = cmd_analyze(dict(cfg, methods=methods))
+        return {(e["method"], e["trimmed"]): json.dumps(e) for e in report["estimates"]}, report
+
+    together, report = entries(["ipw", "aipw", "trimmed_ipw", "trimmed_aipw"])
+    assert len(together) == 4
+    assert entries(["trimmed_aipw", "ipw", "trimmed_ipw", "aipw"])[0] == together
+    for method in ("ipw", "aipw", "trimmed_ipw", "trimmed_aipw"):
+        alone = entries([method])[0]
+        assert alone.items() <= together.items(), method
+    assert (report["partition"]["delta_star"] == 0.0) == (case == "attainable_mass")
+
+
 def test_main_analyze_and_sensitivity_files(tmp_path, fixture_csv):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_config(fixture_csv)))
@@ -1120,14 +1181,15 @@ def test_simulate_takes_its_worker_count_from_the_cpu_count(monkeypatch, cpus, p
     # three replications and the two Monte Carlo truths: on one CPU no pool,
     # on three CPUs shares of 2, 2 and 1 tasks, two of them in a pool
     built = []
-    pool = parallel.ProcessPoolExecutor
+    # ordered_map imports the pool class where it builds a pool
+    pool = concurrent.futures.ProcessPoolExecutor
 
     def recorded(workers, **kwargs):
         built.append(workers)
         return pool(workers, **kwargs)
 
     monkeypatch.setattr(parallel, "_cpu_count", lambda: cpus)
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", recorded)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorded)
     cfg = {
         "schema_version": 1, "replications": 3, "p3_star": [0.8], "methods": ["aipw"],
         "assumptions": ["epd"], "seed": 77, "sizes": [20000], "oracle_draws": 100_000,
@@ -1148,6 +1210,30 @@ def test_main_simulate_rejects_no_oracle_draws_before_any_replication(tmp_path, 
     }))
     assert _run_main(["simulate", "--config", cfg_path]) == 2
     assert capsys.readouterr().err == "error: oracle_draws must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_main_simulate_rejects_threads_below_one_before_the_config(tmp_path, capsys, monkeypatch, threads):
+    def replication(config, rep):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(simulation, "_replication", replication)
+    # the config file does not exist: the count is refused before it is read
+    with pytest.raises(SystemExit) as exc:
+        _run_main(["simulate", "--config", tmp_path / "missing.json", "--threads", threads])
+    assert exc.value.code == 2
+    assert f"argument --threads: must be at least 1, got {threads}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_jobs", [0, -3])
+def test_run_study_rejects_fewer_than_one_process(monkeypatch, n_jobs):
+    def replication(config, rep):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(simulation, "_replication", replication)
+    study = simulation.StudyConfig(dgp=simulation.DgpConfig(n_total=20_000), replications=2, oracle_draws=1_000)
+    with pytest.raises(ConfigError, match=f"n_jobs must be at least 1, got {n_jobs}"):
+        simulation.run_study(study, n_jobs=n_jobs)
 
 
 def test_main_simulate_requires_seed(tmp_path):

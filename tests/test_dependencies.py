@@ -226,6 +226,17 @@ def test_runs_load_no_scipy_module(tmp_path):
     assert out.splitlines() == ["analyze []", "simulate []"]
 
 
+def test_a_sandwich_analysis_loads_no_process_pool(tmp_path):
+    # concurrent.futures costs a process about 15 ms to load; only a map
+    # that builds a pool (a bootstrap, a study) needs it
+    out = _run_configs(tmp_path, "import sys\nfrom extval import cli\n", (
+        "cli.main(['analyze', '--config', analyze, '--output', 'report.json'])\n"
+        "cli.main(['sensitivity', '--config', analyze, '--report', 'report.json', '--output', 'grid.csv'])\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    ))
+    assert out.splitlines()[-1] == "False"
+
+
 def test_runs_where_scipy_cannot_be_imported(tmp_path):
     # None in sys.modules makes every import of scipy raise ImportError, as
     # on a machine without it

@@ -1,3 +1,4 @@
+import concurrent.futures
 import multiprocessing
 import os
 from functools import partial
@@ -39,13 +40,14 @@ def test_ordered_map_on_spawned_workers(monkeypatch):
 
 def test_ordered_map_defaults_to_one_process_per_cpu_where_fork_is_safe(monkeypatch):
     built = []
-    pool = parallel.ProcessPoolExecutor
+    # ordered_map imports the pool class where it builds a pool
+    pool = concurrent.futures.ProcessPoolExecutor
 
     def recorded(workers, **kwargs):
         built.append(workers)
         return pool(workers, **kwargs)
 
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", recorded)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorded)
     monkeypatch.setattr(parallel, "_cpu_count", lambda: 3)
     want = [3 ** i for i in range(6)]
     assert ordered_map(partial(pow, 3), range(6)) == want

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import multiprocessing
 import os
@@ -183,6 +184,20 @@ def test_run_study_is_bit_identical_at_any_worker_count(reps, given):
     assert reports[0] == reports[1] == reports[2]
     want = true_tau if given else true_tau_oracle(cfg.dgp, cfg.oracle_draws)
     assert f"true_tau={want!r}," in reports[0]
+
+
+@pytest.mark.parametrize("family", [GAUSS, BERN])
+def test_study_ipw_cells_do_not_depend_on_the_aipw_beside_them(family):
+    # the trimmed IPW and AIPW of each p3* share their per-row arrays and
+    # membership slopes; the IPW cells must not depend on that company
+    cfg = StudyConfig(
+        dgp=DgpConfig(n_total=20_000, outcome_family=family), replications=3, p3_stars=(0.8, 0.9),
+        methods=("ipw",), assumptions=("gpd", "epd"), master_seed=31, oracle_draws=10_000,
+    )
+    alone = run_study(cfg, n_jobs=1)
+    both = run_study(dataclasses.replace(cfg, methods=("ipw", "aipw")), n_jobs=1)
+    assert alone.failures == both.failures == 0
+    assert [repr(c) for c in both.cells if c.method == "ipw"] == [repr(c) for c in alone.cells]
 
 
 def test_an_error_in_the_truth_reaches_the_caller_with_its_class(monkeypatch):
